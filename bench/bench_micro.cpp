@@ -27,7 +27,7 @@ void BM_Crc32c(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(256)->Arg(8192);
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(256)->Arg(8192);
 
 void BM_PageSlotWrite(benchmark::State& state) {
   storage::Page page;
@@ -116,6 +116,24 @@ void BM_BufferCacheFetchSpread(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BufferCacheFetchSpread);
+
+/// Every fetch misses a full cache: the cost of choosing and dropping a
+/// victim, at a small cache (512 frames) and the default size (2048).
+void BM_BufferCacheMissEvict(benchmark::State& state) {
+  NullPageStore store;
+  const auto frames = static_cast<std::uint32_t>(state.range(0));
+  storage::BufferCache cache(&store, frames, [](Lsn) {});
+  std::uint32_t block = 0;
+  for (; block < frames; ++block) {
+    (void)cache.fetch(PageId{FileId{0}, block});  // fill
+  }
+  for (auto _ : state) {
+    auto ref = cache.fetch(PageId{FileId{0}, block++});
+    benchmark::DoNotOptimize(ref.value().page());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BufferCacheMissEvict)->Arg(512)->Arg(2048);
 
 void BM_BufferCacheCheckpointSweep(benchmark::State& state) {
   NullPageStore store;

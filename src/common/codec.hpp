@@ -104,9 +104,19 @@ class Decoder {
   size_t pos_{0};
 };
 
-/// CRC32 (Castagnoli polynomial, table-driven). Used for page checksums and
-/// redo-record integrity.
+/// CRC32 (Castagnoli polynomial). Used for page checksums and redo-record
+/// integrity. `seed` chains calls: crc32c(b, crc32c(a)) == crc32c(a ++ b).
+/// Dispatched once per process: x86-64 hosts with SSE4.2 run the crc32
+/// instruction over three interleaved streams; other hosts run
+/// slicing-by-8 tables. Both give the same checksum for every input.
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t seed = 0);
+
+namespace detail {
+/// The slicing-by-8 kernel crc32c falls back to, callable on any host so
+/// tests can hold the dispatched kernel to it.
+std::uint32_t crc32c_portable(std::span<const std::uint8_t> data,
+                              std::uint32_t seed = 0);
+}  // namespace detail
 
 }  // namespace vdb

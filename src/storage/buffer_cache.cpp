@@ -55,7 +55,7 @@ Result<PageRef> BufferCache::fetch(PageId id) {
     stats_.hits += 1;
     hits_counter_->inc();
     last_frame_->pins += 1;
-    last_frame_->lru_tick = ++tick_;
+    lru_touch(last_frame_);
     return PageRef{this, id, &last_frame_->page};
   }
 
@@ -65,7 +65,7 @@ Result<PageRef> BufferCache::fetch(PageId id) {
     hits_counter_->inc();
     Frame& f = *it->second;
     f.pins += 1;
-    f.lru_tick = ++tick_;
+    lru_touch(&f);
     last_id_ = id;
     last_frame_ = &f;
     return PageRef{this, id, &f.page};
@@ -86,9 +86,9 @@ Result<PageRef> BufferCache::fetch(PageId id) {
   if (!st.is_ok()) return st;
   reads_counter_->inc();
   frame->pins = 1;
-  frame->lru_tick = ++tick_;
   Frame* raw = frame.get();
   frames_[id] = std::move(frame);
+  lru_append(raw);
   last_id_ = id;
   last_frame_ = raw;
   return PageRef{this, id, &raw->page};
@@ -182,14 +182,27 @@ void BufferCache::unpin(PageId id) {
   it->second->pins -= 1;
 }
 
+void BufferCache::lru_unlink(Frame* f) {
+  (f->lru_prev != nullptr ? f->lru_prev->lru_next : lru_head_) = f->lru_next;
+  (f->lru_next != nullptr ? f->lru_next->lru_prev : lru_tail_) = f->lru_prev;
+}
+
+void BufferCache::lru_append(Frame* f) {
+  f->lru_prev = lru_tail_;
+  f->lru_next = nullptr;
+  (lru_tail_ != nullptr ? lru_tail_->lru_next : lru_head_) = f;
+  lru_tail_ = f;
+}
+
+void BufferCache::lru_touch(Frame* f) {
+  if (f == lru_tail_) return;
+  lru_unlink(f);
+  lru_append(f);
+}
+
 Status BufferCache::evict_one() {
-  Frame* victim = nullptr;
-  for (auto& [id, frame] : frames_) {
-    if (frame->pins > 0) continue;
-    if (victim == nullptr || frame->lru_tick < victim->lru_tick) {
-      victim = frame.get();
-    }
-  }
+  Frame* victim = lru_head_;
+  while (victim != nullptr && victim->pins > 0) victim = victim->lru_next;
   if (victim == nullptr) {
     return make_error(ErrorCode::kInternal, "buffer cache: all pages pinned");
   }
@@ -211,6 +224,7 @@ Status BufferCache::evict_one() {
     last_frame_ = nullptr;
     last_id_ = PageId::invalid();
   }
+  lru_unlink(victim);
   frames_.erase(victim->id);
   return Status::ok();
 }
@@ -279,6 +293,7 @@ void BufferCache::discard_file(FileId file) {
   for (auto it = frames_.begin(); it != frames_.end();) {
     if (it->first.file == file) {
       VDB_CHECK_MSG(it->second->pins == 0, "discarding pinned page");
+      lru_unlink(it->second.get());
       it = frames_.erase(it);
     } else {
       ++it;
@@ -296,6 +311,7 @@ void BufferCache::discard_page(PageId id) {
     last_frame_ = nullptr;
     last_id_ = PageId::invalid();
   }
+  lru_unlink(it->second.get());
   frames_.erase(it);
   // A stale id may linger in the dirty runs; the sweep helpers already skip
   // entries whose frame is gone or clean.
@@ -306,6 +322,8 @@ void BufferCache::discard_all() {
     VDB_CHECK_MSG(frame->pins == 0, "discarding pinned page");
   }
   frames_.clear();
+  lru_head_ = nullptr;
+  lru_tail_ = nullptr;
   last_frame_ = nullptr;
   last_id_ = PageId::invalid();
   dirty_sorted_.clear();

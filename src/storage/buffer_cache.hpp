@@ -1,8 +1,11 @@
 // Database buffer cache (Oracle: the buffer cache component of the SGA).
 //
 // Fixed number of page frames with LRU replacement, pin counts, and dirty
-// tracking. Enforces the WAL rule: before a dirty page reaches disk, the
-// log must be flushed past that page's LSN (wal_flush hook).
+// tracking. Frames sit on an intrusive recency list (least recently used
+// at the head): a hit relinks its frame in O(1), and an eviction walks from
+// the head past pinned frames only. Enforces the WAL rule: before a dirty
+// page reaches disk, the log must be flushed past that page's LSN
+// (wal_flush hook).
 //
 // Checkpoints write every dirty frame as *background* I/O on the data
 // disks; that burst of device time is precisely what slows concurrent
@@ -12,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -159,14 +161,19 @@ class BufferCache {
     PageId id{PageId::invalid()};
     bool dirty = false;
     std::uint32_t pins = 0;
-    std::uint64_t lru_tick = 0;
     SimTime dirty_since = 0;   // first-dirty instant
     Lsn rec_lsn = kInvalidLsn; // LSN of the record that first dirtied it
+    Frame* lru_prev = nullptr;  // toward the least recently used
+    Frame* lru_next = nullptr;  // toward the most recently used
   };
 
   void unpin(PageId id);
-  /// Frees one frame, writing it out first if dirty. Fails if everything is
-  /// pinned.
+  void lru_unlink(Frame* f);
+  void lru_append(Frame* f);
+  /// Moves a hit frame to the most-recently-used end.
+  void lru_touch(Frame* f);
+  /// Frees the least recently used unpinned frame, writing it out first if
+  /// dirty. Fails if everything is pinned.
   Status evict_one();
   /// Folds pages dirtied since the last sweep into `dirty_sorted_` and
   /// drops stale entries, leaving the exact dirty set in PageId order.
@@ -176,8 +183,11 @@ class BufferCache {
   std::uint32_t capacity_;
   sim::IoMode io_mode_ = sim::IoMode::kForeground;
   std::function<void(Lsn)> wal_flush_;
-  std::uint64_t tick_{0};
   std::unordered_map<PageId, std::unique_ptr<Frame>> frames_;
+  /// Recency list over every resident frame: head is the least recently
+  /// fetched, tail the most recent.
+  Frame* lru_head_ = nullptr;
+  Frame* lru_tail_ = nullptr;
   /// One-entry fast path for fetch: TPC-C touches the same page in short
   /// bursts (row read → update → index maintenance), so remembering the
   /// last frame skips the hash lookup on the hottest call in the system.

@@ -143,7 +143,11 @@ class CcBase : public ConcurrencyControl {
           e.exclusive = exclusive;
         } else if (e.holders.size() == 1 && e.holders[0] == txn) {
           e.exclusive = e.exclusive || exclusive;
-        } else {
+        } else if (std::find(e.holders.begin(), e.holders.end(), txn) ==
+                   e.holders.end()) {
+          // A repeat shared request by one of several holders is already
+          // granted; listing it twice would leave {T, T} after the others
+          // release, and T's upgrade would wait on itself.
           e.holders.push_back(txn);
         }
         Ctx& ctx = ensure_ctx_locked(txn);

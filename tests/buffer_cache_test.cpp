@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "storage/buffer_cache.hpp"
 #include "storage/page.hpp"
@@ -29,6 +30,7 @@ class FakeStore : public PageStore {
                     bool) override {
     if (fail_stores) return make_error(ErrorCode::kMediaFailure, "gone");
     stores += 1;
+    stored.push_back(id);
     page.update_checksum();
     pages[id] = page;
     last_stored_lsn = page.lsn();
@@ -38,6 +40,7 @@ class FakeStore : public PageStore {
   std::map<PageId, Page> pages;
   int loads = 0;
   int stores = 0;
+  std::vector<PageId> stored;  // every successful store, in order
   bool fail_missing = false;
   bool fail_stores = false;
   Lsn last_stored_lsn = 0;
@@ -47,6 +50,15 @@ PageId pid(std::uint32_t block) { return PageId{FileId{0}, block}; }
 
 class BufferCacheTest : public ::testing::Test {
  protected:
+  /// Fetches `id`, dirties it and releases the pin, so that evicting it
+  /// later writes it out and `store_.stored` logs the victim order.
+  void dirty_fetch(PageId id) {
+    auto ref = cache_.fetch(id);
+    ASSERT_TRUE(ref.is_ok());
+    ref.value()->format(TableId{1}, 16);
+    cache_.mark_dirty(id, 1);
+  }
+
   FakeStore store_;
   Lsn flushed_to_ = 0;
   BufferCache cache_{&store_, 4, [this](Lsn lsn) {
@@ -263,6 +275,66 @@ TEST_F(BufferCacheTest, LastFetchedFastPathSurvivesEviction) {
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(store_.loads, loads + 1);  // reloaded, not stale fast-path frame
   EXPECT_EQ(back.value()->lsn(), 321u);  // dirty eviction preserved it
+}
+
+TEST_F(BufferCacheTest, VictimIsLeastRecentlyUsedBehindPinnedHead) {
+  auto p0 = cache_.fetch(pid(0));
+  auto p1 = cache_.fetch(pid(1));
+  ASSERT_TRUE(p0.is_ok());
+  ASSERT_TRUE(p1.is_ok());
+  p0.value()->format(TableId{1}, 16);
+  cache_.mark_dirty(pid(0), 1);
+  dirty_fetch(pid(2));
+  dirty_fetch(pid(3));
+  ASSERT_TRUE(cache_.fetch(pid(2)).is_ok());  // LRU order now 0 1 3 2
+  dirty_fetch(pid(4));  // the pinned head (0, 1) is skipped: evicts 3
+  dirty_fetch(pid(5));  // evicts 2
+  dirty_fetch(pid(6));  // evicts 4
+  EXPECT_EQ(store_.stored, (std::vector<PageId>{pid(3), pid(2), pid(4)}));
+  // Unpinned, 0 is again the least recently used.
+  p0.value() = PageRef{};
+  dirty_fetch(pid(7));
+  EXPECT_EQ(store_.stored.back(), pid(0));
+  EXPECT_EQ(cache_.stats().evictions, 4u);
+}
+
+TEST_F(BufferCacheTest, FastPathHitRefreshesRecency) {
+  for (std::uint32_t b = 0; b < 4; ++b) dirty_fetch(pid(b));
+  ASSERT_TRUE(cache_.fetch(pid(3)).is_ok());  // fast path
+  ASSERT_TRUE(cache_.fetch(pid(1)).is_ok());  // hash hit
+  ASSERT_TRUE(cache_.fetch(pid(1)).is_ok());  // fast path
+  ASSERT_TRUE(cache_.fetch(pid(0)).is_ok());  // hash hit: order 2 3 1 0
+  ASSERT_TRUE(cache_.fetch(pid(0)).is_ok());  // fast path
+  EXPECT_EQ(cache_.stats().hits, 5u);
+  for (std::uint32_t b = 10; b < 14; ++b) dirty_fetch(pid(b));
+  EXPECT_EQ(store_.stored,
+            (std::vector<PageId>{pid(2), pid(3), pid(1), pid(0)}));
+}
+
+TEST_F(BufferCacheTest, EvictionOrderSurvivesDiscards) {
+  const auto page = [](std::uint32_t file, std::uint32_t block) {
+    return PageId{FileId{file}, block};
+  };
+  dirty_fetch(page(0, 0));
+  dirty_fetch(page(0, 1));
+  dirty_fetch(page(1, 0));
+  dirty_fetch(page(1, 1));
+  cache_.discard_page(page(0, 1));  // order 0:0 1:0 1:1
+  dirty_fetch(page(0, 2));          // order 0:0 1:0 1:1 0:2
+  dirty_fetch(page(0, 3));          // evicts 0:0
+  cache_.discard_file(FileId{1});   // order 0:2 0:3
+  dirty_fetch(page(0, 4));
+  dirty_fetch(page(0, 5));
+  dirty_fetch(page(0, 6));  // evicts 0:2
+  EXPECT_EQ(store_.stored, (std::vector<PageId>{page(0, 0), page(0, 2)}));
+
+  cache_.discard_all();
+  store_.stored.clear();
+  for (std::uint32_t b = 20; b < 24; ++b) dirty_fetch(pid(b));
+  ASSERT_TRUE(cache_.fetch(pid(20)).is_ok());  // order 21 22 23 20
+  dirty_fetch(pid(30));
+  dirty_fetch(pid(31));
+  EXPECT_EQ(store_.stored, (std::vector<PageId>{pid(21), pid(22)}));
 }
 
 TEST_F(BufferCacheTest, LoadFailurePropagates) {

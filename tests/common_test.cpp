@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <map>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/codec.hpp"
 #include "common/rng.hpp"
@@ -237,6 +242,58 @@ TEST(Crc32c, KnownProperties) {
   EXPECT_EQ(crc32c(a), crc32c(a));
   EXPECT_NE(crc32c(a), crc32c(b));
   EXPECT_NE(crc32c(a), crc32c({}));
+}
+
+// The CRC-32C check value of "123456789", then RFC 3720 (iSCSI) B.4 vectors.
+TEST(Crc32c, Rfc3720Vectors) {
+  const std::string digits = "123456789";
+  EXPECT_EQ(crc32c({reinterpret_cast<const std::uint8_t*>(digits.data()),
+                    digits.size()}),
+            0xE3069283u);
+  std::vector<std::uint8_t> buf(32, 0x00);
+  EXPECT_EQ(crc32c(buf), 0x8A9136AAu);
+  std::fill(buf.begin(), buf.end(), 0xFF);
+  EXPECT_EQ(crc32c(buf), 0x62A8AB43u);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(crc32c(buf), 0x46DD794Eu);
+  EXPECT_EQ(detail::crc32c_portable(buf), 0x46DD794Eu);
+}
+
+// The dispatched kernel (hardware where available) must reproduce the
+// portable one byte for byte: every stored page and redo checksum depends
+// on it. Lengths cover the single-stream tail, the three-stream block
+// boundaries, and whole pages; offsets cover every 8-byte misalignment.
+TEST(Crc32c, DispatchedKernelMatchesPortable) {
+  Rng rng(20020623);
+  std::vector<std::uint8_t> buf(8192 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 2048; ++n) lengths.push_back(n);
+  lengths.push_back(8188);
+  lengths.push_back(8192);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n : lengths) {
+      const std::span<const std::uint8_t> s{buf.data() + offset, n};
+      ASSERT_EQ(crc32c(s), detail::crc32c_portable(s))
+          << "offset " << offset << " length " << n;
+      ASSERT_EQ(crc32c(s, 0xDEADBEEF), detail::crc32c_portable(s, 0xDEADBEEF))
+          << "seeded, offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32c, SeedChainsAcrossSplits) {
+  Rng rng(7);
+  std::vector<std::uint8_t> buf(3000);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+  const std::span<const std::uint8_t> all{buf};
+  const std::uint32_t whole = crc32c(all);
+  for (std::size_t cut : {0u, 1u, 7u, 768u, 769u, 1500u, 2999u, 3000u}) {
+    EXPECT_EQ(crc32c(all.subspan(cut), crc32c(all.first(cut))), whole)
+        << "cut " << cut;
+  }
 }
 
 TEST(TablePrinter, RendersAlignedTable) {

@@ -129,6 +129,23 @@ TEST(ConcurrencyControl, TwoPlNonWaitableRequestDiesInsteadOfBlocking) {
   cc->end(tid(2), false);
 }
 
+TEST(ConcurrencyControl, TwoPlRepeatSharedReadThenUpgradeIsGranted) {
+  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl);
+  ASSERT_TRUE(cc->mediate(tid(1), target(1), txn::AccessMode::kRead, true).is_ok());
+  ASSERT_TRUE(cc->mediate(tid(2), target(1), txn::AccessMode::kRead, true).is_ok());
+  // A repeat read by a holder among several must not list it twice: once
+  // txn 2 leaves, txn 1 is the sole holder and may upgrade.
+  ASSERT_TRUE(cc->mediate(tid(1), target(1), txn::AccessMode::kRead, true).is_ok());
+  cc->end(tid(2), true);
+  // may_wait=false: a self-wait would otherwise block forever, not fail.
+  EXPECT_TRUE(
+      cc->mediate(tid(1), target(1), txn::AccessMode::kWrite, false).is_ok());
+  cc->end(tid(1), true);
+  EXPECT_EQ(cc->stats().committed, 2u);
+  EXPECT_EQ(cc->stats().lock_waits, 0u);
+  EXPECT_EQ(cc->stats().wait_die_aborts, 0u);
+}
+
 TEST(ConcurrencyControl, OccStaleReadFailsValidation) {
   auto cc = txn::make_concurrency_control(txn::CcProtocol::kOcc);
   // Txn 1 reads the row, then txn 2 writes and commits it.
