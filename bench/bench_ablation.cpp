@@ -51,7 +51,8 @@ void print_checkpoint_timeout(BenchRun& run,
     const ExperimentResult& result = run.get(handles[next++]);
     table.add_row({std::to_string(timeout) + "s",
                    TablePrinter::num(result.tpmc, 0),
-                   std::to_string(result.incremental_checkpoints),
+                   std::to_string(
+                       result.metrics.counter("checkpoints incremental")),
                    recovery_cell(result)});
   }
   table.print();

@@ -95,17 +95,20 @@ int main() {
     table.add_row({txn::to_string(cell.protocol),
                    std::to_string(cell.workers),
                    cell.crash ? "crash" : "-", TablePrinter::num(r.tpmc, 1),
-                   std::to_string(r.committed), std::to_string(r.cc_aborts),
+                   std::to_string(r.committed),
+                   std::to_string(r.metrics.counter("cc txns aborted")),
                    std::to_string(r.cc_retries),
-                   std::to_string(r.wait_die_aborts),
-                   std::to_string(r.occ_validate_fails), recovery_cell(r),
+                   std::to_string(r.metrics.counter("cc wait_die aborts")),
+                   std::to_string(r.metrics.counter("cc occ validate fails")),
+                   recovery_cell(r),
                    r.fault_injected ? std::to_string(r.lost_committed) : "-",
                    std::to_string(r.integrity_violations)});
     // The acceptance gate: workers=1 never engages the coordinator, so the
     // fault-free runs must replay the serial baseline bit for bit.
     if (cell.workers == 1 && !cell.crash) {
       if (r.committed != base.committed || r.tpmc != base.tpmc ||
-          r.redo_bytes != base.redo_bytes || r.cc_aborts != 0) {
+          r.redo_bytes != base.redo_bytes ||
+          r.metrics.counter("cc txns aborted") != 0) {
         identity_ok = false;
         std::fprintf(stderr,
                      "FATAL: %s-w1 diverged from the serial baseline "

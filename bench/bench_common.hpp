@@ -216,26 +216,27 @@ class BenchRun {
       std::fprintf(
           f,
           "\"ok\": true, \"tpmc\": %s, \"committed\": %llu, "
-          "\"full_checkpoints\": %llu, \"incremental_checkpoints\": %llu, "
           "\"redo_bytes\": %llu, \"fault_injected\": %s, \"recovered\": %s, "
           "\"recovery_seconds\": %s, \"lost_committed\": %llu, "
-          "\"integrity_violations\": %u, \"io_retries\": %llu, "
-          "\"io_retry_exhausted\": %llu, \"bad_blocks_found\": %llu, "
+          "\"integrity_violations\": %u, \"bad_blocks_found\": %llu, "
           "\"blocks_repaired\": %llu, ",
           json_num(r.tpmc).c_str(),
           static_cast<unsigned long long>(r.committed),
-          static_cast<unsigned long long>(r.full_checkpoints),
-          static_cast<unsigned long long>(r.incremental_checkpoints),
           static_cast<unsigned long long>(r.redo_bytes),
           r.fault_injected ? "true" : "false",
           r.recovered ? "true" : "false",
           json_num(to_seconds(r.recovery_time)).c_str(),
           static_cast<unsigned long long>(r.lost_committed),
           r.integrity_violations,
-          static_cast<unsigned long long>(r.io_retries),
-          static_cast<unsigned long long>(r.io_retry_exhausted),
           static_cast<unsigned long long>(r.bad_blocks_found),
           static_cast<unsigned long long>(r.blocks_repaired));
+      // Counter-backed columns: engine, I/O-retry and concurrency-control
+      // counts, read from the row's statistics snapshot.
+      for (const CounterColumn& column : kCounterColumns) {
+        std::fprintf(f, "\"%s\": %llu, ", column.key,
+                     static_cast<unsigned long long>(
+                         r.metrics.counter(column.counter)));
+      }
       // Restart-mode study fields: every row carries the configured mode
       // plus the open / first-commit split of the recovery time (both zero
       // when no fault was injected or the run never recovered early).
@@ -246,19 +247,13 @@ class BenchRun {
                    static_cast<unsigned long long>(r.open_time),
                    static_cast<unsigned long long>(r.first_commit_time),
                    static_cast<unsigned long long>(r.recovery_retries));
-      // Concurrency-control fields: protocol, worker count, and the
-      // protocol's abort/retry behaviour (all zeros for the serial driver).
-      std::fprintf(
-          f,
-          "\"cc_protocol\": \"%s\", \"workers\": %u, \"aborts\": %llu, "
-          "\"retries\": %llu, \"wait_die_aborts\": %llu, "
-          "\"occ_validate_fails\": %llu, \"cc_lock_waits\": %llu, ",
-          json_escape(r.cc_protocol).c_str(), r.workers,
-          static_cast<unsigned long long>(r.cc_aborts),
-          static_cast<unsigned long long>(r.cc_retries),
-          static_cast<unsigned long long>(r.wait_die_aborts),
-          static_cast<unsigned long long>(r.occ_validate_fails),
-          static_cast<unsigned long long>(r.cc_lock_waits));
+      // Concurrency-control fields: protocol, worker count, and retried
+      // attempts (zero for the serial driver).
+      std::fprintf(f,
+                   "\"cc_protocol\": \"%s\", \"workers\": %u, "
+                   "\"retries\": %llu, ",
+                   json_escape(r.cc_protocol).c_str(), r.workers,
+                   static_cast<unsigned long long>(r.cc_retries));
       // Per-phase recovery decomposition (simulated microseconds — spans
       // tile the trace, so the non-detection values sum exactly to
       // recovery_seconds) and the full V$-style statistics snapshot.

@@ -109,8 +109,9 @@ int main() {
                      std::to_string(result.integrity_violations),
                      std::to_string(result.bad_blocks_found),
                      std::to_string(result.blocks_repaired),
-                     std::to_string(result.io_retries),
-                     std::to_string(result.io_retry_exhausted)});
+                     std::to_string(result.metrics.counter("io retries")),
+                     std::to_string(
+                         result.metrics.counter("io retries exhausted"))});
     }
     table.print();
     std::printf("\n");

@@ -34,7 +34,7 @@ int main() {
     table.add_row({config.name, TablePrinter::num(without.tpmc, 0),
                    TablePrinter::num(with.tpmc, 0),
                    TablePrinter::num(overhead, 1),
-                   std::to_string(with.log_switches)});
+                   std::to_string(with.metrics.counter("log switches"))});
   }
   table.print();
   std::printf(

@@ -92,8 +92,9 @@ int main() {
                    std::to_string(config.file_mb) + " MB",
                    std::to_string(config.groups),
                    std::to_string(config.timeout_sec) + " sec",
-                   std::to_string(result.full_checkpoints),
-                   std::to_string(result.incremental_checkpoints),
+                   std::to_string(result.metrics.counter("checkpoints full")),
+                   std::to_string(
+                       result.metrics.counter("checkpoints incremental")),
                    TablePrinter::num(result.tpmc, 0),
                    TablePrinter::num(
                        static_cast<double>(result.redo_bytes) / (1 << 20),

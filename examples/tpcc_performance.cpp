@@ -47,8 +47,10 @@ int main(int argc, char** argv) {
               "%llu checkpoints, %llu log switches)\n",
               r.tpmc, static_cast<unsigned long long>(r.committed),
               static_cast<unsigned long long>(r.intentional_rollbacks),
-              static_cast<unsigned long long>(r.full_checkpoints),
-              static_cast<unsigned long long>(r.log_switches));
+              static_cast<unsigned long long>(
+                  r.metrics.counter("checkpoints full")),
+              static_cast<unsigned long long>(
+                  r.metrics.counter("log switches")));
   std::printf("integrity: %u checks, %u violations\n", r.integrity_checks,
               r.integrity_violations);
 

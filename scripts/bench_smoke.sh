@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Smoke-runs every bench binary in quick mode on a 2-worker pool and checks
 # that each one exits cleanly AND drops its machine-readable JSON into
-# results/. Wired as a ctest entry so tier-1 catches runner regressions
-# (pool wedges, collection-order bugs, missing JSON).
+# results/, then validates the drops with scripts/check_results.py. Wired
+# as a ctest entry so tier-1 catches runner regressions (pool wedges,
+# collection-order bugs, missing JSON) and column/counter drift.
 #
 # Usage: bench_smoke.sh [bench-binary-dir] [results-out-dir]
 #   bench-binary-dir defaults to ./build/bench relative to the repo root.
 #   When results-out-dir is given, the results/*.json drops are copied
-#   there before the scratch dir is removed (CI uploads them as artifacts
-#   and validates them with scripts/check_results.py).
+#   there before the scratch dir is removed (CI uploads them as artifacts).
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -102,6 +102,16 @@ else
   else
     echo "bench_smoke: OK   bench_micro"
   fi
+fi
+
+# Validate this run's drops: schema, phase tiling, and every counter-backed
+# column against its counter in the row's statistics snapshot.
+echo "bench_smoke: running check_results.py ..."
+if python3 "$repo_root/scripts/check_results.py" results; then
+  echo "bench_smoke: OK   check_results.py"
+else
+  echo "bench_smoke: FAIL check_results.py"
+  failed=1
 fi
 
 if [ -n "$results_out" ] && [ -d results ]; then

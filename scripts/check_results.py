@@ -8,6 +8,9 @@ Checks, per results/bench_*.json file:
   - every other file is a BenchRun drop: a "runs" array where every
     successful run carries a "metrics" statistics snapshot with the
     expected top-level sections;
+  - every counter-backed column (COUNTER_COLUMNS, the same table as
+    kCounterColumns in src/benchmark/experiment.hpp) is present and equals
+    its counter in that row's "metrics" snapshot;
   - recovered fault runs decompose: the non-detection entries of
     "recovery_phase_us" sum to "recovery_seconds" (the phase spans tile
     the recovery trace, so the match is exact up to the JSON float
@@ -34,6 +37,18 @@ METRIC_SECTIONS = ("counters", "gauges", "wait_events", "histograms",
                    "recovery")
 RESTART_MODES = ("m1_traditional", "m2_early_open", "m3_on_demand",
                  "m4_mixed")
+# Bench JSON key -> statistics-area counter it reports (kCounterColumns).
+COUNTER_COLUMNS = {
+    "full_checkpoints": "checkpoints full",
+    "incremental_checkpoints": "checkpoints incremental",
+    "log_switches": "log switches",
+    "io_retries": "io retries",
+    "io_retry_exhausted": "io retries exhausted",
+    "aborts": "cc txns aborted",
+    "wait_die_aborts": "cc wait_die aborts",
+    "occ_validate_fails": "cc occ validate fails",
+    "cc_lock_waits": "cc lock waits",
+}
 # recovery_seconds is printed with 6 significant digits, so a 600 s
 # headline carries up to 5e-4 s of rounding; one simulated tick is 1e-6 s.
 HEADLINE_TOLERANCE_SECONDS = 1e-3
@@ -114,6 +129,12 @@ def check_bench_run(path: pathlib.Path, doc: dict) -> list[str]:
             if section not in metrics:
                 errors.append(f"{path}: run '{label}' metrics missing "
                               f"'{section}'")
+        counters = metrics.get("counters") or {}
+        for column, counter in COUNTER_COLUMNS.items():
+            if run.get(column) != counters.get(counter, 0):
+                errors.append(f"{path}: run '{label}' {column} "
+                              f"{run.get(column)!r} differs from counter "
+                              f"'{counter}' {counters.get(counter, 0)!r}")
         # Restart-mode study fields ride on every row: the configured mode
         # and the open / first-commit split of the recovery time.
         if run.get("restart_mode") not in RESTART_MODES:

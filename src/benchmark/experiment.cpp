@@ -122,14 +122,6 @@ Result<ExperimentResult> Experiment::run() {
   result.restart_mode = engine::to_string(opts_.restart_mode);
 
   const Lsn redo_start_lsn = db->redo().next_lsn();
-  auto accumulate_engine = [&](engine::Database& d) {
-    result.full_checkpoints += d.stats().full_checkpoints;
-    result.incremental_checkpoints += d.stats().incremental_checkpoints;
-    result.log_switches += d.redo().switch_count();
-    result.log_stall_time += d.redo().stall_time();
-    result.io_retries += d.storage().retry_stats().retries;
-    result.io_retry_exhausted += d.storage().retry_stats().exhausted;
-  };
 
   // Shared recovery epilogue: account lost transactions and resume the
   // workload, timing recovery to the first post-procedure commit.
@@ -283,7 +275,6 @@ Result<ExperimentResult> Experiment::run() {
           break;
         }
         case faults::ExtendedFaultType::kTornPageWrite: {
-          accumulate_engine(*db);
           auto fresh =
               std::make_unique<engine::Database>(&primary, &sched, cfg);
           fresh->set_on_mounted(
@@ -388,7 +379,6 @@ Result<ExperimentResult> Experiment::run() {
       } else {
         switch (faults::recovery_kind(fault.type)) {
           case faults::RecoveryKind::kInstanceRestart: {
-            accumulate_engine(*db);
             auto fresh =
                 std::make_unique<engine::Database>(&primary, &sched, cfg);
             fresh->set_on_mounted(
@@ -408,7 +398,6 @@ Result<ExperimentResult> Experiment::run() {
             } else if (rep.code() == ErrorCode::kUnrecoverable) {
               // §5.1: without a usable redo chain the only option is going
               // back to the last backup — losing everything since.
-              accumulate_engine(*db);
               if (db->is_open()) (void)db->shutdown_abort();
               auto pit = rm.restore_to_backup(
                   cfg, [&](engine::Database& d) { (void)tdb.attach(&d); });
@@ -441,7 +430,6 @@ Result<ExperimentResult> Experiment::run() {
             break;
           }
           case faults::RecoveryKind::kPointInTime: {
-            accumulate_engine(*db);
             if (db->is_open()) (void)db->shutdown_abort();
             auto stop =
                 fault.type == faults::FaultType::kDeleteTablespace
@@ -470,13 +458,6 @@ Result<ExperimentResult> Experiment::run() {
   // Collect measures.
   engine::Database* final_db =
       (opts_.with_standby && sb->active()) ? &sb->db() : db.get();
-  if (final_db == db.get()) {
-    accumulate_engine(*db);
-  } else {
-    accumulate_engine(*db);
-    // The activated standby's own engine stats are not part of the primary
-    // configuration under test.
-  }
   result.redo_bytes = db->redo().next_lsn() - redo_start_lsn;
   for (const auto& disk : primary.disks()) {
     result.transient_errors += disk->stats().transient_errors;
@@ -493,11 +474,6 @@ Result<ExperimentResult> Experiment::run() {
   result.cc_protocol = txn::to_string(opts_.cc_protocol);
   result.workers = driver.workers();
   result.cc_retries = driver.stats().cc_retries;
-  const txn::CcStats ccs = driver.cc_stats();
-  result.cc_aborts = ccs.aborts;
-  result.wait_die_aborts = ccs.wait_die_aborts;
-  result.occ_validate_fails = ccs.occ_validate_fails;
-  result.cc_lock_waits = ccs.lock_waits;
 
   if (final_db->is_open()) {
     // Early-open restart: drain any redo still pending so the consistency

@@ -86,11 +86,8 @@ struct ExperimentResult {
   std::vector<std::uint32_t> series;  // New-Order commits per interval
   SimDuration series_interval = 0;
 
-  // Engine behaviour.
-  std::uint64_t full_checkpoints = 0;  // Table 3's "# CKPT per experiment"
-  std::uint64_t incremental_checkpoints = 0;
-  std::uint64_t log_switches = 0;
-  SimDuration log_stall_time = 0;
+  // Engine behaviour. Checkpoint, log-switch, I/O-retry and CC counts are
+  // statistics-area counters: read them from `metrics` (kCounterColumns).
   std::uint64_t redo_bytes = 0;  // charged redo volume generated
 
   // Recovery measures.
@@ -113,8 +110,6 @@ struct ExperimentResult {
   std::uint64_t archives_read = 0;
 
   // Storage-fault measures.
-  std::uint64_t io_retries = 0;          // transient errors absorbed by retry
-  std::uint64_t io_retry_exhausted = 0;  // operations that ran out of budget
   std::uint64_t transient_errors = 0;    // device-level failures (DiskStats)
   std::uint64_t bad_blocks_found = 0;    // verify-scan hits
   std::uint64_t blocks_repaired = 0;     // online block media recovery
@@ -132,11 +127,7 @@ struct ExperimentResult {
   // Concurrency control (workers > 1; zeros for the serial driver).
   std::string cc_protocol = "2pl";
   unsigned workers = 1;
-  std::uint64_t cc_aborts = 0;     // protocol-initiated aborts, all causes
-  std::uint64_t cc_retries = 0;    // attempts resubmitted after such aborts
-  std::uint64_t wait_die_aborts = 0;
-  std::uint64_t occ_validate_fails = 0;
-  std::uint64_t cc_lock_waits = 0;
+  std::uint64_t cc_retries = 0;  // attempts resubmitted after CC aborts
 
   // Observability (the V$-style statistics area, serialized with every
   // bench JSON row). `recovery_phases` aggregates the recorded recovery
@@ -145,6 +136,25 @@ struct ExperimentResult {
   // simulated tick.
   obs::MetricsSnapshot metrics;
   std::vector<std::pair<std::string, SimDuration>> recovery_phases;
+};
+
+/// A reported column that is a statistics-area counter: its bench JSON key
+/// and the registry name it is read from (`ExperimentResult::metrics`).
+struct CounterColumn {
+  const char* key;
+  const char* counter;
+};
+
+inline constexpr CounterColumn kCounterColumns[] = {
+    {"full_checkpoints", "checkpoints full"},  // Table 3's "# CKPT"
+    {"incremental_checkpoints", "checkpoints incremental"},
+    {"log_switches", "log switches"},
+    {"io_retries", "io retries"},  // transient errors absorbed by retry
+    {"io_retry_exhausted", "io retries exhausted"},
+    {"aborts", "cc txns aborted"},  // CC-protocol aborts, all causes
+    {"wait_die_aborts", "cc wait_die aborts"},
+    {"occ_validate_fails", "cc occ validate fails"},
+    {"cc_lock_waits", "cc lock waits"},
 };
 
 class Experiment {

@@ -236,14 +236,18 @@ Result<std::string> AdminShell::execute(const std::string& command) {
       out << "concurrency control: "
           << txn::to_string(db_->config().cc_protocol);
       if (const txn::ConcurrencyControl* cc = db_->concurrency_control()) {
-        const txn::CcStats s = cc->stats();
+        obs::MetricsRegistry& reg = db_->obs().registry();
+        auto count = [&](const char* name) {
+          return reg.counter(name)->value();
+        };
         out << " (coordinator attached: " << txn::to_string(cc->protocol())
             << ")\n"
-            << "txns begun=" << s.begun << " committed=" << s.committed
-            << " aborted=" << s.aborts << "\n"
-            << "wait_die_aborts=" << s.wait_die_aborts
-            << " occ_validate_fails=" << s.occ_validate_fails
-            << " lock_waits=" << s.lock_waits;
+            << "txns begun=" << count("cc txns begun")
+            << " committed=" << count("cc txns committed")
+            << " aborted=" << count("cc txns aborted") << "\n"
+            << "wait_die_aborts=" << count("cc wait_die aborts")
+            << " occ_validate_fails=" << count("cc occ validate fails")
+            << " lock_waits=" << count("cc lock waits");
       } else {
         out << " (no coordinator attached; serial execution)";
       }

@@ -232,7 +232,6 @@ Status Database::full_checkpoint() {
   redo_->append(rec);
   VDB_RETURN_IF_ERROR(redo_->flush());
   redo_->note_recovery_position(rec.recovery_start_lsn);
-  stats_.full_checkpoints += 1;
   return write_control_file(/*clean=*/false);
 }
 
@@ -263,7 +262,6 @@ Status Database::incremental_checkpoint() {
   redo_->append(rec);
   VDB_RETURN_IF_ERROR(redo_->flush());
   redo_->note_recovery_position(rec.recovery_start_lsn);
-  stats_.incremental_checkpoints += 1;
   return write_control_file(/*clean=*/false);
 }
 
@@ -296,7 +294,6 @@ Status Database::handle_store_failures(
   for (const auto& [pid, st] : failures) {
     if (st.code() == ErrorCode::kMediaFailure ||
         st.code() == ErrorCode::kNotFound) {
-      stats_.media_errors += 1;
       storage_->mark_missing(pid.file);
       // Their changes live in the redo stream; media recovery will restore
       // and roll the file forward. Keep the cache clean of zombie frames.
@@ -316,12 +313,9 @@ Status Database::handle_store_failures(
 
 void Database::on_group_finalized(const wal::RedoGroup& group) {
   if (cfg_.redo.archive_mode) {
-    Status st = archiver_->archive_group(group);
-    if (st.is_ok()) {
+    if (archiver_->archive_group(group).is_ok()) {
       last_archived_seq_ =
           std::max(last_archived_seq_, archiver_->last_archived_seq());
-    } else {
-      stats_.media_errors += 1;
     }
   }
   // Oracle checkpoints at every log switch; this is the checkpoint the
@@ -566,7 +560,6 @@ Result<Lsn> Database::commit(TxnId txn) {
     VDB_RETURN_IF_ERROR(txns_.mark_committed(txn, 0));
     locks_.release_all(txn);
     if (cc_ != nullptr) cc_->end(txn, /*committed=*/true);
-    stats_.commits += 1;
     metrics_.commits->inc();
     return Lsn{0};
   }
@@ -596,7 +589,6 @@ Result<Lsn> Database::commit(TxnId txn) {
     cc_->end(txn, /*committed=*/true);
   }
   locks_.release_all(txn);
-  stats_.commits += 1;
   metrics_.commits->inc();
   return lsn;
 }
@@ -628,7 +620,6 @@ Status Database::rollback(TxnId txn) {
   VDB_RETURN_IF_ERROR(txns_.mark_aborted(txn));
   if (cc_ != nullptr) cc_->end(txn, /*committed=*/false);
   locks_.release_all(txn);
-  stats_.aborts += 1;
   metrics_.rollbacks->inc();
   return Status::ok();
 }
@@ -726,13 +717,11 @@ Result<Lsn> Database::resolve_prepared(std::uint64_t gtxn, bool commit) {
     obs::WaitScope sync(&obs_->waits(), &scheduler_->clock(),
                         obs::WaitEvent::kLogFileSync);
     VDB_RETURN_IF_ERROR(redo_->commit_flush(lsn));
-    stats_.commits += 1;
     metrics_.commits->inc();
     return lsn;
   }
   VDB_RETURN_IF_ERROR(undo_incomplete_txn(branch.txn, branch.ops, branch.clrs));
   VDB_RETURN_IF_ERROR(redo_->flush());
-  stats_.aborts += 1;
   metrics_.rollbacks->inc();
   return Lsn{0};
 }
@@ -826,7 +815,6 @@ Result<RowId> Database::insert(TxnId txn, TableId table,
   VDB_RETURN_IF_ERROR(txns_.record_op(
       txn, wal::UndoOp{lsn, wal::LogRecordType::kInsert, change}));
   VDB_RETURN_IF_ERROR(h->apply_insert(rid, row, lsn));
-  stats_.rows_inserted += 1;
   notify(RowChange{RowChange::Kind::kInsert, table, rid, {}, row});
   return rid;
 }
@@ -888,7 +876,6 @@ Status Database::update(TxnId txn, TableId table, RowId rid,
   VDB_RETURN_IF_ERROR(txns_.record_op(
       txn, wal::UndoOp{lsn, wal::LogRecordType::kUpdate, change}));
   VDB_RETURN_IF_ERROR(h->apply_update(rid, row, lsn));
-  stats_.rows_updated += 1;
   notify(RowChange{RowChange::Kind::kUpdate, table, rid, change.before, row});
   return Status::ok();
 }
@@ -941,7 +928,6 @@ Status Database::erase(TxnId txn, TableId table, RowId rid) {
   VDB_RETURN_IF_ERROR(txns_.record_op(
       txn, wal::UndoOp{lsn, wal::LogRecordType::kDelete, change}));
   VDB_RETURN_IF_ERROR(h->apply_delete(rid, lsn));
-  stats_.rows_deleted += 1;
   notify(RowChange{RowChange::Kind::kDelete, table, rid, change.before, {}});
   return Status::ok();
 }
@@ -967,7 +953,6 @@ Result<std::vector<std::uint8_t>> Database::read(TxnId txn, TableId table,
     VDB_RETURN_IF_ERROR(locks_.acquire(
         txn, txn::LockTarget::for_row(table, rid), txn::LockMode::kShared));
   }
-  stats_.rows_read += 1;
   return h->read(rid);
 }
 

@@ -50,18 +50,6 @@ enum class InstanceState { kClosed, kOpen, kCrashed, kRecovering };
 
 const char* to_string(InstanceState s);
 
-struct EngineStats {
-  std::uint64_t full_checkpoints = 0;  // log-switch/forced/manual checkpoints
-  std::uint64_t incremental_checkpoints = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t rows_inserted = 0;
-  std::uint64_t rows_updated = 0;
-  std::uint64_t rows_deleted = 0;
-  std::uint64_t rows_read = 0;
-  std::uint64_t media_errors = 0;
-};
-
 /// Row-level change notification for derived state (application indexes).
 /// Fired on forward DML and runtime rollback, not during recovery replay
 /// (indexes are rebuilt wholesale after recovery).
@@ -339,7 +327,6 @@ class Database {
   sim::Scheduler& scheduler() { return *scheduler_; }
   sim::VirtualClock& clock() { return scheduler_->clock(); }
   const DatabaseConfig& config() const { return cfg_; }
-  const EngineStats& stats() const { return stats_; }
   /// The statistics area this instance reports into — cfg.obs when the
   /// harness supplied one, else a private instance owned by this Database.
   obs::Observability& obs() { return *obs_; }
@@ -416,7 +403,6 @@ class Database {
   /// complete_restart_recovery() once the last run drains.
   std::unique_ptr<RestartCoordinator> restart_;
   sim::EventHandle restart_timer_;
-  EngineStats stats_;
   std::uint64_t last_archived_seq_ = 0;
   InstanceState pre_recovery_state_ = InstanceState::kClosed;
   /// 2PC state reconstructed by recovery (and maintained at runtime):

@@ -9,31 +9,8 @@ FleetDriver::FleetDriver(Fleet* fleet, obs::Observability* fleet_obs,
                          FleetDriverConfig cfg)
     : fleet_(fleet), obs_(obs::resolve(fleet_obs)), cfg_(cfg),
       series_origin_(fleet->clock().now()),
-      random_(Rng{cfg.seed}, fleet->scale()), txns_(fleet, &random_) {
-  size_t i = 0;
-  for (int k = 0; k < 10; ++k) deck_[i++] = tpcc::TxnType::kNewOrder;
-  for (int k = 0; k < 10; ++k) deck_[i++] = tpcc::TxnType::kPayment;
-  deck_[i++] = tpcc::TxnType::kOrderStatus;
-  deck_[i++] = tpcc::TxnType::kDelivery;
-  deck_[i++] = tpcc::TxnType::kStockLevel;
-  Rng& rng = random_.rng();
-  for (size_t k = deck_.size(); k > 1; --k) {
-    std::swap(deck_[k - 1], deck_[static_cast<size_t>(rng.uniform(
-                                0, static_cast<std::int64_t>(k) - 1))]);
-  }
-}
-
-tpcc::TxnType FleetDriver::pick_type() {
-  if (deck_pos_ >= deck_.size()) {
-    deck_pos_ = 0;
-    Rng& rng = random_.rng();
-    for (size_t k = deck_.size(); k > 1; --k) {
-      std::swap(deck_[k - 1], deck_[static_cast<size_t>(rng.uniform(
-                                  0, static_cast<std::int64_t>(k) - 1))]);
-    }
-  }
-  return deck_[deck_pos_++];
-}
+      random_(Rng{cfg.seed}, fleet->scale()), txns_(fleet, &random_),
+      deck_(random_.rng()) {}
 
 Status FleetDriver::run_until(SimTime until) {
   sim::VirtualClock& clock = fleet_->clock();
@@ -48,7 +25,7 @@ Status FleetDriver::run_until(SimTime until) {
     sched.run_due();
     if (clock.now() >= until) break;
 
-    const tpcc::TxnType type = pick_type();
+    const tpcc::TxnType type = deck_.draw(random_.rng());
     const std::uint32_t w = random_.warehouse_id();
     const SimTime begin = clock.now();
     auto outcome = txns_.run(type, w);

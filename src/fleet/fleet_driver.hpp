@@ -1,6 +1,6 @@
 // Closed-loop TPC-C driver over the whole fleet.
 //
-// Mirrors tpcc::Driver — same 23-card deck, same input draws, same
+// Mirrors tpcc::Driver — same card deck, same input draws, same
 // end-user failure detection — but routes each interaction to the home
 // warehouse's shard through FleetTxns, and keeps per-branch durability
 // watermarks so lost transactions can be accounted per shard after a
@@ -16,6 +16,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/fleet_txns.hpp"
 #include "obs/metrics.hpp"
+#include "tpcc/card_deck.hpp"
 
 namespace vdb::fleet {
 
@@ -68,16 +69,13 @@ class FleetDriver {
                            SimTime before) const;
 
  private:
-  tpcc::TxnType pick_type();
-
   Fleet* fleet_;
   obs::Observability* obs_;
   FleetDriverConfig cfg_;
   SimTime series_origin_ = 0;
   tpcc::TpccRandom random_;
   FleetTxns txns_;
-  std::array<tpcc::TxnType, 23> deck_{};
-  size_t deck_pos_ = 0;
+  tpcc::CardDeck deck_;
   FleetDriverStats stats_;
   std::vector<FleetCommitRecord> commits_;
   std::vector<std::uint32_t> series_;

@@ -52,7 +52,6 @@ void BufferCache::set_observability(obs::Observability* obs,
 
 Result<PageRef> BufferCache::fetch(PageId id) {
   if (last_frame_ != nullptr && id == last_id_) {
-    stats_.hits += 1;
     hits_counter_->inc();
     last_frame_->pins += 1;
     lru_touch(last_frame_);
@@ -61,7 +60,6 @@ Result<PageRef> BufferCache::fetch(PageId id) {
 
   auto it = frames_.find(id);
   if (it != frames_.end()) {
-    stats_.hits += 1;
     hits_counter_->inc();
     Frame& f = *it->second;
     f.pins += 1;
@@ -71,7 +69,6 @@ Result<PageRef> BufferCache::fetch(PageId id) {
     return PageRef{this, id, &f.page};
   }
 
-  stats_.misses += 1;
   while (frames_.size() >= capacity_) {
     VDB_RETURN_IF_ERROR(evict_one());
   }
@@ -149,7 +146,6 @@ CheckpointResult BufferCache::flush_aged(SimTime older_than) {
     if (st.is_ok()) {
       frame.dirty = false;
       result.pages_written += 1;
-      stats_.dirty_writes += 1;
       dirty_writes_counter_->inc();
     } else {
       result.failures.emplace_back(id, st);
@@ -214,12 +210,8 @@ Status BufferCache::evict_one() {
     // A failed write (missing datafile) still frees the frame: the change
     // is preserved in the redo stream and will be reapplied by media
     // recovery, exactly as in the modelled DBMS.
-    if (st.is_ok()) {
-      stats_.dirty_writes += 1;
-      dirty_writes_counter_->inc();
-    }
+    if (st.is_ok()) dirty_writes_counter_->inc();
   }
-  stats_.evictions += 1;
   if (victim == last_frame_) {
     last_frame_ = nullptr;
     last_id_ = PageId::invalid();
@@ -231,7 +223,6 @@ Status BufferCache::evict_one() {
 
 CheckpointResult BufferCache::checkpoint() {
   CheckpointResult result;
-  stats_.checkpoints += 1;
   merge_dirty_runs();
 
   // Flush the log once past the newest dirty page.
@@ -249,8 +240,6 @@ CheckpointResult BufferCache::checkpoint() {
     if (st.is_ok()) {
       frame.dirty = false;
       result.pages_written += 1;
-      stats_.dirty_writes += 1;
-      stats_.checkpoint_pages += 1;
       dirty_writes_counter_->inc();
       checkpoint_pages_counter_->inc();
     } else {
@@ -278,7 +267,6 @@ CheckpointResult BufferCache::flush_file(FileId file) {
     if (st.is_ok()) {
       frame.dirty = false;
       result.pages_written += 1;
-      stats_.dirty_writes += 1;
       dirty_writes_counter_->inc();
     } else {
       result.failures.emplace_back(id, st);

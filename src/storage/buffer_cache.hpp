@@ -67,15 +67,6 @@ class PageRef {
   Page* page_ = nullptr;
 };
 
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t dirty_writes = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t checkpoint_pages = 0;
-};
-
 struct CheckpointResult {
   std::uint64_t pages_written = 0;
   /// Pages that could not be written (e.g. their datafile was deleted by an
@@ -138,7 +129,6 @@ class BufferCache {
   void discard_all();
 
   std::uint64_t dirty_count() const;
-  const CacheStats& stats() const { return stats_; }
   std::uint32_t capacity() const { return capacity_; }
 
   /// I/O mode for miss reads and eviction writes. A stand-by instance in
@@ -201,7 +191,6 @@ class BufferCache {
   /// page evicted or discarded); merge_dirty_runs drops them lazily.
   std::vector<PageId> dirty_sorted_;
   std::vector<PageId> dirty_fresh_;
-  CacheStats stats_;
 
   obs::WaitEventTable* waits_ = nullptr;
   const sim::VirtualClock* clock_ = nullptr;

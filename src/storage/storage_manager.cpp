@@ -284,18 +284,15 @@ Result<std::vector<std::uint8_t>> StorageManager::read_with_retry(
   const IoRetryPolicy& policy = params_.retry;
   SimDuration backoff = policy.initial_backoff;
   for (std::uint32_t attempt = 1;; ++attempt) {
-    ++retry_stats_.attempts;
     auto bytes = fs_->read(path, offset, len, mode, sequential);
     if (bytes.is_ok() || bytes.code() != ErrorCode::kTransientIo) return bytes;
     if (attempt >= policy.max_attempts) {
-      ++retry_stats_.exhausted;
       retries_exhausted_counter_->inc();
       return make_error(ErrorCode::kTransientIo,
                         bytes.status().message() + " (" +
                             std::to_string(attempt - 1) +
                             " retries exhausted)");
     }
-    ++retry_stats_.retries;
     retries_counter_->inc();
     fs_->clock().advance_by(backoff);
     backoff *= policy.multiplier;
@@ -309,17 +306,14 @@ Status StorageManager::write_with_retry(const std::string& path,
   const IoRetryPolicy& policy = params_.retry;
   SimDuration backoff = policy.initial_backoff;
   for (std::uint32_t attempt = 1;; ++attempt) {
-    ++retry_stats_.attempts;
     Status st = fs_->write(path, offset, data, mode, sequential);
     if (st.is_ok() || st.code() != ErrorCode::kTransientIo) return st;
     if (attempt >= policy.max_attempts) {
-      ++retry_stats_.exhausted;
       retries_exhausted_counter_->inc();
       return make_error(ErrorCode::kTransientIo,
                         st.message() + " (" + std::to_string(attempt - 1) +
                             " retries exhausted)");
     }
-    ++retry_stats_.retries;
     retries_counter_->inc();
     fs_->clock().advance_by(backoff);
     backoff *= policy.multiplier;

@@ -67,12 +67,6 @@ struct IoRetryPolicy {
   std::uint32_t multiplier = 4;
 };
 
-struct IoRetryStats {
-  std::uint64_t attempts = 0;   // I/O calls issued (including retries)
-  std::uint64_t retries = 0;    // transient failures absorbed by retrying
-  std::uint64_t exhausted = 0;  // operations that ran out of attempts
-};
-
 struct StorageParams {
   std::uint32_t cache_pages = 2048;   // 16 MiB with 8 KiB pages
   std::uint32_t extent_blocks = 16;   // file growth unit
@@ -210,9 +204,6 @@ class StorageManager final : public PageStore {
   sim::SimFs& fs() { return *fs_; }
   const StorageParams& params() const { return params_; }
 
-  /// Transient-I/O retry counters (cumulative for this instance).
-  const IoRetryStats& retry_stats() const { return retry_stats_; }
-
   /// Wires this manager and its buffer cache into a statistics area. The
   /// retry loop reports "io retries" / "io retries exhausted" counters;
   /// cache instruments are re-wired in the same call.
@@ -259,7 +250,6 @@ class StorageManager final : public PageStore {
   std::vector<TablespaceInfo> tablespaces_;
   std::vector<DataFileInfo> files_;
   std::unordered_map<TablespaceId, std::uint32_t> alloc_cursor_;  // round robin
-  IoRetryStats retry_stats_;
   std::vector<PageId> corrupt_blocks_;
   obs::Counter* retries_counter_ = nullptr;
   obs::Counter* retries_exhausted_counter_ = nullptr;

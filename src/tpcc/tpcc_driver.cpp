@@ -5,61 +5,29 @@
 
 namespace vdb::tpcc {
 
-namespace {
-
-void shuffle_deck(std::array<TxnType, 23>& deck, Rng& rng) {
-  for (size_t k = deck.size(); k > 1; --k) {
-    std::swap(deck[k - 1], deck[static_cast<size_t>(rng.uniform(
-                               0, static_cast<std::int64_t>(k) - 1))]);
-  }
-}
-
-void fill_deck(std::array<TxnType, 23>& deck) {
-  size_t i = 0;
-  for (int k = 0; k < 10; ++k) deck[i++] = TxnType::kNewOrder;
-  for (int k = 0; k < 10; ++k) deck[i++] = TxnType::kPayment;
-  deck[i++] = TxnType::kOrderStatus;
-  deck[i++] = TxnType::kDelivery;
-  deck[i++] = TxnType::kStockLevel;
-}
-
-}  // namespace
-
 /// One terminal emulator of the concurrent driver: a private input stream
 /// (rng, card deck) and transaction runner, so worker k draws the same
 /// inputs regardless of how the other workers' attempts interleave.
 struct Driver::WorkerState {
   TpccRandom random;
   TpccTxns txns;
-  std::array<TxnType, 23> deck{};
-  size_t deck_pos = 0;
+  CardDeck deck;
 
   WorkerState(TpccDb* db, std::uint64_t seed)
-      : random(Rng{seed}, db->scale()), txns(db, &random) {
-    fill_deck(deck);
-    shuffle_deck(deck, random.rng());
-  }
-
-  TxnType pick_type() {
-    if (deck_pos >= deck.size()) {
-      deck_pos = 0;
-      shuffle_deck(deck, random.rng());
-    }
-    return deck[deck_pos++];
-  }
+      : random(Rng{seed}, db->scale()), txns(db, &random),
+        deck(random.rng()) {}
 };
 
 Driver::Driver(TpccDb* db, sim::Scheduler* scheduler, DriverConfig cfg)
     : db_(db), scheduler_(scheduler), cfg_(cfg),
       series_origin_(scheduler->now()),
-      random_(Rng{cfg.seed}, db->scale()), txns_(db, &random_) {
-  fill_deck(deck_);
-  // Initial shuffle; the deck is reshuffled every pass.
-  shuffle_deck(deck_, random_.rng());
+      random_(Rng{cfg.seed}, db->scale()), txns_(db, &random_),
+      deck_(random_.rng()) {
   if (cfg_.workers > 1) {
     txn::TxnCoordinator::Config ccfg;
     ccfg.workers = cfg_.workers;
     ccfg.protocol = cfg_.cc_protocol;
+    ccfg.obs = &db_->db().obs();
     coord_ = std::make_unique<txn::TxnCoordinator>(ccfg);
     for (unsigned k = 0; k < coord_->workers(); ++k) {
       workers_.push_back(std::make_unique<WorkerState>(
@@ -69,18 +37,6 @@ Driver::Driver(TpccDb* db, sim::Scheduler* scheduler, DriverConfig cfg)
 }
 
 Driver::~Driver() = default;
-
-TxnType Driver::pick_type() {
-  if (deck_pos_ >= deck_.size()) {
-    deck_pos_ = 0;
-    Rng& rng = random_.rng();
-    for (size_t k = deck_.size(); k > 1; --k) {
-      std::swap(deck_[k - 1], deck_[static_cast<size_t>(rng.uniform(
-                                  0, static_cast<std::int64_t>(k) - 1))]);
-    }
-  }
-  return deck_[deck_pos_++];
-}
 
 Status Driver::run_until(SimTime until) {
   obs::MetricsRegistry& registry = db_->db().obs().registry();
@@ -97,7 +53,7 @@ Status Driver::run_serial(SimTime until) {
     scheduler_->run_due();
     if (clock.now() >= until) break;
 
-    const TxnType type = pick_type();
+    const TxnType type = deck_.draw(random_.rng());
     const std::uint32_t w = random_.warehouse_id();
     const SimTime begin = clock.now();
     auto outcome = txns_.run(type, w);
@@ -146,9 +102,6 @@ Status Driver::run_concurrent(SimTime until) {
   sim::VirtualClock& clock = scheduler_->clock();
   engine::Database& db = db_->db();
   txn::ConcurrencyControl* cc = coord_->cc();
-  // Re-wired every call: crash-restart swaps the Database incarnation (and
-  // possibly its statistics area), exactly like latency_hist_ above.
-  cc->set_observability(&db.obs());
   db.set_concurrency_control(cc);
   struct Uninstall {
     engine::Database* db;
@@ -188,7 +141,7 @@ Status Driver::run_concurrent(SimTime until) {
       WorkerState& ws = *workers_[k];
       sim::VirtualClock::install_local_sink(&r.sink);
       for (int attempt = 0; attempt < 64; ++attempt) {
-        const TxnType type = ws.pick_type();
+        const TxnType type = ws.deck.draw(ws.random.rng());
         const std::uint32_t w = ws.random.warehouse_id();
         const SimDuration begin_offset = r.sink;
         auto outcome = ws.txns.run(type, w);
@@ -279,10 +232,6 @@ Status Driver::run_concurrent(SimTime until) {
     }
   }
   return Status::ok();
-}
-
-txn::CcStats Driver::cc_stats() const {
-  return coord_ ? coord_->cc()->stats() : txn::CcStats{};
 }
 
 double Driver::tpmc(SimTime from, SimTime to) const {

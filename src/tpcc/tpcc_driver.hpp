@@ -16,6 +16,7 @@
 
 #include "obs/observability.hpp"
 #include "sim/scheduler.hpp"
+#include "tpcc/card_deck.hpp"
 #include "tpcc/tpcc_txns.hpp"
 #include "txn/coordinator.hpp"
 
@@ -92,14 +93,11 @@ class Driver {
   SimDuration response_percentile(TxnType type, double q) const;
   SimDuration mean_response(TxnType type) const;
 
-  /// Concurrency-control protocol behaviour (all zeros in serial mode).
-  txn::CcStats cc_stats() const;
   unsigned workers() const { return coord_ ? coord_->workers() : 1; }
 
  private:
   struct WorkerState;
 
-  TxnType pick_type();
   Status run_serial(SimTime until);
   Status run_concurrent(SimTime until);
 
@@ -109,13 +107,10 @@ class Driver {
   SimTime series_origin_;  // workload start: series buckets are relative
   TpccRandom random_;
   TpccTxns txns_;
+  CardDeck deck_;
   std::vector<CommitRecord> commits_;
   std::vector<std::uint32_t> series_;
   DriverStats stats_;
-  /// Card-deck mix: 10 New-Order, 10 Payment, 1 each of the rest, per the
-  /// spec's minimum-percentage mix (45/43/4/4/4).
-  std::array<TxnType, 23> deck_;
-  size_t deck_pos_ = 0;
   /// Per-type response-time histograms ("client response NewOrder", ...),
   /// re-resolved at every run_until() call: a crash-restart cycle swaps in
   /// a new Database incarnation, and with it possibly a new statistics
@@ -123,7 +118,9 @@ class Driver {
   std::array<obs::Histogram*, kTxnTypes> latency_hist_{};
   /// Concurrent mode (cfg_.workers > 1): the worker pool plus one
   /// terminal-emulator state per worker, persistent across run_until()
-  /// calls so a crash-restart resumes each worker's input stream.
+  /// calls so a crash-restart resumes each worker's input stream. The
+  /// protocol counts into the statistics area of the database attached at
+  /// construction, which the experiment harness keeps across incarnations.
   std::unique_ptr<txn::TxnCoordinator> coord_;
   std::vector<std::unique_ptr<WorkerState>> workers_;
 };

@@ -25,6 +25,18 @@ namespace {
 /// the difference is charged to enq_lock_wait.
 class CcBase : public ConcurrencyControl {
  public:
+  explicit CcBase(obs::Observability* obs) {
+    obs::Observability* o = obs::resolve(obs);
+    waits_ = &o->waits();
+    obs::MetricsRegistry& reg = o->registry();
+    wait_die_aborts_ = reg.counter("cc wait_die aborts");
+    occ_validate_fails_ = reg.counter("cc occ validate fails");
+    lock_waits_ = reg.counter("cc lock waits");
+    txns_begun_ = reg.counter("cc txns begun");
+    txns_committed_ = reg.counter("cc txns committed");
+    txns_aborted_ = reg.counter("cc txns aborted");
+  }
+
   Status validate(TxnId) override { return Status::ok(); }
   void publish(TxnId) override {}
 
@@ -53,27 +65,6 @@ class CcBase : public ConcurrencyControl {
     if (released) waiters_.notify_all();
   }
 
-  CcStats stats() const override {
-    std::lock_guard<std::mutex> lk(mu_);
-    return stats_;
-  }
-
-  void set_observability(obs::Observability* obs) override {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (obs == nullptr) {
-      waits_ = nullptr;
-      return;
-    }
-    waits_ = &obs->waits();
-    obs::MetricsRegistry& reg = obs->registry();
-    wait_die_aborts_ = reg.counter("cc wait_die aborts");
-    occ_validate_fails_ = reg.counter("cc occ validate fails");
-    lock_waits_ = reg.counter("cc lock waits");
-    txns_begun_ = reg.counter("cc txns begun");
-    txns_committed_ = reg.counter("cc txns committed");
-    txns_aborted_ = reg.counter("cc txns aborted");
-  }
-
  protected:
   struct Entry {
     bool exclusive = false;
@@ -98,8 +89,7 @@ class CcBase : public ConcurrencyControl {
       it->second.id = txn;
       it->second.owner = std::this_thread::get_id();
       it->second.begin_offset = sim::VirtualClock::local_elapsed();
-      stats_.begun += 1;
-      if (txns_begun_ != nullptr) txns_begun_->inc();
+      txns_begun_->inc();
     }
     return it->second;
   }
@@ -156,17 +146,15 @@ class CcBase : public ConcurrencyControl {
           sim::VirtualClock::raise_local(e.release_offset);
           const SimDuration waited =
               sim::VirtualClock::local_elapsed() - entered_at;
-          stats_.lock_waits += 1;
-          if (lock_waits_ != nullptr) lock_waits_->inc();
-          if (waits_ != nullptr && waited > 0) {
+          lock_waits_->inc();
+          if (waited > 0) {
             waits_->add_wait(obs::WaitEvent::kEnqLockWait, waited);
           }
         }
         return Status::ok();
       }
       if (!may_wait || !older_than_all(e, txn)) {
-        stats_.wait_die_aborts += 1;
-        if (wait_die_aborts_ != nullptr) wait_die_aborts_->inc();
+        wait_die_aborts_->inc();
         return make_error(ErrorCode::kDeadlock,
                           "wait-die: conflicting lock held by an older or "
                           "non-waitable request");
@@ -190,32 +178,20 @@ class CcBase : public ConcurrencyControl {
       it->second.release_offset = at;
     }
     ctx.held.clear();
-    if (committed) {
-      stats_.committed += 1;
-      if (txns_committed_ != nullptr) txns_committed_->inc();
-    } else {
-      stats_.aborts += 1;
-      if (txns_aborted_ != nullptr) txns_aborted_->inc();
-    }
+    (committed ? txns_committed_ : txns_aborted_)->inc();
   }
 
   void charge_occ_fail_locked(const Ctx& ctx) {
-    stats_.occ_validate_fails += 1;
-    if (occ_validate_fails_ != nullptr) occ_validate_fails_->inc();
-    if (waits_ != nullptr) {
-      const SimDuration wasted =
-          sim::VirtualClock::local_elapsed() - ctx.begin_offset;
-      if (wasted > 0) {
-        waits_->add_wait(obs::WaitEvent::kOccValidateFail, wasted);
-      }
-    }
+    occ_validate_fails_->inc();
+    const SimDuration wasted =
+        sim::VirtualClock::local_elapsed() - ctx.begin_offset;
+    if (wasted > 0) waits_->add_wait(obs::WaitEvent::kOccValidateFail, wasted);
   }
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable waiters_;
   std::map<LockTarget, Entry> table_;
   std::unordered_map<TxnId, Ctx> ctx_;
-  CcStats stats_;
 
   obs::WaitEventTable* waits_ = nullptr;
   obs::Counter* wait_die_aborts_ = nullptr;
@@ -230,6 +206,7 @@ class CcBase : public ConcurrencyControl {
 /// transaction end; conflicts resolved wait-die.
 class TwoPhaseLockingCc final : public CcBase {
  public:
+  using CcBase::CcBase;
   CcProtocol protocol() const override { return CcProtocol::k2pl; }
 
   Status mediate(TxnId txn, const LockTarget& target, AccessMode mode,
@@ -261,6 +238,7 @@ class TwoPhaseLockingCc final : public CcBase {
 /// bytes landed), but the retry loop absorbs that.
 class OccCc final : public CcBase {
  public:
+  using CcBase::CcBase;
   CcProtocol protocol() const override { return CcProtocol::kOcc; }
 
   Status mediate(TxnId txn, const LockTarget& target, AccessMode mode,
@@ -281,17 +259,15 @@ class OccCc final : public CcBase {
             sim::VirtualClock::raise_local(e.release_offset);
             const SimDuration waited =
                 sim::VirtualClock::local_elapsed() - entered_at;
-            stats_.lock_waits += 1;
-            if (lock_waits_ != nullptr) lock_waits_->inc();
-            if (waits_ != nullptr && waited > 0) {
+            lock_waits_->inc();
+            if (waited > 0) {
               waits_->add_wait(obs::WaitEvent::kEnqLockWait, waited);
             }
           }
           break;
         }
         if (!may_wait || !older_than_all(e, txn)) {
-          stats_.wait_die_aborts += 1;
-          if (wait_die_aborts_ != nullptr) wait_die_aborts_->inc();
+          wait_die_aborts_->inc();
           return make_error(ErrorCode::kDeadlock,
                             "wait-die: row write-locked by an older writer");
         }
@@ -356,14 +332,14 @@ class OccCc final : public CcBase {
 
 }  // namespace
 
-std::unique_ptr<ConcurrencyControl> make_concurrency_control(CcProtocol p) {
-  if (p == CcProtocol::kOcc) return std::make_unique<OccCc>();
-  return std::make_unique<TwoPhaseLockingCc>();
+std::unique_ptr<ConcurrencyControl> make_concurrency_control(
+    CcProtocol p, obs::Observability* obs) {
+  if (p == CcProtocol::kOcc) return std::make_unique<OccCc>(obs);
+  return std::make_unique<TwoPhaseLockingCc>(obs);
 }
 
 TxnCoordinator::TxnCoordinator(Config cfg)
-    : cc_(make_concurrency_control(cfg.protocol)) {
-  if (cfg.obs != nullptr) cc_->set_observability(cfg.obs);
+    : cc_(make_concurrency_control(cfg.protocol, cfg.obs)) {
   const unsigned n = std::max(1u, cfg.workers);
   threads_.reserve(n);
   for (unsigned k = 0; k < n; ++k) {

@@ -68,16 +68,6 @@ inline bool parse_cc_protocol(const std::string& s, CcProtocol* out) {
 
 enum class AccessMode : std::uint8_t { kRead, kWrite };
 
-/// Aggregated protocol behaviour, reported per experiment.
-struct CcStats {
-  std::uint64_t begun = 0;            // distinct transactions mediated
-  std::uint64_t committed = 0;        // ended committed
-  std::uint64_t aborts = 0;           // ended aborted (all causes)
-  std::uint64_t wait_die_aborts = 0;  // died younger at a lock conflict
-  std::uint64_t occ_validate_fails = 0;  // stale read set (early or commit)
-  std::uint64_t lock_waits = 0;          // blocking waits survived
-};
-
 /// The engine-side plug-in contract. All hooks are thread-safe. `mediate`
 /// may block (2PL waits); everything else returns promptly. validate() and
 /// publish() are called by Database::commit under the coordinator latch —
@@ -113,15 +103,14 @@ class ConcurrencyControl {
   /// transaction without reaching rollback (and therefore end()), which
   /// would otherwise strand lock waiters for the rest of the round.
   virtual void release_thread_residue() = 0;
-
-  virtual CcStats stats() const = 0;
-
-  /// Wires abort counters and the enq_lock_wait / occ_validate_fail wait
-  /// events into the instance's statistics area.
-  virtual void set_observability(obs::Observability* obs) = 0;
 };
 
-std::unique_ptr<ConcurrencyControl> make_concurrency_control(CcProtocol p);
+/// A protocol instance reporting into `obs` (nullptr: the process-wide
+/// default): the "cc txns begun/committed/aborted", "cc wait_die aborts",
+/// "cc occ validate fails" and "cc lock waits" counters plus the
+/// enq_lock_wait / occ_validate_fail wait events.
+std::unique_ptr<ConcurrencyControl> make_concurrency_control(
+    CcProtocol p, obs::Observability* obs);
 
 /// Persistent worker pool with a round barrier. The round driver (the
 /// TPC-C driver's concurrent loop) calls run_round(fn) repeatedly; each

@@ -10,7 +10,6 @@ Status LockManager::acquire(TxnId txn, const LockTarget& target,
   if (it == table_.end()) {
     table_[target] = Entry{mode, {txn}};
     by_txn_[txn].push_back(target);
-    stats_.grants += 1;
     return Status::ok();
   }
 
@@ -23,10 +22,8 @@ Status LockManager::acquire(TxnId txn, const LockTarget& target,
     if (mode == LockMode::kExclusive && entry.mode == LockMode::kShared) {
       if (entry.holders.size() == 1) {
         entry.mode = LockMode::kExclusive;  // upgrade by sole holder
-        stats_.grants += 1;
         return Status::ok();
       }
-      stats_.conflicts += 1;
       return make_error(ErrorCode::kLockTimeout, "upgrade conflict");
     }
     return Status::ok();
@@ -35,11 +32,9 @@ Status LockManager::acquire(TxnId txn, const LockTarget& target,
   if (mode == LockMode::kShared && entry.mode == LockMode::kShared) {
     entry.holders.push_back(txn);
     by_txn_[txn].push_back(target);
-    stats_.grants += 1;
     return Status::ok();
   }
 
-  stats_.conflicts += 1;
   // Wait-die: a requester younger than every holder dies (deadlock
   // avoidance); an older one would be allowed to wait — reported as a
   // timeout the caller may retry.
@@ -47,7 +42,6 @@ Status LockManager::acquire(TxnId txn, const LockTarget& target,
       std::all_of(entry.holders.begin(), entry.holders.end(),
                   [&](TxnId holder) { return txn.value > holder.value; });
   if (younger_than_all) {
-    stats_.deadlock_aborts += 1;
     return make_error(ErrorCode::kDeadlock, "wait-die: younger requester");
   }
   return make_error(ErrorCode::kLockTimeout, "resource busy");

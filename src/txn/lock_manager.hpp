@@ -31,12 +31,6 @@ struct LockTarget {
   auto operator<=>(const LockTarget&) const = default;
 };
 
-struct LockStats {
-  std::uint64_t grants = 0;
-  std::uint64_t conflicts = 0;
-  std::uint64_t deadlock_aborts = 0;
-};
-
 class LockManager {
  public:
   /// Grants or refuses immediately. Re-acquisition and shared→exclusive
@@ -48,7 +42,6 @@ class LockManager {
   /// Number of resources currently locked (diagnostics / tests).
   size_t locked_count() const { return table_.size(); }
   bool holds(TxnId txn, const LockTarget& target, LockMode mode) const;
-  const LockStats& stats() const { return stats_; }
 
  private:
   struct Entry {
@@ -58,7 +51,6 @@ class LockManager {
 
   std::map<LockTarget, Entry> table_;
   std::unordered_map<TxnId, std::vector<LockTarget>> by_txn_;
-  LockStats stats_;
 };
 
 }  // namespace vdb::txn

@@ -167,7 +167,6 @@ Lsn RedoLog::append(LogRecord& rec) {
   const std::uint64_t framed = frame_record(rec, &pending_buf_);
   p.len = static_cast<std::uint32_t>(framed);
   p.charged = framed + cfg_.record_overhead;
-  p.commit = rec.type == LogRecordType::kCommit;
   next_lsn_ += p.charged;
   pending_.push_back(p);
   return rec.lsn;
@@ -178,7 +177,6 @@ Status RedoLog::switch_group() {
   old.end_lsn = flushed_lsn_;
   old.current = false;
   old.archived = !cfg_.archive_mode;
-  switches_ += 1;
   log_switches_counter_->inc();
   if (cb_.on_group_finalized) cb_.on_group_finalized(old);
 
@@ -206,8 +204,6 @@ Status RedoLog::switch_group() {
     }
     if (fs_->clock().now() < target.archive_done_at) {
       obs::WaitScope stall(waits_, obs_clock_, obs::WaitEvent::kArchiveStall);
-      const SimDuration wait = target.archive_done_at - fs_->clock().now();
-      stall_time_ += wait;
       fs_->clock().advance_to(target.archive_done_at);
     }
   }
@@ -258,7 +254,6 @@ Status RedoLog::flush() {
 
     const std::size_t batch_begin = pending_head_;
     std::uint64_t batch_charge = 0;
-    std::uint64_t batch_commits = 0;
     Lsn batch_end = flushed_lsn_;
     while (pending_head_ < pending_.size()) {
       const Pending& rec = pending_[pending_head_];
@@ -270,7 +265,6 @@ Status RedoLog::flush() {
       if (!fits && !force) break;
       batch_charge += rec.charged;
       batch_end = rec.lsn + rec.charged;
-      if (rec.commit) batch_commits += 1;
       pending_head_ += 1;
     }
 
@@ -292,10 +286,6 @@ Status RedoLog::flush() {
       flushed_lsn_ = batch_end;
       redo_bytes_counter_->inc(batch_charge);
       redo_writes_counter_->inc();
-      gc_stats_.flushes += 1;
-      gc_stats_.batched_commits += batch_commits;
-      gc_stats_.max_commits_per_flush =
-          std::max(gc_stats_.max_commits_per_flush, batch_commits);
     }
 
     if (pending_head_ < pending_.size()) {
@@ -321,13 +311,9 @@ Status RedoLog::flush_to(Lsn lsn) {
 }
 
 Status RedoLog::commit_flush(Lsn commit_lsn) {
-  gc_stats_.commit_requests += 1;
   // Already durable (an earlier batch carried it), or an outer flush is
   // mid-drain and will: the commit rides that flush for free.
-  if (flushed_lsn_ > commit_lsn || flushing_) {
-    gc_stats_.piggybacked += 1;
-    return Status::ok();
-  }
+  if (flushed_lsn_ > commit_lsn || flushing_) return Status::ok();
   return flush();
 }
 

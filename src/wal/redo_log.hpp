@@ -50,17 +50,6 @@ struct RedoLogConfig {
   std::vector<std::string> member_dirs;
 };
 
-/// Group-commit accounting: how often a commit's durability was satisfied
-/// by an already-completed or in-flight flush instead of a fresh device
-/// write, and how many commit records each physical flush carried.
-struct GroupCommitStats {
-  std::uint64_t commit_requests = 0;  // commit_flush() calls
-  std::uint64_t piggybacked = 0;      // satisfied with no new device flush
-  std::uint64_t flushes = 0;          // physical LGWR batch writes
-  std::uint64_t batched_commits = 0;  // commit records across all batches
-  std::uint64_t max_commits_per_flush = 0;
-};
-
 struct RedoGroup {
   std::uint32_t index = 0;
   std::uint64_t seq = 0;            // monotonically increasing per use
@@ -114,8 +103,6 @@ class RedoLog {
   /// mode — and continues in the next one.
   Status force_switch();
 
-  const GroupCommitStats& group_commit_stats() const { return gc_stats_; }
-
   /// Wires LGWR into a statistics area: redo size/write counters plus the
   /// archive_stall wait event charged when a log switch blocks on the
   /// archiver (measured on `clock`).
@@ -146,8 +133,6 @@ class RedoLog {
 
   const std::vector<RedoGroup>& groups() const { return groups_; }
   std::uint32_t current_group() const { return current_; }
-  std::uint64_t switch_count() const { return switches_; }
-  std::uint64_t stall_time() const { return stall_time_; }
   const RedoLogConfig& config() const { return cfg_; }
 
   std::string group_path(std::uint32_t index) const {
@@ -181,7 +166,6 @@ class RedoLog {
     std::uint32_t len;     // framed bytes at offset
     Lsn lsn;
     std::uint64_t charged;
-    bool commit;  // kCommit record (group-commit stats)
   };
 
   Status write_group_header(std::uint32_t index);
@@ -201,8 +185,6 @@ class RedoLog {
   Lsn next_lsn_ = 1;  // 0 is reserved as "before everything"
   Lsn flushed_lsn_ = 0;
   Lsn recovery_position_ = 0;
-  std::uint64_t switches_ = 0;
-  SimDuration stall_time_ = 0;
   bool flushing_ = false;
   /// Flat arena holding every buffered record's framed bytes; entries in
   /// `pending_` index into it. Compacted (cleared, capacity kept) only when
@@ -211,7 +193,6 @@ class RedoLog {
   std::vector<std::uint8_t> pending_buf_;
   std::vector<Pending> pending_;
   std::size_t pending_head_ = 0;  // first unflushed entry in pending_
-  GroupCommitStats gc_stats_;
 
   obs::WaitEventTable* waits_ = nullptr;
   const sim::VirtualClock* obs_clock_ = nullptr;

@@ -3,6 +3,7 @@
 #include "engine/admin_shell.hpp"
 #include "faults/fault_injector.hpp"
 #include "tests/test_env.hpp"
+#include "txn/coordinator.hpp"
 
 namespace vdb::engine {
 namespace {
@@ -37,6 +38,27 @@ TEST_F(AdminShellTest, ShowDatafilesAndTablespaces) {
   EXPECT_NE(run("SHOW DATAFILES").find("/data/users01.dbf"),
             std::string::npos);
   EXPECT_NE(run("SHOW TABLESPACES").find("USERS"), std::string::npos);
+}
+
+TEST_F(AdminShellTest, ShowCcReadsProtocolCounters) {
+  EXPECT_NE(run("SHOW CC").find("no coordinator attached"),
+            std::string::npos);
+  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl,
+                                          &db_->db->obs());
+  const auto row =
+      txn::LockTarget::for_row(db_->table, RowId{PageId{FileId{0}, 1}, 0});
+  ASSERT_TRUE(
+      cc->mediate(TxnId{1}, row, txn::AccessMode::kWrite, true).is_ok());
+  EXPECT_EQ(cc->mediate(TxnId{2}, row, txn::AccessMode::kWrite, true).code(),
+            ErrorCode::kDeadlock);
+  cc->end(TxnId{1}, true);
+  cc->end(TxnId{2}, false);
+  db_->db->set_concurrency_control(cc.get());
+  EXPECT_EQ(run("SHOW CC"),
+            "concurrency control: 2pl (coordinator attached: 2pl)\n"
+            "txns begun=2 committed=1 aborted=1\n"
+            "wait_die_aborts=1 occ_validate_fails=0 lock_waits=0\n");
+  db_->db->set_concurrency_control(nullptr);
 }
 
 TEST_F(AdminShellTest, CreateAndDropTable) {

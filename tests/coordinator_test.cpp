@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "benchmark/experiment.hpp"
+#include "obs/observability.hpp"
 #include "txn/coordinator.hpp"
 
 namespace vdb::bench {
@@ -43,6 +44,18 @@ faults::FaultSpec crash_at(SimDuration at) {
 
 TxnId tid(std::uint64_t n) { return TxnId{n}; }
 
+/// A protocol instance counting into a test-local statistics area.
+struct CountingCc {
+  explicit CountingCc(txn::CcProtocol p)
+      : cc(txn::make_concurrency_control(p, &stats)) {}
+  std::uint64_t count(const char* counter) {
+    return stats.registry().counter(counter)->value();
+  }
+
+  obs::Observability stats;
+  std::unique_ptr<txn::ConcurrencyControl> cc;
+};
+
 txn::LockTarget target(std::uint32_t n) {
   return txn::LockTarget::for_row(TableId{1},
                                   RowId{PageId{FileId{1}, n}, 0});
@@ -65,7 +78,7 @@ TEST(Coordinator, WorkersOneIsByteIdenticalToSerialDriver) {
     EXPECT_EQ(r.value().tpmc, base.value().tpmc) << txn::to_string(protocol);
     EXPECT_EQ(r.value().redo_bytes, base.value().redo_bytes)
         << txn::to_string(protocol);
-    EXPECT_EQ(r.value().cc_aborts, 0u);
+    EXPECT_EQ(r.value().metrics.counter("cc txns aborted"), 0u);
     EXPECT_EQ(r.value().cc_retries, 0u);
     EXPECT_EQ(r.value().workers, 1u);
   }
@@ -74,17 +87,19 @@ TEST(Coordinator, WorkersOneIsByteIdenticalToSerialDriver) {
 // --- the conflict matrix through the plug-in contract ----------------------
 
 TEST(ConcurrencyControl, TwoPlSharedReadersCoexist) {
-  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl);
+  CountingCc counted(txn::CcProtocol::k2pl);
+  txn::ConcurrencyControl* cc = counted.cc.get();
   EXPECT_TRUE(cc->mediate(tid(1), target(1), txn::AccessMode::kRead, true).is_ok());
   EXPECT_TRUE(cc->mediate(tid(2), target(1), txn::AccessMode::kRead, true).is_ok());
   cc->end(tid(1), true);
   cc->end(tid(2), true);
-  EXPECT_EQ(cc->stats().committed, 2u);
-  EXPECT_EQ(cc->stats().wait_die_aborts, 0u);
+  EXPECT_EQ(counted.count("cc txns committed"), 2u);
+  EXPECT_EQ(counted.count("cc wait_die aborts"), 0u);
 }
 
 TEST(ConcurrencyControl, TwoPlYoungerWriterDies) {
-  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl);
+  CountingCc counted(txn::CcProtocol::k2pl);
+  txn::ConcurrencyControl* cc = counted.cc.get();
   ASSERT_TRUE(cc->mediate(tid(1), target(1), txn::AccessMode::kWrite, true).is_ok());
   // Younger (larger id) requester vs older holder: dies, never waits.
   auto st = cc->mediate(tid(2), target(1), txn::AccessMode::kWrite, true);
@@ -94,11 +109,12 @@ TEST(ConcurrencyControl, TwoPlYoungerWriterDies) {
             ErrorCode::kDeadlock);
   cc->end(tid(1), true);
   cc->end(tid(2), false);
-  EXPECT_EQ(cc->stats().wait_die_aborts, 2u);
+  EXPECT_EQ(counted.count("cc wait_die aborts"), 2u);
 }
 
 TEST(ConcurrencyControl, TwoPlOlderWriterWaitsForYoungerRelease) {
-  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl);
+  CountingCc counted(txn::CcProtocol::k2pl);
+  txn::ConcurrencyControl* cc = counted.cc.get();
   ASSERT_TRUE(cc->mediate(tid(5), target(1), txn::AccessMode::kWrite, true).is_ok());
   std::atomic<bool> acquired{false};
   std::thread older([&] {
@@ -108,19 +124,20 @@ TEST(ConcurrencyControl, TwoPlOlderWriterWaitsForYoungerRelease) {
     acquired.store(true);
     cc->end(tid(2), true);
   });
-  // Wait until txn 2 is inside mediate. stats() needs the protocol mutex,
-  // which mediate holds from entry until its condition-variable wait — so
-  // once begun reads 2, the older transaction is already blocked.
-  while (cc->stats().begun < 2) std::this_thread::yield();
+  // Wait until txn 2 is inside mediate. It counts its begin under the
+  // protocol mutex and keeps holding it until its condition-variable wait,
+  // so once begun reads 2, the end() below cannot run before txn 2 blocks.
+  while (counted.count("cc txns begun") < 2) std::this_thread::yield();
   cc->end(tid(5), true);
   older.join();
   EXPECT_TRUE(acquired.load());
-  EXPECT_EQ(cc->stats().committed, 2u);
-  EXPECT_GE(cc->stats().lock_waits, 1u);
+  EXPECT_EQ(counted.count("cc txns committed"), 2u);
+  EXPECT_GE(counted.count("cc lock waits"), 1u);
 }
 
 TEST(ConcurrencyControl, TwoPlNonWaitableRequestDiesInsteadOfBlocking) {
-  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl);
+  CountingCc counted(txn::CcProtocol::k2pl);
+  txn::ConcurrencyControl* cc = counted.cc.get();
   ASSERT_TRUE(cc->mediate(tid(5), target(1), txn::AccessMode::kWrite, true).is_ok());
   // Older than the holder but may_wait=false (the insert path): dies.
   EXPECT_EQ(cc->mediate(tid(2), target(1), txn::AccessMode::kWrite, false).code(),
@@ -130,7 +147,8 @@ TEST(ConcurrencyControl, TwoPlNonWaitableRequestDiesInsteadOfBlocking) {
 }
 
 TEST(ConcurrencyControl, TwoPlRepeatSharedReadThenUpgradeIsGranted) {
-  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl);
+  CountingCc counted(txn::CcProtocol::k2pl);
+  txn::ConcurrencyControl* cc = counted.cc.get();
   ASSERT_TRUE(cc->mediate(tid(1), target(1), txn::AccessMode::kRead, true).is_ok());
   ASSERT_TRUE(cc->mediate(tid(2), target(1), txn::AccessMode::kRead, true).is_ok());
   // A repeat read by a holder among several must not list it twice: once
@@ -141,13 +159,14 @@ TEST(ConcurrencyControl, TwoPlRepeatSharedReadThenUpgradeIsGranted) {
   EXPECT_TRUE(
       cc->mediate(tid(1), target(1), txn::AccessMode::kWrite, false).is_ok());
   cc->end(tid(1), true);
-  EXPECT_EQ(cc->stats().committed, 2u);
-  EXPECT_EQ(cc->stats().lock_waits, 0u);
-  EXPECT_EQ(cc->stats().wait_die_aborts, 0u);
+  EXPECT_EQ(counted.count("cc txns committed"), 2u);
+  EXPECT_EQ(counted.count("cc lock waits"), 0u);
+  EXPECT_EQ(counted.count("cc wait_die aborts"), 0u);
 }
 
 TEST(ConcurrencyControl, OccStaleReadFailsValidation) {
-  auto cc = txn::make_concurrency_control(txn::CcProtocol::kOcc);
+  CountingCc counted(txn::CcProtocol::kOcc);
+  txn::ConcurrencyControl* cc = counted.cc.get();
   // Txn 1 reads the row, then txn 2 writes and commits it.
   ASSERT_TRUE(cc->mediate(tid(1), target(1), txn::AccessMode::kRead, true).is_ok());
   ASSERT_TRUE(cc->mediate(tid(2), target(1), txn::AccessMode::kWrite, true).is_ok());
@@ -157,11 +176,12 @@ TEST(ConcurrencyControl, OccStaleReadFailsValidation) {
   // Txn 1's read set is now stale: commit-time validation must fail.
   EXPECT_EQ(cc->validate(tid(1)).code(), ErrorCode::kTxnAborted);
   cc->end(tid(1), false);
-  EXPECT_EQ(cc->stats().occ_validate_fails, 1u);
+  EXPECT_EQ(counted.count("cc occ validate fails"), 1u);
 }
 
 TEST(ConcurrencyControl, OccWriteAfterStaleReadDiesEarly) {
-  auto cc = txn::make_concurrency_control(txn::CcProtocol::kOcc);
+  CountingCc counted(txn::CcProtocol::kOcc);
+  txn::ConcurrencyControl* cc = counted.cc.get();
   ASSERT_TRUE(cc->mediate(tid(1), target(1), txn::AccessMode::kRead, true).is_ok());
   ASSERT_TRUE(cc->mediate(tid(2), target(1), txn::AccessMode::kWrite, true).is_ok());
   ASSERT_TRUE(cc->validate(tid(2)).is_ok());
@@ -172,23 +192,25 @@ TEST(ConcurrencyControl, OccWriteAfterStaleReadDiesEarly) {
   EXPECT_EQ(cc->mediate(tid(1), target(1), txn::AccessMode::kWrite, true).code(),
             ErrorCode::kTxnAborted);
   cc->end(tid(1), false);
-  EXPECT_EQ(cc->stats().occ_validate_fails, 1u);
+  EXPECT_EQ(counted.count("cc occ validate fails"), 1u);
 }
 
 TEST(ConcurrencyControl, OccReadersDoNotBlockEachOtherOrValidationWithoutWriters) {
-  auto cc = txn::make_concurrency_control(txn::CcProtocol::kOcc);
+  CountingCc counted(txn::CcProtocol::kOcc);
+  txn::ConcurrencyControl* cc = counted.cc.get();
   ASSERT_TRUE(cc->mediate(tid(1), target(1), txn::AccessMode::kRead, true).is_ok());
   ASSERT_TRUE(cc->mediate(tid(2), target(1), txn::AccessMode::kRead, true).is_ok());
   EXPECT_TRUE(cc->validate(tid(1)).is_ok());
   EXPECT_TRUE(cc->validate(tid(2)).is_ok());
   cc->end(tid(1), true);
   cc->end(tid(2), true);
-  EXPECT_EQ(cc->stats().occ_validate_fails, 0u);
-  EXPECT_EQ(cc->stats().wait_die_aborts, 0u);
+  EXPECT_EQ(counted.count("cc occ validate fails"), 0u);
+  EXPECT_EQ(counted.count("cc wait_die aborts"), 0u);
 }
 
 TEST(ConcurrencyControl, OccReadOverlappingAbortedWriterFailsValidation) {
-  auto cc = txn::make_concurrency_control(txn::CcProtocol::kOcc);
+  CountingCc counted(txn::CcProtocol::kOcc);
+  txn::ConcurrencyControl* cc = counted.cc.get();
   // Txn 1 stamps its read, then txn 2 write-locks the row and ABORTS.
   // The stamp is taken in mediate but the bytes are read later under the
   // engine latch, so txn 1 may have seen txn 2's in-place bytes before
@@ -199,17 +221,18 @@ TEST(ConcurrencyControl, OccReadOverlappingAbortedWriterFailsValidation) {
   cc->end(tid(2), false);
   EXPECT_EQ(cc->validate(tid(1)).code(), ErrorCode::kTxnAborted);
   cc->end(tid(1), false);
-  EXPECT_EQ(cc->stats().occ_validate_fails, 1u);
+  EXPECT_EQ(counted.count("cc occ validate fails"), 1u);
 }
 
 TEST(ConcurrencyControl, OwnWriteThenReadNeedsNoVersionCheck) {
-  auto cc = txn::make_concurrency_control(txn::CcProtocol::kOcc);
+  CountingCc counted(txn::CcProtocol::kOcc);
+  txn::ConcurrencyControl* cc = counted.cc.get();
   ASSERT_TRUE(cc->mediate(tid(1), target(1), txn::AccessMode::kWrite, true).is_ok());
   ASSERT_TRUE(cc->mediate(tid(1), target(1), txn::AccessMode::kRead, true).is_ok());
   EXPECT_TRUE(cc->validate(tid(1)).is_ok());
   cc->publish(tid(1));
   cc->end(tid(1), true);
-  EXPECT_EQ(cc->stats().committed, 1u);
+  EXPECT_EQ(counted.count("cc txns committed"), 1u);
 }
 
 // --- wait-die deadlock freedom under stress --------------------------------
@@ -222,7 +245,8 @@ TEST(ConcurrencyControl, OwnWriteThenReadNeedsNoVersionCheck) {
 class WaitDieStress : public ::testing::TestWithParam<txn::CcProtocol> {};
 
 TEST_P(WaitDieStress, NoDeadlockAndNoLostTransactions) {
-  auto cc = txn::make_concurrency_control(GetParam());
+  CountingCc counted(GetParam());
+  txn::ConcurrencyControl* cc = counted.cc.get();
   constexpr unsigned kThreads = 8;
   constexpr unsigned kTxnsPerThread = 200;
   constexpr std::uint32_t kRows = 8;
@@ -250,11 +274,10 @@ TEST_P(WaitDieStress, NoDeadlockAndNoLostTransactions) {
   }
   for (std::thread& t : threads) t.join();
 
-  const txn::CcStats stats = cc->stats();
   EXPECT_EQ(committed.load() + aborted.load(), kThreads * kTxnsPerThread);
-  EXPECT_EQ(stats.begun, kThreads * kTxnsPerThread);
-  EXPECT_EQ(stats.committed, committed.load());
-  EXPECT_EQ(stats.aborts, aborted.load());
+  EXPECT_EQ(counted.count("cc txns begun"), kThreads * kTxnsPerThread);
+  EXPECT_EQ(counted.count("cc txns committed"), committed.load());
+  EXPECT_EQ(counted.count("cc txns aborted"), aborted.load());
   EXPECT_GT(committed.load(), 0u);
 }
 

@@ -28,12 +28,14 @@ using testing::small_db_config;
 class CorruptionTest : public ::testing::Test {
  protected:
   SimEnv env_;
+  obs::Observability obs_;
   engine::DatabaseConfig cfg_ = small_db_config(/*archive=*/true);
   std::unique_ptr<SmallDb> db_;
   std::unique_ptr<BackupManager> backups_;
   std::unique_ptr<RecoveryManager> rm_;
 
   void SetUp() override {
+    cfg_.obs = &obs_;
     db_ = std::make_unique<SmallDb>(env_, cfg_);
     backups_ = std::make_unique<BackupManager>(&env_.host.fs(), "/backup");
     rm_ = std::make_unique<RecoveryManager>(&env_.host, &env_.sched,
@@ -43,6 +45,9 @@ class CorruptionTest : public ::testing::Test {
   engine::Database& db() { return *db_->db; }
   TableId table() { return db_->table; }
   sim::SimFs& fs() { return env_.host.fs(); }
+  std::uint64_t count(const char* counter) {
+    return obs_.registry().counter(counter)->value();
+  }
 
   /// Verify every live datafile and repair each bad block online; returns
   /// the number of blocks repaired (the post-recovery hook used below).
@@ -222,8 +227,8 @@ TEST_F(CorruptionTest, TransientErrorAbsorbedByRetry) {
   EXPECT_EQ(row_str(read.value()), "steady");
   ASSERT_TRUE(db().commit(txn.value()).is_ok());
 
-  EXPECT_EQ(db().storage().retry_stats().retries, 1u);
-  EXPECT_EQ(db().storage().retry_stats().exhausted, 0u);
+  EXPECT_EQ(count("io retries"), 1u);
+  EXPECT_EQ(count("io retries exhausted"), 0u);
 }
 
 // A glitch that outlives the whole retry budget surfaces as kTransientIo
@@ -246,8 +251,8 @@ TEST_F(CorruptionTest, TransientRetryExhaustionSurfacesCleanly) {
             std::string::npos)
       << read.status().to_string();
   ASSERT_TRUE(db().rollback(txn.value()).is_ok());
-  EXPECT_EQ(db().storage().retry_stats().exhausted, 1u);
-  EXPECT_EQ(db().storage().retry_stats().retries, 3u);
+  EXPECT_EQ(count("io retries exhausted"), 1u);
+  EXPECT_EQ(count("io retries"), 3u);
 
   // No damage: once the device recovers, the same read succeeds.
   fs().clear_transient_errors();
@@ -319,8 +324,8 @@ TEST(CorruptionExperiment, TransientGlitchBelowBudgetAbsorbed) {
   EXPECT_TRUE(r.fault_injected);
   EXPECT_TRUE(r.recovered);
   EXPECT_EQ(r.failed_attempts, 0u);
-  EXPECT_GT(r.io_retries, 0u);
-  EXPECT_EQ(r.io_retry_exhausted, 0u);
+  EXPECT_GT(r.metrics.counter("io retries"), 0u);
+  EXPECT_EQ(r.metrics.counter("io retries exhausted"), 0u);
   EXPECT_GT(r.transient_errors, 0u);
   EXPECT_EQ(r.bad_blocks_found, 0u);
   EXPECT_EQ(r.lost_committed, 0u);

@@ -195,19 +195,22 @@ TEST(Engine, NologgingChangesAreNotCrashSafe) {
 
 TEST(Engine, CheckpointCountersAdvance) {
   SimEnv env;
+  obs::Observability stats;
   engine::DatabaseConfig cfg = small_db_config();
   cfg.redo.file_size_bytes = 64 * 1024;  // switch often
   cfg.checkpoint_timeout = 5 * kSecond;
+  cfg.obs = &stats;
   SmallDb db(env, cfg);
   for (int i = 0; i < 300; ++i) {
     put_row(*db.db, db.table, std::string(40, 'x'));
     env.sched.run_due();
   }
-  EXPECT_GT(db.db->stats().full_checkpoints, 0u);
-  EXPECT_GT(db.db->redo().switch_count(), 0u);
+  obs::MetricsRegistry& reg = stats.registry();
+  EXPECT_GT(reg.counter("checkpoints full")->value(), 0u);
+  EXPECT_GT(reg.counter("log switches")->value(), 0u);
   // Idle time lets the log_checkpoint_timeout timer fire.
   env.sched.run_until(env.clock.now() + 30 * kSecond);
-  EXPECT_GT(db.db->stats().incremental_checkpoints, 0u);
+  EXPECT_GT(reg.counter("checkpoints incremental")->value(), 0u);
 }
 
 TEST(Engine, ControlFileSurvivesOneCopyLoss) {

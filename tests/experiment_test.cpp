@@ -7,6 +7,8 @@
 //  - incomplete recovery and failover lose a bounded tail.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "benchmark/experiment.hpp"
 
 namespace vdb::bench {
@@ -201,16 +203,52 @@ TEST(Experiment, SmallRedoFilesCheckpointMore) {
     opts.config = RecoveryConfigSpec{"F1G3T1", 1, 3, 60};
     auto result = Experiment(opts).run();
     ASSERT_TRUE(result.is_ok());
-    ckpt_small = result.value().full_checkpoints;
+    ckpt_small = result.value().metrics.counter("checkpoints full");
   }
   {
     ExperimentOptions opts = base_options();
     opts.config = RecoveryConfigSpec{"F100G3T1", 100, 3, 60};
     auto result = Experiment(opts).run();
     ASSERT_TRUE(result.is_ok());
-    ckpt_large = result.value().full_checkpoints;
+    ckpt_large = result.value().metrics.counter("checkpoints full");
   }
   EXPECT_GT(ckpt_small, 5 * std::max<std::uint64_t>(ckpt_large, 1));
+}
+
+// The "Backups missing" arm of the two-fault campaign at quick duration:
+// destroyed backups turn the delete-datafile media recovery into a failed
+// restore, so the procedure never swaps in a new incarnation. Each reported
+// column must count the instance's checkpoints and switches once: 8 full,
+// 3 incremental and 7 switches, as the statistics area counted them.
+TEST(Experiment, FailedRecoveryReportsEachCheckpointOnce) {
+  ExperimentOptions opts;
+  opts.config = RecoveryConfigSpec{"F10G3T1", 10, 3, 60};
+  opts.archive_mode = true;
+  opts.duration = 6 * kMinute;
+  opts.seed = 20020623;
+  opts.fault = fault(faults::FaultType::kDeleteDatafile);
+  opts.fault->inject_at = 150 * kSecond;
+  opts.fault->datafile_index = 0;
+  faults::ExtendedFaultSpec latent;
+  latent.type = faults::ExtendedFaultType::kDestroyBackups;
+  latent.tablespace = "TPCC";
+  opts.latent_fault = latent;
+  opts.latent_inject_at = 60 * kSecond;
+
+  auto result = Experiment(opts).run();
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const ExperimentResult& r = result.value();
+  ASSERT_FALSE(r.recovered);
+  auto column = [&](std::string_view key) -> std::uint64_t {
+    for (const CounterColumn& c : kCounterColumns) {
+      if (c.key == key) return r.metrics.counter(c.counter);
+    }
+    ADD_FAILURE() << "no counter column " << key;
+    return 0;
+  };
+  EXPECT_EQ(column("full_checkpoints"), 8u);
+  EXPECT_EQ(column("incremental_checkpoints"), 3u);
+  EXPECT_EQ(column("log_switches"), 7u);
 }
 
 }  // namespace

@@ -50,9 +50,11 @@ void expect_same_result(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_DOUBLE_EQ(a.tpmc, b.tpmc);
   EXPECT_DOUBLE_EQ(a.tpm_total, b.tpm_total);
   EXPECT_EQ(a.series, b.series);
-  EXPECT_EQ(a.full_checkpoints, b.full_checkpoints);
-  EXPECT_EQ(a.incremental_checkpoints, b.incremental_checkpoints);
-  EXPECT_EQ(a.log_switches, b.log_switches);
+  for (const CounterColumn& column : kCounterColumns) {
+    EXPECT_EQ(a.metrics.counter(column.counter),
+              b.metrics.counter(column.counter))
+        << column.key;
+  }
   EXPECT_EQ(a.redo_bytes, b.redo_bytes);
   EXPECT_EQ(a.fault_injected, b.fault_injected);
   EXPECT_EQ(a.recovered, b.recovered);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "obs/observability.hpp"
 #include "sim/host.hpp"
 #include "wal/archiver.hpp"
 #include "wal/log_record.hpp"
@@ -266,6 +267,7 @@ class RedoLogTest : public ::testing::Test {
  protected:
   sim::VirtualClock clock_;
   sim::Host host_{"h", &clock_};
+  obs::Observability obs_;
   int checkpoints_forced_ = 0;
   std::vector<std::uint64_t> finalized_seqs_;
 
@@ -296,9 +298,14 @@ class RedoLogTest : public ::testing::Test {
       log_->note_recovery_position(log_->next_lsn());
     };
     auto log = std::make_unique<RedoLog>(&host_.fs(), cfg, std::move(cb));
+    log->set_observability(&obs_, &clock_);
     log_ = log.get();
     archiver_ = std::make_unique<Archiver>(&host_.fs(), log.get());
     return log;
+  }
+
+  std::uint64_t count(const char* counter) {
+    return obs_.registry().counter(counter)->value();
   }
 
   LogRecord make_commit(std::uint64_t txn) {
@@ -352,7 +359,7 @@ TEST_F(RedoLogTest, SwitchesWhenFileFills) {
     log->append(rec);
     ASSERT_TRUE(log->flush().is_ok());
   }
-  EXPECT_GT(log->switch_count(), 2u);
+  EXPECT_GT(count("log switches"), 2u);
   EXPECT_FALSE(finalized_seqs_.empty());
   // Sequence numbers increase strictly.
   for (size_t i = 1; i < finalized_seqs_.size(); ++i) {
@@ -421,7 +428,7 @@ TEST_F(RedoLogTest, ForceCheckpointWhenReuseBlocked) {
     log->append(rec);
     ASSERT_TRUE(log->flush().is_ok());
   }
-  EXPECT_GT(log->switch_count(), 0u);
+  EXPECT_GT(count("log switches"), 0u);
 }
 
 TEST_F(RedoLogTest, ArchiveModeProducesArchives) {
@@ -482,21 +489,17 @@ TEST_F(RedoLogTest, GroupCommitBatchesAndPiggybacks) {
   LogRecord b = make_commit(2);
   const Lsn lb = log->append(b);
   LogRecord c = make_commit(3);
-  log->append(c);
+  const Lsn lc = log->append(c);
+  const std::uint64_t writes_before = count("redo writes");
   ASSERT_TRUE(log->commit_flush(la).is_ok());
-  const auto& gc = log->group_commit_stats();
-  EXPECT_EQ(gc.commit_requests, 1u);
-  EXPECT_EQ(gc.piggybacked, 0u);
-  EXPECT_GE(gc.flushes, 1u);
-  EXPECT_GE(gc.batched_commits, 3u);  // one write carried all three commits
-  EXPECT_GE(gc.max_commits_per_flush, 3u);
+  // One write carried all three commits.
+  EXPECT_EQ(count("redo writes"), writes_before + 1);
+  EXPECT_GT(log->flushed_lsn(), lc);
   EXPECT_EQ(log->pending_bytes(), 0u);
 
   // A commit already made durable by that batch piggybacks: no extra write.
-  const std::uint64_t flushes_before = log->group_commit_stats().flushes;
   ASSERT_TRUE(log->commit_flush(lb).is_ok());
-  EXPECT_EQ(log->group_commit_stats().piggybacked, 1u);
-  EXPECT_EQ(log->group_commit_stats().flushes, flushes_before);
+  EXPECT_EQ(count("redo writes"), writes_before + 1);
 }
 
 TEST_F(RedoLogTest, ArenaSurvivesInterleavedAppendFlushCycles) {
