@@ -3,6 +3,8 @@
 // wall-clock budget of the paper-reproduction suite.
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "index/bplus_tree.hpp"
@@ -186,24 +188,37 @@ void BM_LogRecordEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_LogRecordEncodeDecode);
 
 void BM_RedoApplyPlanReplay(benchmark::State& state) {
-  // Phase-two replay cost in isolation: stage a batch of DML records
-  // spread across the table's pages, then drain the partitioned plan
-  // (fetch + guard + apply + mark_dirty). Single-worker by construction —
-  // the simulator is single-threaded per instance — so this tracks the
-  // per-record apply cost the parallel workers each pay.
+  // One drain cycle (stage + drain) of range(0) DML records dealt
+  // round-robin over the table's pages, with replay_jobs = range(1). The
+  // drain fetches, guards, applies and dirty-marks every page; chunks of at
+  // least 2 * RedoApplyPlan::kApplyRecordsPerWorker records apply on more
+  // than one worker, smaller ones inline, so rows at equal size and
+  // different jobs show what the extra workers buy. Timed on the real clock,
+  // since the apply workers' CPU time is not the calling thread's.
+  const auto records = static_cast<std::size_t>(state.range(0));
+  engine::DatabaseConfig cfg = testing::small_db_config();
+  cfg.replay_jobs = static_cast<unsigned>(state.range(1));
   testing::SimEnv env;
-  testing::SmallDb db(env, testing::small_db_config());
+  testing::SmallDb db(env, cfg);
   std::vector<std::uint8_t> payload(48, 1);
-  for (int i = 0; i < 512; ++i) {
+  for (int i = 0; i < 4096; ++i) {
     auto txn = db.db->begin();
     (void)db.db->insert(txn.value(), db.table, payload);
     (void)db.db->commit(txn.value());
   }
-  std::vector<RowId> rids;
+  // Deal the rows out page by page so consecutive records hit different
+  // pages: a drain of n records touches min(n, pages) runs.
+  std::map<PageId, std::vector<RowId>> by_page;
   (void)db.db->scan(db.table, [&](RowId rid, std::span<const std::uint8_t>) {
-    rids.push_back(rid);
+    by_page[rid.page].push_back(rid);
     return true;
   });
+  std::vector<RowId> rids;
+  for (std::size_t k = 0; rids.size() < records; ++k) {
+    for (const auto& [page, rows] : by_page) {
+      if (rids.size() < records) rids.push_back(rows[k % rows.size()]);
+    }
+  }
 
   wal::LogRecord rec;
   rec.type = wal::LogRecordType::kUpdate;
@@ -214,6 +229,7 @@ void BM_RedoApplyPlanReplay(benchmark::State& state) {
   rec.dml.after[0] = 2;
   Lsn lsn = Lsn{1} << 40;  // above anything the workload wrote
   db.db->set_recovering(true);
+  unsigned workers = 1;
   for (auto _ : state) {
     engine::RedoApplyPlan plan = db.db->make_replay_plan();
     for (const RowId& rid : rids) {
@@ -224,11 +240,17 @@ void BM_RedoApplyPlanReplay(benchmark::State& state) {
     auto stats = plan.drain();
     VDB_CHECK(stats.is_ok());
     benchmark::DoNotOptimize(stats.value().applied);
+    workers = stats.value().workers;
   }
+  state.counters["workers"] = workers;
+  state.counters["pages"] = static_cast<double>(by_page.size());
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(rids.size()));
 }
-BENCHMARK(BM_RedoApplyPlanReplay);
+BENCHMARK(BM_RedoApplyPlanReplay)
+    ->ArgNames({"records", "jobs"})
+    ->ArgsProduct({{32, 256, 4096, 32768}, {1, 2, 4}})
+    ->UseRealTime();
 
 void BM_InstanceRecoveryReplay(benchmark::State& state) {
   // End-to-end instance recovery: a workload of committed single-row

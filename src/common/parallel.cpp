@@ -39,9 +39,12 @@ void parallel_for(std::size_t n, unsigned jobs,
       fn(i);
     }
   };
+  // The calling thread is one of the workers: it claims indexes instead of
+  // idling in join(), so only workers - 1 threads are started.
   std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
+  pool.reserve(workers - 1);
+  for (unsigned t = 1; t < workers; ++t) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
 }
 

@@ -21,10 +21,10 @@ unsigned default_jobs();
 /// 0 resolves to default_jobs(), anything else passes through.
 unsigned resolve_jobs(unsigned jobs);
 
-/// Invokes fn(i) for every i in [0, n), using up to `jobs` worker threads
-/// (jobs == 0 resolves via default_jobs()). Runs inline on the calling
-/// thread when jobs or n is <= 1, so serial configurations pay no thread
-/// overhead and behave identically to a plain loop. Blocks until every
+/// Invokes fn(i) for every i in [0, n) on up to `jobs` workers (jobs == 0
+/// resolves via default_jobs()). The calling thread is one of them, so at
+/// most min(jobs, n) - 1 threads are started; when jobs or n is <= 1 it runs
+/// inline as a plain loop and no thread is started. Blocks until every
 /// index completed. fn must tolerate concurrent invocation for distinct
 /// indexes; exceptions must not escape fn.
 void parallel_for(std::size_t n, unsigned jobs,

@@ -1207,7 +1207,8 @@ Result<Lsn> Database::instance_recovery() {
 
   // Two-phase replay: the scan below does the serial bookkeeping (loser
   // tracking, clock charges) and stages page records; the plan applies them
-  // partitioned by page across workers at each drain point.
+  // partitioned by page at each drain point (across workers when the drain
+  // is big enough to pay for them).
   //
   // Early-open modes (M2-M4) split the per-record cost: the scan charges
   // only the analysis share, and the plan charges the apply share when a

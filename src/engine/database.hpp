@@ -244,7 +244,7 @@ class Database {
   /// recovery, standby managed recovery). The driver scans the redo stream
   /// serially, stages records the plan wants(), drains at serial barriers
   /// (DDL) and at end of scan. `on_skip` fires for records skipped on
-  /// missing/offline datafiles. Worker count comes from
+  /// missing/offline datafiles. The most workers a drain may use comes from
   /// DatabaseConfig::replay_jobs (0 = VDB_JOBS).
   RedoApplyPlan make_replay_plan(
       std::function<void(Lsn, const Status&)> on_skip = nullptr,

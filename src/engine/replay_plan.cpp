@@ -18,6 +18,12 @@ bool skippable(ErrorCode code) {
 
 }  // namespace
 
+unsigned RedoApplyPlan::apply_workers(std::uint64_t records, unsigned jobs) {
+  const std::uint64_t by_size = records / kApplyRecordsPerWorker;
+  return static_cast<unsigned>(
+      std::max<std::uint64_t>(1, std::min<std::uint64_t>(jobs, by_size)));
+}
+
 bool RedoApplyPlan::wants(wal::LogRecordType type) {
   switch (type) {
     case wal::LogRecordType::kInsert:
@@ -97,14 +103,13 @@ Status RedoApplyPlan::prepare_run(Run& run, Stats* stats) {
 }
 
 void RedoApplyPlan::apply_run(Run& run) const {
+  // May run on an apply worker: it writes only its own page and, once at the
+  // end, its own run. The applied count is folded into the counter at
+  // finalize, so workers share no cache line per record.
   storage::Page* page = run.ref.page();
+  Lsn first_applied = kInvalidLsn;
   for (std::size_t idx : run.items) {
     const wal::LogRecord& rec = records_[idx];
-    // Guard-skipped records (change already on the page) count as applied,
-    // matching the serial path where apply_record returns ok for them.
-    // The counter update runs on the worker pool — one relaxed atomic add.
-    run.applied += 1;
-    applied_counter_->inc();
     if (rec.lsn <= page->lsn()) continue;
     switch (rec.type) {
       case wal::LogRecordType::kInsert:
@@ -118,8 +123,9 @@ void RedoApplyPlan::apply_run(Run& run) const {
         break;  // unreachable: format runs were handled serially
     }
     page->set_lsn(rec.lsn);
-    if (run.first_applied == kInvalidLsn) run.first_applied = rec.lsn;
+    if (first_applied == kInvalidLsn) first_applied = rec.lsn;
   }
+  run.first_applied = first_applied;
 }
 
 Result<RedoApplyPlan::Stats> RedoApplyPlan::drain() {
@@ -201,6 +207,7 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
   Stats stats;
   if (selected.empty()) return stats;
   drains_counter_->inc();
+  const unsigned jobs = resolve_jobs(hooks_.jobs);
 
   // Runs are processed in chunks small enough that every chunk's pages fit
   // pinned in the cache with room to spare (the serial-apply path inside
@@ -219,16 +226,23 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
     // and charge the apply share of the replay CPU in deterministic order.
     std::vector<std::size_t> parallel_runs;
     parallel_runs.reserve(end - begin);
+    std::uint64_t parallel_records = 0;
     for (std::size_t s = begin; s < end; ++s) {
       Run& run = runs_[selected[s]];
       if (hooks_.charge_apply) hooks_.charge_apply(run.items.size());
       failure = prepare_run(run, &stats);
       if (!failure.is_ok()) break;
-      if (run.ref.valid()) parallel_runs.push_back(selected[s]);
+      if (run.ref.valid()) {
+        parallel_runs.push_back(selected[s]);
+        parallel_records += run.items.size();
+      }
     }
 
-    // Parallel apply: disjoint pinned pages, in-memory writes only.
-    parallel_for(parallel_runs.size(), hooks_.jobs,
+    // Apply: disjoint pinned pages, in-memory writes only. Most drains are
+    // a few dozen records, which apply faster inline than a thread starts.
+    const unsigned workers = apply_workers(parallel_records, jobs);
+    stats.workers = std::max(stats.workers, workers);
+    parallel_for(parallel_runs.size(), workers,
                  [&](std::size_t i) { apply_run(runs_[parallel_runs[i]]); });
 
     // Serial finalize: dirty-mark with the first applied LSN (a checkpoint
@@ -240,7 +254,10 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
         if (run.first_applied != kInvalidLsn) {
           hooks_.storage->mark_dirty(run.page, run.first_applied);
         }
-        stats.applied += run.applied;
+        // Guard-skipped records (change already on the page) count as
+        // applied, matching the serial path where apply_record returns ok.
+        stats.applied += run.items.size();
+        applied_counter_->inc(run.items.size());
         run.ref = storage::PageRef{};
       }
       run.done = true;

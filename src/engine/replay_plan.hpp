@@ -5,10 +5,12 @@
 // stream in LSN order doing the bookkeeping only a serial pass can do
 // (loser-transaction tracking, stop-before positions, simulated-clock
 // charges) and stages every page-targeted record here. Phase two — drain()
-// — groups the staged records into per-page runs and applies the runs on a
-// worker pool (honoring VDB_JOBS via common/parallel): runs touch disjoint
-// pages, and within a run records apply in LSN order, so the result is
-// byte-identical to the serial pass at any job count.
+// — groups the staged records into per-page runs and applies them chunk by
+// chunk. A chunk too small to pay for a thread start applies inline on the
+// calling thread; a bigger one spreads its runs over up to `jobs` workers
+// (common/parallel, honoring VDB_JOBS). Runs touch disjoint pages, and
+// within a run records apply in LSN order, so the result is byte-identical
+// to the serial pass at any job count.
 //
 // Runs that need engine machinery — page-format records, pages formatted by
 // a NOLOGGING table (no format record exists) — are applied serially
@@ -35,7 +37,24 @@ class RedoApplyPlan {
   struct Stats {
     std::uint64_t applied = 0;
     std::uint64_t skipped = 0;  // records on missing/offline files
+    /// Most apply workers any chunk of the drain used (1 = all inline).
+    /// The only field that depends on the job count.
+    unsigned workers = 1;
   };
+
+  /// Staged records each apply worker must take over before a chunk is
+  /// split: below it, starting a thread costs more than the apply it
+  /// saves. Sized from bench_micro's BM_RedoApplyPlanReplay with the grain
+  /// forced to 1 (Release, 4-vCPU x86-64 VM, medians of 10): 32768 records
+  /// is the break-even row (8.3 ms on 1 worker, 8.1 on 2, 7.4 on 4); at
+  /// 4096 records 2 workers took 1.3x and 4 took 2x as long as 1.
+  static constexpr std::uint64_t kApplyRecordsPerWorker = 16384;
+
+  /// Apply workers for a chunk of `records` staged records on `jobs`
+  /// workers (resolved; 0 counts as 1): min(jobs, records /
+  /// kApplyRecordsPerWorker), at least 1. A function of the chunk's content
+  /// and the job count only, never of timing.
+  static unsigned apply_workers(std::uint64_t records, unsigned jobs);
 
   struct Hooks {
     storage::StorageManager* storage = nullptr;
@@ -45,11 +64,11 @@ class RedoApplyPlan {
     /// Invoked (serially, in staging order per page) for every record
     /// skipped because its datafile is gone or offline. Optional.
     std::function<void(Lsn, const Status&)> on_skip;
-    /// Worker count for the apply phase; 0 honors VDB_JOBS.
+    /// Most workers for the apply phase; 0 honors VDB_JOBS. Chunks below
+    /// the grain apply inline whatever the value (apply_workers).
     unsigned jobs = 0;
-    /// Statistics area; nullptr falls back to the process default. The
-    /// "replay records applied" counter is updated from the worker pool
-    /// (relaxed atomics — the ThreadSanitizer CI job covers this).
+    /// Statistics area; nullptr falls back to the process default. Its
+    /// counters are updated on the calling thread only.
     obs::Observability* obs = nullptr;
     /// Serial per-run charge, invoked once per drained run with the run's
     /// record count. The instance-recovery driver uses it to charge the
@@ -127,7 +146,6 @@ class RedoApplyPlan {
     bool handled_serially = false;
     bool skipped = false;
     Lsn first_applied = kInvalidLsn;
-    std::uint64_t applied = 0;
   };
 
   Status prepare_run(Run& run, Stats* stats);

@@ -4,9 +4,10 @@
 // Hot-path discipline: components resolve their instruments ONCE (at
 // construction / wiring time, under the registry mutex) and then update
 // them through stable pointers with relaxed atomics — one atomic add per
-// event, no allocation, no locking. Replay workers (vdb::parallel_for)
-// update the same instruments concurrently, which is why every cell is a
-// std::atomic and why the ThreadSanitizer CI job covers this subsystem.
+// event, no allocation, no locking. The transaction coordinator's worker
+// threads (src/txn/coordinator) update instruments, not all under one lock,
+// which is why every cell is a std::atomic and why the ThreadSanitizer CI
+// job covers this subsystem.
 //
 // Histograms use fixed power-of-two buckets over simulated microseconds:
 // bucket i counts values v with 2^(i-1) <= v < 2^i (bucket 0 holds 0),

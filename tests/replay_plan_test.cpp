@@ -257,5 +257,125 @@ TEST(ReplayPlanTest, TpccCrashRecoveryConsistentAcrossJobs) {
   EXPECT_GT(serial.orders, 0u);
 }
 
+constexpr std::uint64_t kGrain = RedoApplyPlan::kApplyRecordsPerWorker;
+
+TEST(ReplayPlanTest, ApplyWorkersFollowTheGrain) {
+  EXPECT_EQ(RedoApplyPlan::apply_workers(100 * kGrain, 0), 1u);
+  EXPECT_EQ(RedoApplyPlan::apply_workers(100 * kGrain, 1), 1u);
+  EXPECT_EQ(RedoApplyPlan::apply_workers(0, 4), 1u);
+  EXPECT_EQ(RedoApplyPlan::apply_workers(kGrain - 1, 4), 1u);
+  EXPECT_EQ(RedoApplyPlan::apply_workers(2 * kGrain - 1, 4), 1u);
+  EXPECT_EQ(RedoApplyPlan::apply_workers(2 * kGrain, 4), 2u);
+  EXPECT_EQ(RedoApplyPlan::apply_workers(100 * kGrain, 4), 4u);
+}
+
+// Drains on both sides of the apply grain. Most replay drains are a few
+// dozen records and apply inline; one of several grains is split across
+// workers. Media recovery replays a thousand one-record drains, then a plan
+// staged directly drains once below the grain and once above it. Pages and
+// reports must come out identical at any job count.
+std::string wide_row(const std::string& tag) {
+  return tag + std::string(60 - tag.size(), '.');  // fills a 64-byte slot
+}
+
+struct GrainOutcome {
+  recovery::RecoveryReport report;
+  std::vector<std::string> accounts;
+  std::vector<std::vector<std::uint8_t>> pages;  // every block of users01
+  RedoApplyPlan::Stats small;
+  RedoApplyPlan::Stats large;
+};
+
+// Stages `records` updates dealt round-robin over `rids`, LSNs counting up
+// from `*lsn`, and drains them as one plan.
+RedoApplyPlan::Stats drain_updates(Database& db, TableId table,
+                                   const std::vector<RowId>& rids,
+                                   std::uint64_t records, Lsn* lsn) {
+  RedoApplyPlan plan = db.make_replay_plan();
+  wal::LogRecord rec;
+  rec.type = wal::LogRecordType::kUpdate;
+  rec.txn = TxnId{9001};
+  rec.dml.table = table;
+  for (std::uint64_t i = 0; i < records; ++i) {
+    rec.lsn = (*lsn)++;
+    rec.dml.rid = rids[i % rids.size()];
+    rec.dml.after = row(wide_row("direct" + std::to_string(i)));
+    plan.stage(rec);
+  }
+  auto stats = plan.drain();
+  VDB_CHECK_MSG(stats.is_ok(), stats.status().to_string());
+  return stats.value();
+}
+
+GrainOutcome drains_around_the_grain(unsigned jobs) {
+  SimEnv env;
+  engine::DatabaseConfig cfg = small_db_config(/*archive=*/true);
+  cfg.replay_jobs = jobs;
+  SmallDb small(env, cfg);
+  recovery::BackupManager backups(&env.host.fs(), "/backup");
+  recovery::RecoveryManager rm(&env.host, &env.sched, &backups);
+  VDB_CHECK(backups.take_backup(*small.db).is_ok());
+
+  std::vector<RowId> rids;
+  for (int i = 0; i < 1024; ++i) {  // ~9 pages of 64-byte slots
+    rids.push_back(
+        put_row(*small.db, small.table, wide_row("row" + std::to_string(i))));
+  }
+
+  VDB_CHECK(env.host.fs().remove("/data/users01.dbf").is_ok());
+  small.db->storage().cache().discard_all();
+  small.db->storage().mark_missing(FileId{0});
+  auto report = rm.recover_datafile(*small.db, FileId{0});
+  VDB_CHECK_MSG(report.is_ok(), report.status().to_string());
+
+  GrainOutcome out;
+  out.report = report.value();
+  Lsn lsn = Lsn{1} << 40;  // above anything the workload wrote
+  small.db->set_recovering(true);
+  out.small = drain_updates(*small.db, small.table, rids, kGrain / 2, &lsn);
+  out.large = drain_updates(*small.db, small.table, rids, 2 * kGrain, &lsn);
+  small.db->set_recovering(false);
+
+  out.accounts = all_rows(*small.db, small.table);
+  auto info = small.db->storage().file_info(FileId{0});
+  VDB_CHECK(info.is_ok());
+  for (std::uint32_t b = 0; b < info.value()->blocks; ++b) {
+    auto ref = small.db->storage().fetch(PageId{FileId{0}, b});
+    VDB_CHECK_MSG(ref.is_ok(), ref.status().to_string());
+    const auto bytes = ref.value()->bytes();
+    out.pages.emplace_back(bytes.begin(), bytes.end());
+  }
+  return out;
+}
+
+TEST(ReplayPlanTest, DrainsBelowAndAboveGrainIdenticalAcrossJobs) {
+  const GrainOutcome serial = drains_around_the_grain(1);
+  const GrainOutcome parallel = drains_around_the_grain(4);
+  // The worker choice is the only job-dependent outcome.
+  EXPECT_EQ(serial.small.workers, 1u);
+  EXPECT_EQ(serial.large.workers, 1u);
+  EXPECT_EQ(parallel.small.workers, 1u);
+  EXPECT_GT(parallel.large.workers, 1u);
+  EXPECT_EQ(serial.small.applied, parallel.small.applied);
+  EXPECT_EQ(serial.large.applied, parallel.large.applied);
+  EXPECT_EQ(serial.large.applied, 2 * kGrain);
+
+  EXPECT_TRUE(serial.report.complete);
+  EXPECT_GE(serial.report.records_applied, 1024u);
+  EXPECT_EQ(serial.report.recovered_to, parallel.report.recovered_to);
+  EXPECT_EQ(serial.report.complete, parallel.report.complete);
+  EXPECT_EQ(serial.report.records_applied, parallel.report.records_applied);
+  EXPECT_EQ(serial.report.records_skipped, parallel.report.records_skipped);
+  EXPECT_EQ(serial.report.archives_read, parallel.report.archives_read);
+  EXPECT_EQ(serial.report.files_restored, parallel.report.files_restored);
+  EXPECT_EQ(serial.report.blocks_restored, parallel.report.blocks_restored);
+  EXPECT_EQ(serial.accounts.size(), 1024u);
+  EXPECT_EQ(serial.accounts, parallel.accounts);
+  ASSERT_EQ(serial.pages.size(), parallel.pages.size());
+  for (std::size_t b = 0; b < serial.pages.size(); ++b) {
+    EXPECT_EQ(serial.pages[b], parallel.pages[b]) << "block " << b;
+  }
+}
+
 }  // namespace
 }  // namespace vdb::engine
