@@ -8,7 +8,11 @@
 # Usage: bench_smoke.sh [bench-binary-dir] [results-out-dir]
 #   bench-binary-dir defaults to ./build/bench relative to the repo root.
 #   When results-out-dir is given, the results/*.json drops are copied
-#   there before the scratch dir is removed (CI uploads them as artifacts).
+#   there before the scratch dir is removed (CI uploads them as artifacts),
+#   together with each bench's printed tables as tables/bench_<name>.txt,
+#   cut at the "--- wall clock ---" footer. The tables hold simulated
+#   outputs only, so comparing two builds' tables is one `diff -r` of their
+#   tables/ directories (bench_cc's multi-worker rows vary run to run).
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -117,6 +121,15 @@ fi
 if [ -n "$results_out" ] && [ -d results ]; then
   cp results/bench_*.json "$results_out"/ 2>/dev/null || true
   echo "bench_smoke: results copied to $results_out"
+fi
+if [ -n "$results_out" ]; then
+  mkdir -p "$results_out/tables"
+  for out in bench_*.out; do
+    [ "$out" = bench_micro.out ] && continue  # timings, not tables
+    sed '/^--- wall clock ---$/,$d' "$out" \
+      > "$results_out/tables/${out%.out}.txt"
+  done
+  echo "bench_smoke: tables copied to $results_out/tables"
 fi
 
 if [ "$failed" -ne 0 ]; then

@@ -35,10 +35,6 @@ Status FleetDriver::run_until(SimTime until) {
         stats_.lock_retries += 1;
         continue;
       }
-      if (code == ErrorCode::kRecoveryRequired) {
-        stats_.recovery_retries += 1;
-        continue;
-      }
       stats_.failed_attempts += 1;
       return outcome.status();
     }

@@ -1,11 +1,13 @@
 // Closed-loop TPC-C driver over the whole fleet.
 //
-// Mirrors tpcc::Driver — same card deck, same input draws, same
-// end-user failure detection — but routes each interaction to the home
-// warehouse's shard through FleetTxns, and keeps per-branch durability
-// watermarks so lost transactions can be accounted per shard after a
-// promotion (a committed interaction is lost on shard s iff one of its
-// branches' commit LSNs lies above what s's recovery salvaged).
+// Same card deck, input draws and end-user failure detection as
+// tpcc::Driver. Each interaction runs the single-instance TPC-C profiles
+// through FleetTxns, the fleet's route: rows go to the shard that owns
+// their warehouse, and a multi-shard interaction commits by two-phase
+// commit. The driver keeps per-branch durability watermarks so lost
+// transactions can be accounted per shard after a promotion (a committed
+// interaction is lost on shard s iff one of its branches' commit LSNs lies
+// above what s's recovery salvaged).
 #pragma once
 
 #include <array>
@@ -42,7 +44,6 @@ struct FleetDriverStats {
   std::uint64_t intentional_rollbacks = 0;
   std::uint64_t lock_retries = 0;
   std::uint64_t failed_attempts = 0;
-  std::uint64_t recovery_retries = 0;
 };
 
 class FleetDriver {

@@ -178,8 +178,7 @@ Result<FleetExperimentResult> FleetExperiment::run() {
   result.fault_time = crash_at;
 
   result.atomicity_violations = fleet.registry().atomicity_violations();
-  result.cross_shard_started = driver.txns().cross_shard_started();
-  result.remote_branches = driver.txns().remote_branches();
+  result.cross_shard_started = fleet.registry().cross_shard_txns();
 
   result.tpmc = driver.tpmc(start, end);
   result.tpm_total = driver.tpm_total(start, end);

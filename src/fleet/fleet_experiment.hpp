@@ -60,7 +60,6 @@ struct FleetExperimentResult {
 
   // Two-phase commit traffic.
   std::uint64_t cross_shard_started = 0;
-  std::uint64_t remote_branches = 0;
 
   // Recovery measures.
   bool fault_injected = false;

@@ -1,12 +1,9 @@
-// Fleet-aware TPC-C transaction profiles.
-//
-// Order-Status, Delivery, and Stock-Level touch only the home warehouse's
-// rows and are delegated verbatim to the per-shard TpccTxns. New-Order and
-// Payment mirror the single-instance profiles exactly — same inputs, same
-// row mutations, same random stream — except that a remote stock line
-// (clause 2.4.1's ~1%-per-line case) or a remote customer (clause
-// 2.5.1.2's 15% case) landing on a foreign shard opens a branch there, and
-// the whole interaction then commits by presumed-abort two-phase commit:
+// The fleet's transaction route: the single-instance TPC-C profiles
+// (tpcc::TpccTxns) run over it unchanged. Each warehouse routes to its
+// shard. When a remote stock line (clause 2.4.1's ~1%-per-line case) or a
+// remote customer (clause 2.5.1.2's 15% case) lands on a foreign shard, the
+// route opens a branch there, and the interaction then commits by
+// presumed-abort two-phase commit:
 //
 //   1. every branch PREPAREs (redo record + log force),
 //   2. the coordinator (the home shard) force-logs its COMMIT decision,
@@ -25,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/status.hpp"
@@ -56,7 +52,7 @@ struct FleetOutcome {
   std::vector<std::pair<std::uint32_t, Lsn>> branches;
 };
 
-class FleetTxns {
+class FleetTxns final : private tpcc::TxnRoute {
  public:
   FleetTxns(Fleet* fleet, tpcc::TpccRandom* random);
 
@@ -69,44 +65,40 @@ class FleetTxns {
                  std::function<void(std::uint32_t shard)> fire);
   bool crash_armed() const { return armed_ != CrashPoint::kNone; }
 
-  std::uint64_t cross_shard_started() const { return cross_shard_started_; }
-  std::uint64_t remote_branches() const { return remote_branches_; }
-
  private:
-  Result<FleetOutcome> new_order(std::uint32_t w);
-  Result<FleetOutcome> payment(std::uint32_t w);
-  Result<FleetOutcome> delegate(tpcc::TxnType type, std::uint32_t w);
-
-  /// 60%/40% customer selection against the shard that owns warehouse cw.
-  Result<RowId> select_customer(std::uint32_t cw, std::uint32_t cd);
+  // tpcc::TxnRoute, over the current interaction's branches.
+  tpcc::TpccDb& db(std::uint32_t w) override;
+  Result<TxnId> begin(std::uint32_t home) override;
+  Result<TxnId> txn(std::uint32_t w) override;
+  Result<Lsn> commit() override;
+  Status rollback() override;
 
   /// Lazily opens a branch transaction on `shard`.
-  Result<TxnId> branch_txn(std::map<std::uint32_t, TxnId>* branches,
-                           std::uint32_t shard);
+  Result<TxnId> branch_txn(std::uint32_t shard);
   /// Rolls back every open branch (business rollback / pre-2PC failure).
-  void rollback_all(const std::map<std::uint32_t, TxnId>& branches);
+  void rollback_all();
 
   /// True (and disarms) when `point` is armed; the hook has then run.
   bool fire_crash(CrashPoint point, std::uint32_t victim);
   /// One 2PC message round trip on the inter-shard link.
   void charge_round_trip();
 
-  /// Presumed-abort commit across branches.size() >= 2 shards.
-  Status two_phase_commit(std::uint32_t home,
-                          std::map<std::uint32_t, TxnId>* branches,
-                          FleetOutcome* out);
+  /// Presumed-abort commit across branches_.size() >= 2 shards; returns
+  /// the home commit LSN.
+  Result<Lsn> two_phase_commit();
   /// Coordinator-side abort: prepared branches resolve on its order,
   /// unprepared ones roll back, dead shards resolve at their recovery.
-  void abort_branches(GlobalTxn* g,
-                      const std::map<std::uint32_t, TxnId>& branches);
+  void abort_branches(GlobalTxn* g);
 
   Fleet* fleet_;
-  tpcc::TpccRandom* random_;
-  std::vector<std::unique_ptr<tpcc::TpccTxns>> local_;
+  tpcc::TpccTxns txns_;
   CrashPoint armed_ = CrashPoint::kNone;
   std::function<void(std::uint32_t)> fire_;
-  std::uint64_t cross_shard_started_ = 0;
-  std::uint64_t remote_branches_ = 0;
+  /// The current interaction: home shard, open branch per shard, and the
+  /// (shard, commit LSN) of every branch that committed.
+  std::uint32_t home_ = 0;
+  std::map<std::uint32_t, TxnId> branches_;
+  std::vector<std::pair<std::uint32_t, Lsn>> committed_;
 };
 
 }  // namespace vdb::fleet

@@ -15,16 +15,31 @@ const char* to_string(TxnType t) {
   return "?";
 }
 
-namespace {
+Result<TxnId> LocalRoute::begin(std::uint32_t) {
+  auto txn = db_->db().begin();
+  if (txn.is_ok()) txn_ = txn.value();
+  return txn;
+}
 
-/// Aborts the engine transaction and propagates the original error. Abort
-/// failures after instance death are expected and ignored.
-Status fail_txn(engine::Database& db, TxnId txn, Status original) {
-  (void)db.rollback(txn);
+Result<Lsn> LocalRoute::commit() {
+  auto lsn = db_->db().commit(txn_);
+  if (!lsn.is_ok()) (void)db_->db().rollback(txn_);
+  return lsn;
+}
+
+Status LocalRoute::rollback() { return db_->db().rollback(txn_); }
+
+Status TpccTxns::fail(Status original) {
+  (void)route_->rollback();
   return original;
 }
 
-}  // namespace
+Result<TxnOutcome> TpccTxns::finish(TxnType type) {
+  auto commit = route_->commit();
+  if (!commit.is_ok()) return commit.status();
+  TxnOutcome outcome{type, true, false, commit.value()};
+  return outcome;
+}
 
 Result<TxnOutcome> TpccTxns::run(TxnType type, std::uint32_t w) {
   switch (type) {
@@ -38,10 +53,11 @@ Result<TxnOutcome> TpccTxns::run(TxnType type, std::uint32_t w) {
 }
 
 Result<RowId> TpccTxns::select_customer(std::uint32_t w, std::uint32_t d) {
+  TpccDb& tdb = route_->db(w);
   Rng& rng = random_->rng();
   if (rng.chance(0.60)) {
     const std::string last = random_->nurand_last_name();
-    auto matches = db_->customers_by_name(w, d, last);
+    auto matches = tdb.customers_by_name(w, d, last);
     if (!matches.empty()) {
       // Median customer, per clause 2.5.2.2.
       return matches[matches.size() / 2].second;
@@ -49,7 +65,7 @@ Result<RowId> TpccTxns::select_customer(std::uint32_t w, std::uint32_t d) {
     // Name not present in the scaled population: fall through to by-id.
   }
   const std::uint32_t c = random_->nurand_customer_id();
-  auto rid = db_->customer_rid(w, d, c);
+  auto rid = tdb.customer_rid(w, d, c);
   if (!rid.has_value()) {
     return Status{ErrorCode::kNotFound, "customer missing from index"};
   }
@@ -57,12 +73,12 @@ Result<RowId> TpccTxns::select_customer(std::uint32_t w, std::uint32_t d) {
 }
 
 Result<TxnOutcome> TpccTxns::new_order(std::uint32_t w) {
-  engine::Database& db = db_->db();
+  TpccDb& home = route_->db(w);
   Rng& rng = random_->rng();
   const std::uint32_t d = random_->district_id();
-  const SimTime now = db.clock().now();
+  const SimTime now = home.db().clock().now();
 
-  auto txn_r = db.begin();
+  auto txn_r = route_->begin(w);
   if (!txn_r.is_ok()) return txn_r.status();
   const TxnId txn = txn_r.value();
 
@@ -92,26 +108,26 @@ Result<TxnOutcome> TpccTxns::new_order(std::uint32_t w) {
   }
 
   // Warehouse & district (tax, order number).
-  auto w_rid = db_->warehouse_rid(w);
-  auto d_rid = db_->district_rid(w, d);
+  auto w_rid = home.warehouse_rid(w);
+  auto d_rid = home.district_rid(w, d);
   if (!w_rid || !d_rid) {
-    return fail_txn(db, txn, Status{ErrorCode::kInternal, "missing w/d"});
+    return fail(Status{ErrorCode::kInternal, "missing w/d"});
   }
-  auto wh = db_->read_row<WarehouseRow>(txn, Tbl::kWarehouse, *w_rid);
-  if (!wh.is_ok()) return fail_txn(db, txn, wh.status());
-  auto dist = db_->read_row<DistrictRow>(txn, Tbl::kDistrict, *d_rid);
-  if (!dist.is_ok()) return fail_txn(db, txn, dist.status());
+  auto wh = home.read_row<WarehouseRow>(txn, Tbl::kWarehouse, *w_rid);
+  if (!wh.is_ok()) return fail(wh.status());
+  auto dist = home.read_row<DistrictRow>(txn, Tbl::kDistrict, *d_rid);
+  if (!dist.is_ok()) return fail(dist.status());
 
   const std::uint32_t o_id = dist.value().d_next_o_id;
   DistrictRow new_dist = dist.value();
   new_dist.d_next_o_id += 1;
-  Status st = db_->update_row(txn, Tbl::kDistrict, *d_rid, new_dist);
-  if (!st.is_ok()) return fail_txn(db, txn, st);
+  Status st = home.update_row(txn, Tbl::kDistrict, *d_rid, new_dist);
+  if (!st.is_ok()) return fail(st);
 
   auto c_rid = select_customer(w, d);
-  if (!c_rid.is_ok()) return fail_txn(db, txn, c_rid.status());
-  auto cust = db_->read_row<CustomerRow>(txn, Tbl::kCustomer, c_rid.value());
-  if (!cust.is_ok()) return fail_txn(db, txn, cust.status());
+  if (!c_rid.is_ok()) return fail(c_rid.status());
+  auto cust = home.read_row<CustomerRow>(txn, Tbl::kCustomer, c_rid.value());
+  if (!cust.is_ok()) return fail(cust.status());
 
   // Order + NEW-ORDER rows.
   OrderRow order;
@@ -123,36 +139,41 @@ Result<TxnOutcome> TpccTxns::new_order(std::uint32_t w) {
   order.o_carrier_id = -1;
   order.o_ol_cnt = ol_cnt;
   order.o_all_local = all_local ? 1 : 0;
-  auto o_ins = db_->insert_row(txn, Tbl::kOrder, order);
-  if (!o_ins.is_ok()) return fail_txn(db, txn, o_ins.status());
+  auto o_ins = home.insert_row(txn, Tbl::kOrder, order);
+  if (!o_ins.is_ok()) return fail(o_ins.status());
 
   NewOrderRow no;
   no.no_o_id = o_id;
   no.no_d_id = d;
   no.no_w_id = w;
-  auto no_ins = db_->insert_row(txn, Tbl::kNewOrder, no);
-  if (!no_ins.is_ok()) return fail_txn(db, txn, no_ins.status());
+  auto no_ins = home.insert_row(txn, Tbl::kNewOrder, no);
+  if (!no_ins.is_ok()) return fail(no_ins.status());
 
   // Lines.
   std::uint8_t number = 0;
   for (const Line& line : lines) {
     number += 1;
-    auto i_rid = db_->item_rid(line.i_id);
+    auto i_rid = home.item_rid(line.i_id);
     if (!i_rid.has_value()) {
       // Invalid item: business rollback (clause 2.4.2.3).
-      VDB_RETURN_IF_ERROR(db.rollback(txn));
+      VDB_RETURN_IF_ERROR(route_->rollback());
       TxnOutcome outcome{TxnType::kNewOrder, false, true, 0};
       return outcome;
     }
-    auto item = db_->read_row<ItemRow>(txn, Tbl::kItem, *i_rid);
-    if (!item.is_ok()) return fail_txn(db, txn, item.status());
+    auto item = home.read_row<ItemRow>(txn, Tbl::kItem, *i_rid);
+    if (!item.is_ok()) return fail(item.status());
 
-    auto s_rid = db_->stock_rid(line.supply_w, line.i_id);
+    // Stock lives with the supplying warehouse, whose owner the route may
+    // only now open a transaction on.
+    auto s_txn = route_->txn(line.supply_w);
+    if (!s_txn.is_ok()) return fail(s_txn.status());
+    TpccDb& supply = route_->db(line.supply_w);
+    auto s_rid = supply.stock_rid(line.supply_w, line.i_id);
     if (!s_rid.has_value()) {
-      return fail_txn(db, txn, Status{ErrorCode::kInternal, "stock missing"});
+      return fail(Status{ErrorCode::kInternal, "stock missing"});
     }
-    auto stock = db_->read_row<StockRow>(txn, Tbl::kStock, *s_rid);
-    if (!stock.is_ok()) return fail_txn(db, txn, stock.status());
+    auto stock = supply.read_row<StockRow>(s_txn.value(), Tbl::kStock, *s_rid);
+    if (!stock.is_ok()) return fail(stock.status());
 
     StockRow new_stock = stock.value();
     if (new_stock.s_quantity >= line.qty + 10) {
@@ -163,8 +184,8 @@ Result<TxnOutcome> TpccTxns::new_order(std::uint32_t w) {
     new_stock.s_ytd += line.qty;
     new_stock.s_order_cnt += 1;
     if (line.supply_w != w) new_stock.s_remote_cnt += 1;
-    st = db_->update_row(txn, Tbl::kStock, *s_rid, new_stock);
-    if (!st.is_ok()) return fail_txn(db, txn, st);
+    st = supply.update_row(s_txn.value(), Tbl::kStock, *s_rid, new_stock);
+    if (!st.is_ok()) return fail(st);
 
     OrderLineRow ol;
     ol.ol_o_id = o_id;
@@ -177,22 +198,19 @@ Result<TxnOutcome> TpccTxns::new_order(std::uint32_t w) {
     ol.ol_quantity = line.qty;
     ol.ol_amount = line.qty * item.value().i_price;
     ol.ol_dist_info = stock.value().s_dist[(d - 1) % 10];
-    auto ol_ins = db_->insert_row(txn, Tbl::kOrderLine, ol);
-    if (!ol_ins.is_ok()) return fail_txn(db, txn, ol_ins.status());
+    auto ol_ins = home.insert_row(txn, Tbl::kOrderLine, ol);
+    if (!ol_ins.is_ok()) return fail(ol_ins.status());
   }
 
-  auto commit = db.commit(txn);
-  if (!commit.is_ok()) return fail_txn(db, txn, commit.status());
-  TxnOutcome outcome{TxnType::kNewOrder, true, false, commit.value()};
-  return outcome;
+  return finish(TxnType::kNewOrder);
 }
 
 Result<TxnOutcome> TpccTxns::payment(std::uint32_t w) {
-  engine::Database& db = db_->db();
+  TpccDb& home = route_->db(w);
   Rng& rng = random_->rng();
   const std::uint32_t d = random_->district_id();
   const double amount = static_cast<double>(rng.uniform(100, 500000)) / 100.0;
-  const SimTime now = db.clock().now();
+  const SimTime now = home.db().clock().now();
 
   // 15% remote customers when multiple warehouses exist (clause 2.5.1.2).
   std::uint32_t c_w = w;
@@ -204,33 +222,39 @@ Result<TxnOutcome> TpccTxns::payment(std::uint32_t w) {
     c_d = random_->district_id();
   }
 
-  auto txn_r = db.begin();
+  auto txn_r = route_->begin(w);
   if (!txn_r.is_ok()) return txn_r.status();
   const TxnId txn = txn_r.value();
 
-  auto w_rid = db_->warehouse_rid(w);
-  auto d_rid = db_->district_rid(w, d);
+  auto w_rid = home.warehouse_rid(w);
+  auto d_rid = home.district_rid(w, d);
   if (!w_rid || !d_rid) {
-    return fail_txn(db, txn, Status{ErrorCode::kInternal, "missing w/d"});
+    return fail(Status{ErrorCode::kInternal, "missing w/d"});
   }
-  auto wh = db_->read_row<WarehouseRow>(txn, Tbl::kWarehouse, *w_rid);
-  if (!wh.is_ok()) return fail_txn(db, txn, wh.status());
+  auto wh = home.read_row<WarehouseRow>(txn, Tbl::kWarehouse, *w_rid);
+  if (!wh.is_ok()) return fail(wh.status());
   WarehouseRow new_wh = wh.value();
   new_wh.w_ytd += amount;
-  Status st = db_->update_row(txn, Tbl::kWarehouse, *w_rid, new_wh);
-  if (!st.is_ok()) return fail_txn(db, txn, st);
+  Status st = home.update_row(txn, Tbl::kWarehouse, *w_rid, new_wh);
+  if (!st.is_ok()) return fail(st);
 
-  auto dist = db_->read_row<DistrictRow>(txn, Tbl::kDistrict, *d_rid);
-  if (!dist.is_ok()) return fail_txn(db, txn, dist.status());
+  auto dist = home.read_row<DistrictRow>(txn, Tbl::kDistrict, *d_rid);
+  if (!dist.is_ok()) return fail(dist.status());
   DistrictRow new_dist = dist.value();
   new_dist.d_ytd += amount;
-  st = db_->update_row(txn, Tbl::kDistrict, *d_rid, new_dist);
-  if (!st.is_ok()) return fail_txn(db, txn, st);
+  st = home.update_row(txn, Tbl::kDistrict, *d_rid, new_dist);
+  if (!st.is_ok()) return fail(st);
 
+  // The customer, and the history row recording the payment, live with
+  // the customer's warehouse.
+  auto c_txn = route_->txn(c_w);
+  if (!c_txn.is_ok()) return fail(c_txn.status());
+  TpccDb& cdb = route_->db(c_w);
   auto c_rid = select_customer(c_w, c_d);
-  if (!c_rid.is_ok()) return fail_txn(db, txn, c_rid.status());
-  auto cust = db_->read_row<CustomerRow>(txn, Tbl::kCustomer, c_rid.value());
-  if (!cust.is_ok()) return fail_txn(db, txn, cust.status());
+  if (!c_rid.is_ok()) return fail(c_rid.status());
+  auto cust =
+      cdb.read_row<CustomerRow>(c_txn.value(), Tbl::kCustomer, c_rid.value());
+  if (!cust.is_ok()) return fail(cust.status());
   CustomerRow new_cust = cust.value();
   new_cust.c_balance -= amount;
   new_cust.c_ytd_payment += amount;
@@ -243,8 +267,8 @@ Result<TxnOutcome> TpccTxns::payment(std::uint32_t w) {
     new_cust.c_data = std::string(info) + new_cust.c_data;
     if (new_cust.c_data.size() > 500) new_cust.c_data.resize(500);
   }
-  st = db_->update_row(txn, Tbl::kCustomer, c_rid.value(), new_cust);
-  if (!st.is_ok()) return fail_txn(db, txn, st);
+  st = cdb.update_row(c_txn.value(), Tbl::kCustomer, c_rid.value(), new_cust);
+  if (!st.is_ok()) return fail(st);
 
   HistoryRow hist;
   hist.h_c_id = new_cust.c_id;
@@ -255,60 +279,54 @@ Result<TxnOutcome> TpccTxns::payment(std::uint32_t w) {
   hist.h_date = now;
   hist.h_amount = amount;
   hist.h_data = wh.value().w_name + "    " + dist.value().d_name;
-  auto h_ins = db_->insert_row(txn, Tbl::kHistory, hist);
-  if (!h_ins.is_ok()) return fail_txn(db, txn, h_ins.status());
+  auto h_ins = cdb.insert_row(c_txn.value(), Tbl::kHistory, hist);
+  if (!h_ins.is_ok()) return fail(h_ins.status());
 
-  auto commit = db.commit(txn);
-  if (!commit.is_ok()) return fail_txn(db, txn, commit.status());
-  TxnOutcome outcome{TxnType::kPayment, true, false, commit.value()};
-  return outcome;
+  return finish(TxnType::kPayment);
 }
 
 Result<TxnOutcome> TpccTxns::order_status(std::uint32_t w) {
-  engine::Database& db = db_->db();
+  TpccDb& home = route_->db(w);
   const std::uint32_t d = random_->district_id();
 
-  auto txn_r = db.begin();
+  auto txn_r = route_->begin(w);
   if (!txn_r.is_ok()) return txn_r.status();
   const TxnId txn = txn_r.value();
 
   auto c_rid = select_customer(w, d);
-  if (!c_rid.is_ok()) return fail_txn(db, txn, c_rid.status());
-  auto cust = db_->read_row<CustomerRow>(txn, Tbl::kCustomer, c_rid.value());
-  if (!cust.is_ok()) return fail_txn(db, txn, cust.status());
+  if (!c_rid.is_ok()) return fail(c_rid.status());
+  auto cust = home.read_row<CustomerRow>(txn, Tbl::kCustomer, c_rid.value());
+  if (!cust.is_ok()) return fail(cust.status());
 
-  auto last = db_->last_order_of_customer(w, d, cust.value().c_id);
+  auto last = home.last_order_of_customer(w, d, cust.value().c_id);
   if (last.has_value()) {
-    auto order = db_->read_row<OrderRow>(txn, Tbl::kOrder, last->second);
-    if (!order.is_ok()) return fail_txn(db, txn, order.status());
-    for (RowId rid : db_->order_lines(w, d, last->first)) {
-      auto line = db_->read_row<OrderLineRow>(txn, Tbl::kOrderLine, rid);
-      if (!line.is_ok()) return fail_txn(db, txn, line.status());
+    auto order = home.read_row<OrderRow>(txn, Tbl::kOrder, last->second);
+    if (!order.is_ok()) return fail(order.status());
+    for (RowId rid : home.order_lines(w, d, last->first)) {
+      auto line = home.read_row<OrderLineRow>(txn, Tbl::kOrderLine, rid);
+      if (!line.is_ok()) return fail(line.status());
     }
   }
 
-  auto commit = db.commit(txn);
-  if (!commit.is_ok()) return fail_txn(db, txn, commit.status());
-  TxnOutcome outcome{TxnType::kOrderStatus, true, false, commit.value()};
-  return outcome;
+  return finish(TxnType::kOrderStatus);
 }
 
 Result<TxnOutcome> TpccTxns::delivery(std::uint32_t w) {
-  engine::Database& db = db_->db();
+  TpccDb& home = route_->db(w);
   Rng& rng = random_->rng();
   const auto carrier = static_cast<std::int32_t>(rng.uniform(1, 10));
-  const SimTime now = db.clock().now();
+  const SimTime now = home.db().clock().now();
 
-  auto txn_r = db.begin();
+  auto txn_r = route_->begin(w);
   if (!txn_r.is_ok()) return txn_r.status();
   const TxnId txn = txn_r.value();
 
   for (std::uint32_t d = 1; d <= random_->scale().districts_per_warehouse;
        ++d) {
-    auto oldest = db_->oldest_new_order(w, d);
+    auto oldest = home.oldest_new_order(w, d);
     if (!oldest.has_value()) continue;  // district fully delivered
 
-    auto no_rid = db_->new_order_rid(w, d, oldest->first);
+    auto no_rid = home.new_order_rid(w, d, oldest->first);
     if (!no_rid.has_value()) continue;
     // The index lookup above runs outside concurrency control, so the rid
     // can be stale: a concurrent abort frees the slot and an unrelated
@@ -316,91 +334,84 @@ Result<TxnOutcome> TpccTxns::delivery(std::uint32_t w) {
     // verify the business key before erasing — under 2PL the read lock
     // pins the row until commit; under OCC the erase's early validation
     // aborts us if a writer touched the slot after this read.
-    auto no_row = db_->read_row<NewOrderRow>(txn, Tbl::kNewOrder, *no_rid);
-    if (!no_row.is_ok()) return fail_txn(db, txn, no_row.status());
+    auto no_row = home.read_row<NewOrderRow>(txn, Tbl::kNewOrder, *no_rid);
+    if (!no_row.is_ok()) return fail(no_row.status());
     if (no_row.value().no_w_id != w || no_row.value().no_d_id != d ||
         no_row.value().no_o_id != oldest->first) {
-      return fail_txn(db, txn,
-                      Status{ErrorCode::kNotFound, "new_order slot reused"});
+      return fail(Status{ErrorCode::kNotFound, "new_order slot reused"});
     }
-    Status st = db.erase(txn, db_->table(Tbl::kNewOrder), *no_rid);
-    if (!st.is_ok()) return fail_txn(db, txn, st);
+    Status st = home.db().erase(txn, home.table(Tbl::kNewOrder), *no_rid);
+    if (!st.is_ok()) return fail(st);
 
-    auto o_rid = db_->order_rid(w, d, oldest->first);
+    auto o_rid = home.order_rid(w, d, oldest->first);
     if (!o_rid.has_value()) {
-      return fail_txn(db, txn, Status{ErrorCode::kInternal, "order missing"});
+      return fail(Status{ErrorCode::kInternal, "order missing"});
     }
-    auto order = db_->read_row<OrderRow>(txn, Tbl::kOrder, *o_rid);
-    if (!order.is_ok()) return fail_txn(db, txn, order.status());
+    auto order = home.read_row<OrderRow>(txn, Tbl::kOrder, *o_rid);
+    if (!order.is_ok()) return fail(order.status());
     if (order.value().o_w_id != w || order.value().o_d_id != d ||
         order.value().o_id != oldest->first) {
-      return fail_txn(db, txn,
-                      Status{ErrorCode::kNotFound, "order slot reused"});
+      return fail(Status{ErrorCode::kNotFound, "order slot reused"});
     }
     OrderRow new_order_row = order.value();
     new_order_row.o_carrier_id = carrier;
-    st = db_->update_row(txn, Tbl::kOrder, *o_rid, new_order_row);
-    if (!st.is_ok()) return fail_txn(db, txn, st);
+    st = home.update_row(txn, Tbl::kOrder, *o_rid, new_order_row);
+    if (!st.is_ok()) return fail(st);
 
     double total = 0;
-    for (RowId rid : db_->order_lines(w, d, oldest->first)) {
-      auto line = db_->read_row<OrderLineRow>(txn, Tbl::kOrderLine, rid);
-      if (!line.is_ok()) return fail_txn(db, txn, line.status());
+    for (RowId rid : home.order_lines(w, d, oldest->first)) {
+      auto line = home.read_row<OrderLineRow>(txn, Tbl::kOrderLine, rid);
+      if (!line.is_ok()) return fail(line.status());
       if (line.value().ol_w_id != w || line.value().ol_d_id != d ||
           line.value().ol_o_id != oldest->first) {
-        return fail_txn(
-            db, txn, Status{ErrorCode::kNotFound, "order_line slot reused"});
+        return fail(Status{ErrorCode::kNotFound, "order_line slot reused"});
       }
       OrderLineRow new_line = line.value();
       new_line.ol_delivery_d = now;
       total += new_line.ol_amount;
-      st = db_->update_row(txn, Tbl::kOrderLine, rid, new_line);
-      if (!st.is_ok()) return fail_txn(db, txn, st);
+      st = home.update_row(txn, Tbl::kOrderLine, rid, new_line);
+      if (!st.is_ok()) return fail(st);
     }
 
-    auto c_rid = db_->customer_rid(w, d, order.value().o_c_id);
+    auto c_rid = home.customer_rid(w, d, order.value().o_c_id);
     if (!c_rid.has_value()) {
-      return fail_txn(db, txn,
-                      Status{ErrorCode::kInternal, "customer missing"});
+      return fail(Status{ErrorCode::kInternal, "customer missing"});
     }
-    auto cust = db_->read_row<CustomerRow>(txn, Tbl::kCustomer, *c_rid);
-    if (!cust.is_ok()) return fail_txn(db, txn, cust.status());
+    auto cust = home.read_row<CustomerRow>(txn, Tbl::kCustomer, *c_rid);
+    if (!cust.is_ok()) return fail(cust.status());
     CustomerRow new_cust = cust.value();
     new_cust.c_balance += total;
     new_cust.c_delivery_cnt += 1;
-    st = db_->update_row(txn, Tbl::kCustomer, *c_rid, new_cust);
-    if (!st.is_ok()) return fail_txn(db, txn, st);
+    st = home.update_row(txn, Tbl::kCustomer, *c_rid, new_cust);
+    if (!st.is_ok()) return fail(st);
   }
 
-  auto commit = db.commit(txn);
-  if (!commit.is_ok()) return fail_txn(db, txn, commit.status());
-  TxnOutcome outcome{TxnType::kDelivery, true, false, commit.value()};
-  return outcome;
+  return finish(TxnType::kDelivery);
 }
 
 Result<TxnOutcome> TpccTxns::stock_level(std::uint32_t w) {
-  engine::Database& db = db_->db();
+  TpccDb& home = route_->db(w);
   Rng& rng = random_->rng();
   const std::uint32_t d = random_->district_id();
   const auto threshold = static_cast<std::int32_t>(rng.uniform(10, 20));
 
-  auto txn_r = db.begin();
+  auto txn_r = route_->begin(w);
   if (!txn_r.is_ok()) return txn_r.status();
   const TxnId txn = txn_r.value();
 
-  auto d_rid = db_->district_rid(w, d);
+  auto d_rid = home.district_rid(w, d);
   if (!d_rid.has_value()) {
-    return fail_txn(db, txn, Status{ErrorCode::kInternal, "missing district"});
+    return fail(Status{ErrorCode::kInternal, "missing district"});
   }
-  auto dist = db_->read_row<DistrictRow>(txn, Tbl::kDistrict, *d_rid);
-  if (!dist.is_ok()) return fail_txn(db, txn, dist.status());
+  auto dist = home.read_row<DistrictRow>(txn, Tbl::kDistrict, *d_rid);
+  if (!dist.is_ok()) return fail(dist.status());
 
   const std::uint32_t next = dist.value().d_next_o_id;
   const std::uint32_t from = next > 20 ? next - 20 : 1;
   std::vector<std::uint32_t> items;
-  for (RowId rid : db_->order_lines_range(w, d, from, next)) {
-    auto line = db_->read_row<OrderLineRow>(txn, Tbl::kOrderLine, rid);
-    if (!line.is_ok()) return fail_txn(db, txn, line.status());
+  for (RowId rid : home.order_lines_range(w, d, from, next)) {
+    auto line = home.read_row<OrderLineRow>(txn, Tbl::kOrderLine, rid);
+    if (!line.is_ok()) return fail(line.status());
     items.push_back(line.value().ol_i_id);
   }
   std::sort(items.begin(), items.end());
@@ -408,18 +419,15 @@ Result<TxnOutcome> TpccTxns::stock_level(std::uint32_t w) {
 
   std::uint32_t low = 0;
   for (std::uint32_t item : items) {
-    auto s_rid = db_->stock_rid(w, item);
+    auto s_rid = home.stock_rid(w, item);
     if (!s_rid.has_value()) continue;
-    auto stock = db_->read_row<StockRow>(txn, Tbl::kStock, *s_rid);
-    if (!stock.is_ok()) return fail_txn(db, txn, stock.status());
+    auto stock = home.read_row<StockRow>(txn, Tbl::kStock, *s_rid);
+    if (!stock.is_ok()) return fail(stock.status());
     if (stock.value().s_quantity < threshold) low += 1;
   }
   (void)low;
 
-  auto commit = db.commit(txn);
-  if (!commit.is_ok()) return fail_txn(db, txn, commit.status());
-  TxnOutcome outcome{TxnType::kStockLevel, true, false, commit.value()};
-  return outcome;
+  return finish(TxnType::kStockLevel);
 }
 
 }  // namespace vdb::tpcc

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "tests/test_env.hpp"
 #include "tpcc/consistency.hpp"
 #include "tpcc/schema.hpp"
@@ -109,12 +112,13 @@ class TpccFixture : public ::testing::Test {
   std::unique_ptr<engine::Database> db_;
   TpccScale scale_;
   std::unique_ptr<TpccDb> tdb_;
+  std::uint32_t warehouses_ = 1;
 
   void SetUp() override {
     cfg_ = small_db_config();
     cfg_.redo.file_size_bytes = 2 * 1024 * 1024;
     cfg_.storage.cache_pages = 1024;
-    scale_.warehouses = 1;
+    scale_.warehouses = warehouses_;
     scale_.customers_per_district = 30;
     scale_.items = 200;
     scale_.initial_orders_per_district = 30;
@@ -236,6 +240,128 @@ TEST_F(TpccFixture, NewOrderAdvancesDistrictAndStock) {
       tdb_->read_row<DistrictRow>(txn1.value(), Tbl::kDistrict, *d_rid);
   ASSERT_TRUE(db_->commit(txn1.value()).is_ok());
   EXPECT_GT(after.value().d_next_o_id, before.value().d_next_o_id);
+}
+
+/// The fixture at two warehouses, so New-Order draws remote stock lines and
+/// Payment draws remote customers.
+class TpccTwoWarehouseFixture : public TpccFixture {
+ protected:
+  TpccTwoWarehouseFixture() { warehouses_ = 2; }
+};
+
+/// Identity route over the fixture's database that records every call.
+class CountingRoute final : public TxnRoute {
+ public:
+  explicit CountingRoute(TpccDb* db) : inner_(db) {}
+
+  TpccDb& db(std::uint32_t w) override {
+    calls_.emplace_back('d', w);
+    return inner_.db(w);
+  }
+  Result<TxnId> begin(std::uint32_t home) override {
+    begins += 1;
+    return inner_.begin(home);
+  }
+  Result<TxnId> txn(std::uint32_t w) override {
+    calls_.emplace_back('t', w);
+    return inner_.txn(w);
+  }
+  Result<Lsn> commit() override {
+    commits += 1;
+    return inner_.commit();
+  }
+  Status rollback() override {
+    rollbacks += 1;
+    return inner_.rollback();
+  }
+
+  void reset() {
+    begins = commits = rollbacks = 0;
+    calls_.clear();
+  }
+  bool touched(std::uint32_t w) const {
+    for (const auto& [op, wh] : calls_) {
+      if (wh == w) return true;
+    }
+    return false;
+  }
+  /// The first call naming `w` asked for its transaction, so no row of w
+  /// was reached before the route could open a branch on w's owner.
+  bool txn_first(std::uint32_t w) const {
+    for (const auto& [op, wh] : calls_) {
+      if (wh == w) return op == 't';
+    }
+    return false;
+  }
+
+  int begins = 0;
+  int commits = 0;
+  int rollbacks = 0;
+
+ private:
+  LocalRoute inner_;
+  std::vector<std::pair<char, std::uint32_t>> calls_;
+};
+
+TEST_F(TpccTwoWarehouseFixture, ProfilesHonourTheRouteContract) {
+  TpccRandom random(Rng{17}, scale_);
+  CountingRoute route(tdb_.get());
+  TpccTxns txns(&route, &random);
+
+  // Every profile begins once and ends once: commit on success, rollback
+  // on the invalid-item path.
+  auto check_ends = [&](const TxnOutcome& outcome) {
+    EXPECT_EQ(route.begins, 1) << to_string(outcome.type);
+    if (outcome.intentional_rollback) {
+      EXPECT_EQ(route.commits, 0);
+      EXPECT_EQ(route.rollbacks, 1);
+    } else {
+      EXPECT_TRUE(outcome.committed) << to_string(outcome.type);
+      EXPECT_EQ(route.commits, 1) << to_string(outcome.type);
+      EXPECT_EQ(route.rollbacks, 0) << to_string(outcome.type);
+    }
+  };
+  for (TxnType type : {TxnType::kNewOrder, TxnType::kPayment,
+                       TxnType::kOrderStatus, TxnType::kDelivery,
+                       TxnType::kStockLevel}) {
+    route.reset();
+    auto outcome = txns.run(type, 1);
+    ASSERT_TRUE(outcome.is_ok())
+        << to_string(type) << ": " << outcome.status().to_string();
+    check_ends(outcome.value());
+  }
+
+  // New-Order until both a business rollback and a remote stock line show
+  // up; the remote warehouse's transaction is asked for before its rows.
+  bool rolled_back = false;
+  bool remote_stock = false;
+  for (int i = 0; i < 1000 && !(rolled_back && remote_stock); ++i) {
+    route.reset();
+    auto outcome = txns.new_order(1);
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    check_ends(outcome.value());
+    rolled_back |= outcome.value().intentional_rollback;
+    if (route.touched(2)) {
+      remote_stock = true;
+      EXPECT_TRUE(route.txn_first(2));
+    }
+  }
+  EXPECT_TRUE(rolled_back);
+  EXPECT_TRUE(remote_stock);
+
+  // Payment until a remote customer shows up; same order of asks.
+  bool remote_customer = false;
+  for (int i = 0; i < 200 && !remote_customer; ++i) {
+    route.reset();
+    auto outcome = txns.payment(1);
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    check_ends(outcome.value());
+    if (route.touched(2)) {
+      remote_customer = true;
+      EXPECT_TRUE(route.txn_first(2));
+    }
+  }
+  EXPECT_TRUE(remote_customer);
 }
 
 TEST_F(TpccFixture, WorkloadStaysConsistent) {
