@@ -11,7 +11,6 @@ const char* to_string(ErrorCode code) {
     case ErrorCode::kOutOfSpace: return "OutOfSpace";
     case ErrorCode::kOffline: return "Offline";
     case ErrorCode::kMediaFailure: return "MediaFailure";
-    case ErrorCode::kLockTimeout: return "LockTimeout";
     case ErrorCode::kDeadlock: return "Deadlock";
     case ErrorCode::kTxnAborted: return "TxnAborted";
     case ErrorCode::kNotOpen: return "NotOpen";

@@ -1,7 +1,7 @@
 // Status / Result: recoverable-error handling for database operations.
 //
 // Database operations fail for reasons the caller must handle (file missing,
-// tablespace offline, lock timeout, media failure). Those paths return
+// tablespace offline, lock conflict, media failure). Those paths return
 // Status / Result<T>. Programming errors (violated preconditions) use
 // VDB_CHECK which aborts.
 #pragma once
@@ -24,7 +24,6 @@ enum class ErrorCode {
   kOutOfSpace,        // tablespace / rollback segment exhausted
   kOffline,           // tablespace or datafile offline
   kMediaFailure,      // datafile missing/corrupt at the storage layer
-  kLockTimeout,       // could not acquire a lock
   kDeadlock,          // wait-die abort
   kTxnAborted,        // transaction was rolled back
   kNotOpen,           // instance not in OPEN state

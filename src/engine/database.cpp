@@ -20,7 +20,9 @@ const char* to_string(InstanceState s) {
 Database::Database(sim::Host* host, sim::Scheduler* scheduler,
                    DatabaseConfig cfg)
     : host_(host), scheduler_(scheduler), cfg_(std::move(cfg)),
-      txns_(cfg_.rollback) {
+      txns_(cfg_.rollback),
+      own_cc_(txn::make_concurrency_control(txn::CcProtocol::k2pl, nullptr)),
+      cc_(own_cc_.get()) {
   wal::RedoLog::Callbacks callbacks;
   callbacks.on_group_finalized = [this](const wal::RedoGroup& group) {
     on_group_finalized(group);
@@ -553,13 +555,12 @@ Result<Lsn> Database::commit(TxnId txn) {
   // OCC commit-time validation, under the latch so no other commit's
   // publish can interleave: a failure surfaces as an error the worker
   // answers with rollback (undoing any in-place writes).
-  if (cc_ != nullptr) VDB_RETURN_IF_ERROR(cc_->validate(txn));
+  VDB_RETURN_IF_ERROR(cc_->validate(txn));
 
   if (t.value()->undo.empty()) {
     // Read-only: nothing to make durable.
     VDB_RETURN_IF_ERROR(txns_.mark_committed(txn, 0));
-    locks_.release_all(txn);
-    if (cc_ != nullptr) cc_->end(txn, /*committed=*/true);
+    cc_->end(txn, /*committed=*/true);
     metrics_.commits->inc();
     return Lsn{0};
   }
@@ -584,11 +585,8 @@ Result<Lsn> Database::commit(TxnId txn) {
   // Publish (bump the committed write set's versions for OCC validators)
   // and release CC locks before the latch drops: a transaction that
   // mediates one of these rows next must already see the new versions.
-  if (cc_ != nullptr) {
-    cc_->publish(txn);
-    cc_->end(txn, /*committed=*/true);
-  }
-  locks_.release_all(txn);
+  cc_->publish(txn);
+  cc_->end(txn, /*committed=*/true);
   metrics_.commits->inc();
   return lsn;
 }
@@ -618,8 +616,7 @@ Status Database::rollback(TxnId txn) {
     VDB_RETURN_IF_ERROR(txns_.mark_end_logged(txn));
   }
   VDB_RETURN_IF_ERROR(txns_.mark_aborted(txn));
-  if (cc_ != nullptr) cc_->end(txn, /*committed=*/false);
-  locks_.release_all(txn);
+  cc_->end(txn, /*committed=*/false);
   metrics_.rollbacks->inc();
   return Status::ok();
 }
@@ -782,19 +779,13 @@ Result<RowId> Database::insert(TxnId txn, TableId table,
     h->adopt_page(rid.page);
   }
 
-  if (cc_ != nullptr) {
-    // The rid only exists now that the slot is chosen, so this mediation
-    // runs under the latch — a would-wait must die (may_wait=false) to
-    // keep the latch from deadlocking the round. Fresh slots are all but
-    // uncontended, so the conversion is theoretical.
-    VDB_RETURN_IF_ERROR(cc_->mediate(txn, txn::LockTarget::for_row(table, rid),
-                                     txn::AccessMode::kWrite,
-                                     /*may_wait=*/false));
-  } else {
-    VDB_RETURN_IF_ERROR(
-        locks_.acquire(txn, txn::LockTarget::for_row(table, rid),
-                       txn::LockMode::kExclusive));
-  }
+  // The rid only exists now that the slot is chosen, so this mediation
+  // runs under the latch — a would-wait must die (may_wait=false) to keep
+  // the latch from deadlocking the round. Fresh slots are all but
+  // uncontended, so the conversion is theoretical.
+  VDB_RETURN_IF_ERROR(cc_->mediate(txn, txn::LockTarget::for_row(table, rid),
+                                   txn::AccessMode::kWrite,
+                                   /*may_wait=*/false));
 
   wal::DmlChange change;
   change.table = table;
@@ -822,12 +813,10 @@ Result<RowId> Database::insert(TxnId txn, TableId table,
 Status Database::update(TxnId txn, TableId table, RowId rid,
                         std::span<const std::uint8_t> row) {
   // Mediate *before* taking the latch: a blocked waiter must not hold the
-  // latch its lock holder needs in order to commit and release.
-  if (cc_ != nullptr) {
-    VDB_RETURN_IF_ERROR(cc_->mediate(txn, txn::LockTarget::for_row(table, rid),
-                                     txn::AccessMode::kWrite,
-                                     /*may_wait=*/true));
-  }
+  // latch its lock holder needs in order to commit and release. Only a
+  // coordinator's workers may wait; the serial thread would wait on itself.
+  VDB_RETURN_IF_ERROR(cc_->mediate(txn, txn::LockTarget::for_row(table, rid),
+                                   txn::AccessMode::kWrite, concurrent_));
   auto guard = coord_guard();
   VDB_RETURN_IF_ERROR(ensure_open());
   auto def = catalog_.find_table(table);
@@ -842,15 +831,9 @@ Status Database::update(TxnId txn, TableId table, RowId rid,
   advance(cfg_.cost.cpu_per_write_op);
 
   // Early-open restart gate: reject (M2) or roll the page forward before
-  // any lock, log record, or undo entry exists for this operation.
+  // any log record or undo entry exists for this operation.
   if (restart_ != nullptr) {
     VDB_RETURN_IF_ERROR(restart_->check_access(rid.page));
-  }
-
-  if (cc_ == nullptr) {
-    VDB_RETURN_IF_ERROR(
-        locks_.acquire(txn, txn::LockTarget::for_row(table, rid),
-                       txn::LockMode::kExclusive));
   }
 
   auto before = h->read(rid);
@@ -881,11 +864,8 @@ Status Database::update(TxnId txn, TableId table, RowId rid,
 }
 
 Status Database::erase(TxnId txn, TableId table, RowId rid) {
-  if (cc_ != nullptr) {
-    VDB_RETURN_IF_ERROR(cc_->mediate(txn, txn::LockTarget::for_row(table, rid),
-                                     txn::AccessMode::kWrite,
-                                     /*may_wait=*/true));
-  }
+  VDB_RETURN_IF_ERROR(cc_->mediate(txn, txn::LockTarget::for_row(table, rid),
+                                   txn::AccessMode::kWrite, concurrent_));
   auto guard = coord_guard();
   VDB_RETURN_IF_ERROR(ensure_open());
   auto def = catalog_.find_table(table);
@@ -898,12 +878,6 @@ Status Database::erase(TxnId txn, TableId table, RowId rid) {
 
   if (restart_ != nullptr) {
     VDB_RETURN_IF_ERROR(restart_->check_access(rid.page));
-  }
-
-  if (cc_ == nullptr) {
-    VDB_RETURN_IF_ERROR(
-        locks_.acquire(txn, txn::LockTarget::for_row(table, rid),
-                       txn::LockMode::kExclusive));
   }
 
   auto before = h->read(rid);
@@ -934,11 +908,8 @@ Status Database::erase(TxnId txn, TableId table, RowId rid) {
 
 Result<std::vector<std::uint8_t>> Database::read(TxnId txn, TableId table,
                                                  RowId rid) {
-  if (cc_ != nullptr) {
-    VDB_RETURN_IF_ERROR(cc_->mediate(txn, txn::LockTarget::for_row(table, rid),
-                                     txn::AccessMode::kRead,
-                                     /*may_wait=*/true));
-  }
+  VDB_RETURN_IF_ERROR(cc_->mediate(txn, txn::LockTarget::for_row(table, rid),
+                                   txn::AccessMode::kRead, concurrent_));
   auto guard = coord_guard();
   VDB_RETURN_IF_ERROR(ensure_open());
   storage::TableHeap* h = heap(table);
@@ -948,10 +919,6 @@ Result<std::vector<std::uint8_t>> Database::read(TxnId txn, TableId table,
   advance(cfg_.cost.cpu_per_read_op);
   if (restart_ != nullptr) {
     VDB_RETURN_IF_ERROR(restart_->check_access(rid.page));
-  }
-  if (cc_ == nullptr) {
-    VDB_RETURN_IF_ERROR(locks_.acquire(
-        txn, txn::LockTarget::for_row(table, rid), txn::LockMode::kShared));
   }
   return h->read(rid);
 }

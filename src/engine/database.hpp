@@ -38,7 +38,6 @@
 #include "sim/scheduler.hpp"
 #include "storage/storage_manager.hpp"
 #include "storage/table_heap.hpp"
-#include "txn/lock_manager.hpp"
 #include "txn/txn_manager.hpp"
 #include "wal/archiver.hpp"
 #include "wal/log_record.hpp"
@@ -290,19 +289,25 @@ class Database {
 
   // --- concurrent execution (transaction coordinator) ---------------------------
 
-  /// Installs a concurrency-control delegate and switches the instance to
-  /// concurrent mode: row-conflict mediation moves from the internal lock
-  /// manager to the delegate, commits validate/publish through it, and
+  /// Installs a coordinator's concurrency-control delegate and switches the
+  /// instance to concurrent mode: row-conflict mediation moves from the
+  /// instance's own 2PL table to the delegate, mediation may block, and
   /// every transaction entry point serializes behind the coordinator
   /// latch so worker threads can share the engine (redo arena staging,
   /// group commit, buffer cache). Passing nullptr uninstalls the delegate
-  /// and returns to the serial fast path. The delegate must outlive its
+  /// and returns to serial mode, where the own table refuses every
+  /// conflict at once (kDeadlock). The delegate must outlive its
   /// installation.
   void set_concurrency_control(txn::ConcurrencyControl* cc) {
-    cc_ = cc;
     concurrent_ = (cc != nullptr);
+    cc_ = concurrent_ ? cc : own_cc_.get();
   }
-  txn::ConcurrencyControl* concurrency_control() const { return cc_; }
+  /// The installed coordinator delegate; nullptr in serial mode.
+  txn::ConcurrencyControl* concurrency_control() const {
+    return concurrent_ ? cc_ : nullptr;
+  }
+  /// Rows locked in the table mediating now (diagnostics / tests).
+  size_t locked_count() const { return cc_->locked_count(); }
 
   /// ALTER SYSTEM SET CC: the protocol the next coordinator run uses.
   void set_cc_protocol(txn::CcProtocol p) { cfg_.cc_protocol = p; }
@@ -321,7 +326,6 @@ class Database {
   wal::RedoLog& redo() { return *redo_; }
   wal::Archiver& archiver() { return *archiver_; }
   txn::TxnManager& txns() { return txns_; }
-  txn::LockManager& locks() { return locks_; }
   catalog::Catalog& cat() { return catalog_; }
   sim::Host& host() { return *host_; }
   sim::Scheduler& scheduler() { return *scheduler_; }
@@ -338,8 +342,8 @@ class Database {
   void advance(SimDuration d) { scheduler_->clock().advance_by(d); }
 
   /// Coordinator latch: held for the body of every transaction entry point
-  /// while a ConcurrencyControl is installed; a no-op lock in serial mode.
-  /// Recursive because commit -> group-commit flush -> log-switch
+  /// while a coordinator's delegate is installed; a no-op lock in serial
+  /// mode. Recursive because commit -> group-commit flush -> log-switch
   /// checkpoint re-enters the engine on the same thread.
   std::unique_lock<std::recursive_mutex> coord_guard() {
     return concurrent_
@@ -389,7 +393,6 @@ class Database {
   std::unique_ptr<wal::Archiver> archiver_;
   std::unique_ptr<storage::StorageManager> storage_;
   txn::TxnManager txns_;
-  txn::LockManager locks_;
   catalog::Catalog catalog_;
   std::unordered_map<std::uint32_t, std::unique_ptr<storage::TableHeap>>
       heaps_;
@@ -411,7 +414,9 @@ class Database {
   /// encoding is deterministic.
   std::map<std::uint64_t, InDoubtBranch> in_doubt_;
   std::map<std::uint64_t, bool> coord_decisions_;
-  /// Concurrent-mode state (see set_concurrency_control).
+  /// Row mediation (see set_concurrency_control): `cc_` is the own 2PL
+  /// table, counting nothing, or a coordinator's delegate.
+  std::unique_ptr<txn::ConcurrencyControl> own_cc_;
   txn::ConcurrencyControl* cc_ = nullptr;
   bool concurrent_ = false;
   std::recursive_mutex coord_latch_;

@@ -31,10 +31,7 @@ Status FleetDriver::run_until(SimTime until) {
     auto outcome = txns_.run(type, w);
     if (!outcome.is_ok()) {
       const ErrorCode code = outcome.code();
-      if (code == ErrorCode::kDeadlock || code == ErrorCode::kLockTimeout) {
-        stats_.lock_retries += 1;
-        continue;
-      }
+      if (code == ErrorCode::kDeadlock) continue;
       stats_.failed_attempts += 1;
       return outcome.status();
     }

@@ -42,7 +42,6 @@ struct FleetDriverStats {
   std::array<std::uint64_t, tpcc::kTxnTypes> committed_by_type{};
   std::uint64_t cross_shard_committed = 0;
   std::uint64_t intentional_rollbacks = 0;
-  std::uint64_t lock_retries = 0;
   std::uint64_t failed_attempts = 0;
 };
 

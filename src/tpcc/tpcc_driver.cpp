@@ -59,10 +59,7 @@ Status Driver::run_serial(SimTime until) {
     auto outcome = txns_.run(type, w);
     if (!outcome.is_ok()) {
       const ErrorCode code = outcome.code();
-      if (code == ErrorCode::kDeadlock || code == ErrorCode::kLockTimeout) {
-        stats_.lock_retries += 1;
-        continue;
-      }
+      if (code == ErrorCode::kDeadlock) continue;
       if (code == ErrorCode::kRecoveryRequired) {
         // M2 early-open restart rejected a pending page. Back off (firing
         // due background events — the restart sweeper among them — at
@@ -149,8 +146,8 @@ Status Driver::run_concurrent(SimTime until) {
           const ErrorCode code = outcome.code();
           // kNotFound covers stale access-path races (e.g. two Delivery
           // transactions draining the same oldest NEW-ORDER entry).
-          if (code == ErrorCode::kDeadlock || code == ErrorCode::kLockTimeout ||
-              code == ErrorCode::kTxnAborted || code == ErrorCode::kNotFound) {
+          if (code == ErrorCode::kDeadlock || code == ErrorCode::kTxnAborted ||
+              code == ErrorCode::kNotFound) {
             r.cc_retries += 1;
             continue;
           }

@@ -50,7 +50,6 @@ struct DriverStats {
   std::uint64_t committed = 0;
   std::array<std::uint64_t, kTxnTypes> committed_by_type{};
   std::uint64_t intentional_rollbacks = 0;
-  std::uint64_t lock_retries = 0;
   std::uint64_t failed_attempts = 0;  // attempts refused by a down service
   /// Attempts bounced by the M2 early-open gate (kRecoveryRequired) and
   /// retried after recovery_retry_backoff.

@@ -1,6 +1,8 @@
 #include "txn/coordinator.hpp"
 
 #include <algorithm>
+#include <map>
+#include <unordered_map>
 
 #include "obs/observability.hpp"
 #include "sim/virtual_clock.hpp"
@@ -17,6 +19,10 @@ namespace {
 /// with kDeadlock. Every wait-for edge therefore points old -> young, so
 /// the wait graph is acyclic and deadlock is impossible.
 ///
+/// The table holds an entry only while the row has a holder or a parked
+/// waiter, and a transaction is listed in an entry's holders exactly when
+/// the row is in its context's `held` list.
+///
 /// Virtual-time coupling: workers run on frozen-clock private timelines
 /// (VirtualClock local sinks), so a real-thread block has no simulated
 /// cost by itself. Instead the releaser stamps the lock entry with its
@@ -25,10 +31,11 @@ namespace {
 /// the difference is charged to enq_lock_wait.
 class CcBase : public ConcurrencyControl {
  public:
+  /// `obs` nullptr: count nothing.
   explicit CcBase(obs::Observability* obs) {
-    obs::Observability* o = obs::resolve(obs);
-    waits_ = &o->waits();
-    obs::MetricsRegistry& reg = o->registry();
+    if (obs == nullptr) return;
+    waits_ = &obs->waits();
+    obs::MetricsRegistry& reg = obs->registry();
     wait_die_aborts_ = reg.counter("cc wait_die aborts");
     occ_validate_fails_ = reg.counter("cc occ validate fails");
     lock_waits_ = reg.counter("cc lock waits");
@@ -65,10 +72,18 @@ class CcBase : public ConcurrencyControl {
     if (released) waiters_.notify_all();
   }
 
+  size_t locked_count() const override {
+    std::lock_guard<std::mutex> lk(mu_);
+    return table_.size();
+  }
+
  protected:
   struct Entry {
     bool exclusive = false;
     std::vector<TxnId> holders;
+    /// Requests parked on this entry: it outlives its last holder while
+    /// any remain, so a woken waiter still reads release_offset.
+    std::uint32_t waiters = 0;
     /// Sink offset of the most recent releaser this round; woken waiters
     /// raise their private timeline to it.
     SimDuration release_offset = 0;
@@ -83,19 +98,29 @@ class CcBase : public ConcurrencyControl {
     std::map<LockTarget, std::uint64_t> read_versions;
   };
 
+  static void bump(obs::Counter* c) {
+    if (c != nullptr) c->inc();
+  }
+
+  static bool listed(const Entry& e, TxnId txn) {
+    return std::find(e.holders.begin(), e.holders.end(), txn) !=
+           e.holders.end();
+  }
+
   Ctx& ensure_ctx_locked(TxnId txn) {
     auto [it, inserted] = ctx_.try_emplace(txn);
     if (inserted) {
       it->second.id = txn;
       it->second.owner = std::this_thread::get_id();
       it->second.begin_offset = sim::VirtualClock::local_elapsed();
-      txns_begun_->inc();
+      bump(txns_begun_);
     }
     return it->second;
   }
 
-  bool holds(const Ctx& ctx, const LockTarget& t) const {
-    return std::find(ctx.held.begin(), ctx.held.end(), t) != ctx.held.end();
+  bool holds_locked(TxnId txn, const LockTarget& t) const {
+    auto it = table_.find(t);
+    return it != table_.end() && listed(it->second, txn);
   }
 
   /// True if `txn` may take the lock now (including re-grant / upgrade by
@@ -117,78 +142,89 @@ class CcBase : public ConcurrencyControl {
     return true;
   }
 
+  /// Parks the caller on `e` until the next release anywhere.
+  void park_locked(std::unique_lock<std::mutex>& lk, Entry& e) {
+    e.waiters += 1;
+    waiters_.wait(lk);
+    e.waiters -= 1;
+  }
+
+  /// Charges a finished wait on `e` that began at `entered_at`.
+  void charge_wait_locked(const Entry& e, SimDuration entered_at) {
+    sim::VirtualClock::raise_local(e.release_offset);
+    const SimDuration waited = sim::VirtualClock::local_elapsed() - entered_at;
+    bump(lock_waits_);
+    if (waits_ != nullptr && waited > 0) {
+      waits_->add_wait(obs::WaitEvent::kEnqLockWait, waited);
+    }
+  }
+
   /// Grants or wait-die-aborts one lock request. Returns kDeadlock when
   /// the requester must die. `mu_` must be held; may release it while
   /// blocked.
-  Status acquire_locked(std::unique_lock<std::mutex>& lk, TxnId txn,
+  Status acquire_locked(std::unique_lock<std::mutex>& lk, Ctx& ctx,
                         const LockTarget& target, bool exclusive,
                         bool may_wait) {
-    bool blocked = false;
+    // A fresh entry is grantable at once, so a refusal never leaves an
+    // empty one behind; parked waiters keep theirs alive (std::map
+    // references are stable).
+    Entry& e = table_[target];
     const SimDuration entered_at = sim::VirtualClock::local_elapsed();
-    for (;;) {
-      Entry& e = table_[target];  // std::map: reference stable across waits
-      if (can_grant(e, txn, exclusive)) {
-        if (e.holders.empty()) {
-          e.holders.push_back(txn);
-          e.exclusive = exclusive;
-        } else if (e.holders.size() == 1 && e.holders[0] == txn) {
-          e.exclusive = e.exclusive || exclusive;
-        } else if (std::find(e.holders.begin(), e.holders.end(), txn) ==
-                   e.holders.end()) {
-          // A repeat shared request by one of several holders is already
-          // granted; listing it twice would leave {T, T} after the others
-          // release, and T's upgrade would wait on itself.
-          e.holders.push_back(txn);
-        }
-        Ctx& ctx = ensure_ctx_locked(txn);
-        if (!holds(ctx, target)) ctx.held.push_back(target);
-        if (blocked) {
-          sim::VirtualClock::raise_local(e.release_offset);
-          const SimDuration waited =
-              sim::VirtualClock::local_elapsed() - entered_at;
-          lock_waits_->inc();
-          if (waited > 0) {
-            waits_->add_wait(obs::WaitEvent::kEnqLockWait, waited);
-          }
-        }
-        return Status::ok();
-      }
-      if (!may_wait || !older_than_all(e, txn)) {
-        wait_die_aborts_->inc();
+    bool blocked = false;
+    while (!can_grant(e, ctx.id, exclusive)) {
+      if (!may_wait || !older_than_all(e, ctx.id)) {
+        bump(wait_die_aborts_);
         return make_error(ErrorCode::kDeadlock,
                           "wait-die: conflicting lock held by an older or "
                           "non-waitable request");
       }
       blocked = true;
-      waiters_.wait(lk);
+      park_locked(lk, e);
     }
+    // A repeat shared request by one of several holders is already
+    // granted; listing it twice would leave {T, T} after the others
+    // release, and T's upgrade would wait on itself.
+    if (!listed(e, ctx.id)) {
+      e.holders.push_back(ctx.id);
+      ctx.held.push_back(target);
+    }
+    e.exclusive = e.exclusive || exclusive;
+    if (blocked) charge_wait_locked(e, entered_at);
+    return Status::ok();
   }
 
   /// Releases everything `ctx` holds; `mu_` must be held. The releaser's
-  /// sink offset is stamped on each entry for its waiters.
+  /// sink offset is stamped on each entry for its waiters; an entry with
+  /// neither holders nor waiters left is erased.
   void release_locked(Ctx& ctx, bool committed) {
     const SimDuration at = sim::VirtualClock::local_elapsed();
     for (const LockTarget& t : ctx.held) {
       auto it = table_.find(t);
-      if (it == table_.end()) continue;
-      auto& holders = it->second.holders;
-      holders.erase(std::remove(holders.begin(), holders.end(), ctx.id),
-                    holders.end());
-      if (holders.empty()) it->second.exclusive = false;
-      it->second.release_offset = at;
+      Entry& e = it->second;
+      e.holders.erase(std::find(e.holders.begin(), e.holders.end(), ctx.id));
+      if (e.holders.empty()) {
+        if (e.waiters == 0) {
+          table_.erase(it);
+          continue;
+        }
+        e.exclusive = false;
+      }
+      e.release_offset = at;
     }
     ctx.held.clear();
-    (committed ? txns_committed_ : txns_aborted_)->inc();
+    bump(committed ? txns_committed_ : txns_aborted_);
   }
 
   void charge_occ_fail_locked(const Ctx& ctx) {
-    occ_validate_fails_->inc();
+    bump(occ_validate_fails_);
     const SimDuration wasted =
         sim::VirtualClock::local_elapsed() - ctx.begin_offset;
-    if (wasted > 0) waits_->add_wait(obs::WaitEvent::kOccValidateFail, wasted);
+    if (waits_ != nullptr && wasted > 0) {
+      waits_->add_wait(obs::WaitEvent::kOccValidateFail, wasted);
+    }
   }
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable waiters_;
   std::map<LockTarget, Entry> table_;
   std::unordered_map<TxnId, Ctx> ctx_;
@@ -212,8 +248,7 @@ class TwoPhaseLockingCc final : public CcBase {
   Status mediate(TxnId txn, const LockTarget& target, AccessMode mode,
                  bool may_wait) override {
     std::unique_lock<std::mutex> lk(mu_);
-    ensure_ctx_locked(txn);
-    return acquire_locked(lk, txn, target,
+    return acquire_locked(lk, ensure_ctx_locked(txn), target,
                           /*exclusive=*/mode == AccessMode::kWrite, may_wait);
   }
 };
@@ -246,33 +281,26 @@ class OccCc final : public CcBase {
     std::unique_lock<std::mutex> lk(mu_);
     Ctx& ctx = ensure_ctx_locked(txn);
     if (mode == AccessMode::kRead) {
-      if (holds(ctx, target)) return Status::ok();  // own write
+      if (holds_locked(txn, target)) return Status::ok();  // own write
       // Wait out (or die to) a concurrent writer: with in-place updates
-      // the row's bytes are dirty until the writer resolves.
-      bool blocked = false;
-      const SimDuration entered_at = sim::VirtualClock::local_elapsed();
-      for (;;) {
-        Entry& e = table_[target];
-        if (e.holders.empty() ||
-            (e.holders.size() == 1 && e.holders[0] == txn)) {
-          if (blocked) {
-            sim::VirtualClock::raise_local(e.release_offset);
-            const SimDuration waited =
-                sim::VirtualClock::local_elapsed() - entered_at;
-            lock_waits_->inc();
-            if (waited > 0) {
-              waits_->add_wait(obs::WaitEvent::kEnqLockWait, waited);
-            }
+      // the row's bytes are dirty until the writer resolves. Reads take
+      // no lock, so the entry's holders are writers other than `txn`.
+      auto it = table_.find(target);
+      if (it != table_.end()) {
+        Entry& e = it->second;
+        const SimDuration entered_at = sim::VirtualClock::local_elapsed();
+        bool blocked = false;
+        while (!e.holders.empty()) {
+          if (!may_wait || !older_than_all(e, txn)) {
+            bump(wait_die_aborts_);
+            return make_error(ErrorCode::kDeadlock,
+                              "wait-die: row write-locked by an older writer");
           }
-          break;
+          blocked = true;
+          park_locked(lk, e);
         }
-        if (!may_wait || !older_than_all(e, txn)) {
-          wait_die_aborts_->inc();
-          return make_error(ErrorCode::kDeadlock,
-                            "wait-die: row write-locked by an older writer");
-        }
-        blocked = true;
-        waiters_.wait(lk);
+        if (blocked) charge_wait_locked(e, entered_at);
+        if (e.waiters == 0) table_.erase(it);
       }
       ctx.read_versions.try_emplace(target, version_of(target));
       return Status::ok();
@@ -280,18 +308,17 @@ class OccCc final : public CcBase {
     // Write: exclusive wait-die lock, held to end. Whether the txn held
     // it before matters below; the bool survives the wait (only the txn
     // itself could change its own holdings, and it is blocked here).
-    const bool already_held = holds(ctx, target);
-    VDB_RETURN_IF_ERROR(acquire_locked(lk, txn, target, /*exclusive=*/true,
+    const bool already_held = holds_locked(txn, target);
+    VDB_RETURN_IF_ERROR(acquire_locked(lk, ctx, target, /*exclusive=*/true,
                                        may_wait));
     // Early validation: writing a row this transaction read at a version
     // that has since moved is a guaranteed commit-time failure — die now,
     // before generating redo/undo for doomed work. Checked before the
     // txn's own intent bump so it never trips on itself.
-    Ctx& c = ctx_.find(txn)->second;
-    auto seen = c.read_versions.find(target);
-    if (seen != c.read_versions.end() &&
+    auto seen = ctx.read_versions.find(target);
+    if (seen != ctx.read_versions.end() &&
         seen->second != version_of(target)) {
-      charge_occ_fail_locked(c);
+      charge_occ_fail_locked(ctx);
       return make_error(ErrorCode::kTxnAborted,
                         "occ: read version moved before write");
     }
@@ -308,7 +335,7 @@ class OccCc final : public CcBase {
       // Targets this transaction write-locked are stable (only the lock
       // holder can publish); unlocked read-set entries must still be at
       // the observed version.
-      if (holds(ctx, target)) continue;
+      if (holds_locked(txn, target)) continue;
       if (version_of(target) != version) {
         charge_occ_fail_locked(ctx);
         return make_error(ErrorCode::kTxnAborted,
@@ -339,7 +366,7 @@ std::unique_ptr<ConcurrencyControl> make_concurrency_control(
 }
 
 TxnCoordinator::TxnCoordinator(Config cfg)
-    : cc_(make_concurrency_control(cfg.protocol, cfg.obs)) {
+    : cc_(make_concurrency_control(cfg.protocol, obs::resolve(cfg.obs))) {
   const unsigned n = std::max(1u, cfg.workers);
   threads_.reserve(n);
   for (unsigned k = 0; k < n; ++k) {

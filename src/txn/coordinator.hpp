@@ -1,14 +1,16 @@
-// Transaction coordinator: N worker threads executing transactions
-// concurrently against the engine, with pluggable concurrency control.
+// Row-conflict mediation and the transaction coordinator.
 //
 // Two layers live here:
 //
-//  - ConcurrencyControl: the plug-in contract the engine delegates row
-//    conflict mediation to while a coordinator drives it. Two protocols
-//    ship: strict two-phase locking with wait-die deadlock avoidance
-//    (blocking waits, provably deadlock-free), and an OCC/TicToc-style
-//    scheme (version-stamped reads validated at commit, writes locked
-//    wait-die to keep in-place updates safe for logical undo).
+//  - ConcurrencyControl: the plug-in contract the engine delegates every
+//    row access to. Two protocols ship: strict two-phase locking with
+//    wait-die deadlock avoidance (blocking waits, provably deadlock-free),
+//    and an OCC/TicToc-style scheme (version-stamped reads validated at
+//    commit, writes locked wait-die to keep in-place updates safe for
+//    logical undo). Each Database owns one 2PL instance that mediates
+//    serial runs (may_wait=false: the only thread never waits on itself);
+//    a coordinator installs its own instance for the length of a
+//    concurrent run.
 //
 //  - TxnCoordinator: the worker pool. Execution proceeds in *rounds*: the
 //    round driver freezes the global virtual clock, every worker runs one
@@ -28,17 +30,14 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "txn/lock_manager.hpp"
 
 namespace vdb::obs {
 class Observability;
@@ -68,6 +67,16 @@ inline bool parse_cc_protocol(const std::string& s, CcProtocol* out) {
 
 enum class AccessMode : std::uint8_t { kRead, kWrite };
 
+/// Lockable resource: one row.
+struct LockTarget {
+  TableId table{};
+  RowId rid{RowId::invalid()};
+
+  static LockTarget for_row(TableId t, RowId r) { return {t, r}; }
+
+  auto operator<=>(const LockTarget&) const = default;
+};
+
 /// The engine-side plug-in contract. All hooks are thread-safe. `mediate`
 /// may block (2PL waits); everything else returns promptly. validate() and
 /// publish() are called by Database::commit under the coordinator latch —
@@ -82,8 +91,8 @@ class ConcurrencyControl {
   virtual CcProtocol protocol() const = 0;
 
   /// Admission for one row access, called before the engine latch.
-  /// `may_wait=false` (inserts pick their slot under the latch) converts a
-  /// would-wait into a wait-die abort.
+  /// `may_wait=false` (serial runs, and inserts, which pick their slot
+  /// under the latch) converts a would-wait into a wait-die abort.
   virtual Status mediate(TxnId txn, const LockTarget& target, AccessMode mode,
                          bool may_wait) = 0;
 
@@ -103,12 +112,16 @@ class ConcurrencyControl {
   /// transaction without reaching rollback (and therefore end()), which
   /// would otherwise strand lock waiters for the rest of the round.
   virtual void release_thread_residue() = 0;
+
+  /// Rows currently locked or awaited (diagnostics / tests).
+  virtual size_t locked_count() const = 0;
 };
 
-/// A protocol instance reporting into `obs` (nullptr: the process-wide
-/// default): the "cc txns begun/committed/aborted", "cc wait_die aborts",
-/// "cc occ validate fails" and "cc lock waits" counters plus the
-/// enq_lock_wait / occ_validate_fail wait events.
+/// A protocol instance reporting into `obs`: the "cc txns
+/// begun/committed/aborted", "cc wait_die aborts", "cc occ validate fails"
+/// and "cc lock waits" counters plus the enq_lock_wait / occ_validate_fail
+/// wait events. With `obs` nullptr it counts nothing (the engine's own
+/// serial instance).
 std::unique_ptr<ConcurrencyControl> make_concurrency_control(
     CcProtocol p, obs::Observability* obs);
 

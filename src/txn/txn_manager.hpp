@@ -16,7 +16,6 @@
 
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "txn/lock_manager.hpp"
 #include "wal/log_record.hpp"
 
 namespace vdb::txn {

@@ -3,18 +3,23 @@
 // exactly this suite under ThreadSanitizer.
 //
 // Covers: serial equivalence at workers=1, the 2PL vs OCC conflict matrix
-// through the plug-in contract, wait-die deadlock freedom under an 8-thread
-// stress load, throughput scaling, and crash-during-concurrent-execution
-// recovery — including the byte-identical replay at 1 vs 4 redo jobs.
+// through the plug-in contract, the non-waiting grant rule every serial
+// run uses (with a reference-model check), wait-die deadlock freedom under
+// an 8-thread stress load, throughput scaling, and crash-during-concurrent-
+// execution recovery — including the byte-identical replay at 1 vs 4 redo
+// jobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "benchmark/experiment.hpp"
+#include "common/rng.hpp"
 #include "obs/observability.hpp"
 #include "txn/coordinator.hpp"
 
@@ -233,6 +238,160 @@ TEST(ConcurrencyControl, OwnWriteThenReadNeedsNoVersionCheck) {
   cc->publish(tid(1));
   cc->end(tid(1), true);
   EXPECT_EQ(counted.count("cc txns committed"), 1u);
+}
+
+// --- the serial grant rule (may_wait=false) --------------------------------
+//
+// Without a coordinator the engine mediates every row access through its
+// own 2PL table at may_wait=false, and that table counts nothing. The
+// `LockManager` cases below are tables of requests run through that rule;
+// every conflict dies with kDeadlock, older requester or not.
+
+/// One request on row 1 ('S' read, 'X' write) or 'E' (end `txn`), the
+/// code it must get, and optionally the table size it must leave.
+struct LockStep {
+  std::uint64_t txn;
+  char op;
+  ErrorCode expect = ErrorCode::kOk;
+  int locked_after = -1;  // < 0: not checked
+};
+
+/// Runs `steps` on a non-counting 2PL table at may_wait=false, then ends
+/// every transaction and checks that the table drained and nothing was
+/// counted into the process-wide statistics area.
+void run_serial_steps(std::initializer_list<LockStep> steps) {
+  obs::MetricsRegistry& global = obs::default_observability().registry();
+  const std::uint64_t begun_before = global.counter("cc txns begun")->value();
+  const std::uint64_t dead_before =
+      global.counter("cc wait_die aborts")->value();
+  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl, nullptr);
+  std::vector<std::uint64_t> txns;
+  for (const LockStep& step : steps) {
+    txns.push_back(step.txn);
+    if (step.op == 'E') {
+      cc->end(tid(step.txn), true);
+    } else {
+      const auto mode = step.op == 'X' ? txn::AccessMode::kWrite
+                                       : txn::AccessMode::kRead;
+      EXPECT_EQ(cc->mediate(tid(step.txn), target(1), mode, false).code(),
+                step.expect)
+          << "txn " << step.txn << " " << step.op;
+    }
+    if (step.locked_after >= 0) {
+      EXPECT_EQ(cc->locked_count(), static_cast<size_t>(step.locked_after))
+          << "after txn " << step.txn << " " << step.op;
+    }
+  }
+  for (std::uint64_t t : txns) cc->end(tid(t), false);
+  EXPECT_EQ(cc->locked_count(), 0u);
+  EXPECT_EQ(global.counter("cc txns begun")->value(), begun_before);
+  EXPECT_EQ(global.counter("cc wait_die aborts")->value(), dead_before);
+}
+
+constexpr ErrorCode kOk = ErrorCode::kOk;
+constexpr ErrorCode kDies = ErrorCode::kDeadlock;
+
+TEST(LockManager, GrantAndRelease) {
+  run_serial_steps({{1, 'X', kOk, 1},
+                    {2, 'S', kDies},  // probe: txn 1 holds it exclusive
+                    {1, 'E', kOk, 0},
+                    {2, 'X', kOk, 1}});
+}
+
+TEST(LockManager, SharedLocksCompatible) {
+  run_serial_steps({{1, 'S'}, {2, 'S', kOk, 1}, {3, 'X', kDies}});
+}
+
+TEST(LockManager, ExclusiveConflicts) {
+  run_serial_steps({{1, 'X'},
+                    {0, 'X', kDies},    // older: would wait, cannot
+                    {2, 'X', kDies}});  // younger: wait-die
+}
+
+TEST(LockManager, Reacquisition) {
+  run_serial_steps({{1, 'X'}, {1, 'X'}, {1, 'S', kOk, 1}});
+}
+
+TEST(LockManager, UpgradeBySoleHolder) {
+  run_serial_steps({{1, 'S'}, {1, 'X'}, {2, 'S', kDies}});
+}
+
+TEST(LockManager, UpgradeBlockedByOtherReaders) {
+  run_serial_steps({{1, 'S'}, {2, 'S'}, {1, 'X', kDies}});
+}
+
+TEST(LockManager, SharedBlockedByExclusive) {
+  run_serial_steps({{5, 'X'}, {9, 'S', kDies}});
+}
+
+TEST(LockManager, ReleaseFreesOnlyOwnLocks) {
+  run_serial_steps({{1, 'S'},
+                    {2, 'S'},
+                    {1, 'E', kOk, 1},
+                    {3, 'X', kDies},  // txn 2 still holds it
+                    {2, 'X'}});       // now sole holder: upgrades
+}
+
+/// Model check of the serial grant rule: grants must agree with a simple
+/// reference model of 2PL compatibility (S/S compatible, anything with X
+/// conflicts, re-entrant by holder, sole-holder upgrades), and the table
+/// must hold exactly the rows the model says are locked.
+TEST(LockModelCheck, AgreesWithReferenceModel) {
+  Rng rng(31337);
+  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl, nullptr);
+
+  struct ModelEntry {
+    bool exclusive = false;
+    std::vector<std::uint64_t> holders;
+  };
+  std::map<std::uint32_t, ModelEntry> model;  // row -> holders
+  const std::vector<std::uint64_t> active{1, 2, 3, 4, 5};
+  auto model_locked = [&] {
+    size_t n = 0;
+    for (const auto& [r, entry] : model) n += entry.holders.empty() ? 0 : 1;
+    return n;
+  };
+
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint64_t txn = active[static_cast<size_t>(rng.uniform(0, 4))];
+    const auto r = static_cast<std::uint32_t>(rng.uniform(0, 20));
+    if (rng.chance(0.15)) {
+      // End the transaction: release everything it holds.
+      cc->end(tid(txn), true);
+      for (auto& [row, entry] : model) {
+        entry.holders.erase(
+            std::remove(entry.holders.begin(), entry.holders.end(), txn),
+            entry.holders.end());
+        if (entry.holders.empty()) entry.exclusive = false;
+      }
+      ASSERT_EQ(cc->locked_count(), model_locked()) << "op " << op;
+      continue;
+    }
+    const bool exclusive = rng.chance(0.5);
+    const Status st = cc->mediate(
+        tid(txn), target(r),
+        exclusive ? txn::AccessMode::kWrite : txn::AccessMode::kRead, false);
+
+    ModelEntry& entry = model[r];
+    const bool holds = std::find(entry.holders.begin(), entry.holders.end(),
+                                 txn) != entry.holders.end();
+    bool expect_ok;
+    if (entry.holders.empty()) {
+      expect_ok = true;
+    } else if (holds) {
+      // Re-entrant; upgrade allowed only as sole holder.
+      expect_ok = !exclusive || entry.exclusive || entry.holders.size() == 1;
+    } else {
+      expect_ok = !exclusive && !entry.exclusive;
+    }
+    ASSERT_EQ(st.code(), expect_ok ? kOk : kDies)
+        << "op " << op << " txn " << txn << " row " << r;
+    if (st.is_ok()) {
+      if (!holds) entry.holders.push_back(txn);
+      if (exclusive) entry.exclusive = true;
+    }
+    ASSERT_EQ(cc->locked_count(), model_locked()) << "op " << op;
+  }
 }
 
 // --- wait-die deadlock freedom under stress --------------------------------

@@ -77,6 +77,39 @@ TEST(Engine, RollbackUndoesEverything) {
   EXPECT_EQ(rows, (std::vector<std::string>{"keep"}));
 }
 
+TEST(Engine, SerialConflictDiesAtOnceWithoutTrace) {
+  // Without a coordinator the instance's own 2PL table mediates every row
+  // access. The only thread must never wait on itself, so any conflict
+  // dies with kDeadlock, whichever transaction is older.
+  SimEnv env;
+  SmallDb db(env);
+  const RowId a = put_row(*db.db, db.table, "a");
+  const RowId b = put_row(*db.db, db.table, "b");
+  ASSERT_EQ(db.db->concurrency_control(), nullptr);
+  const TxnId older = db.db->begin().value();
+  const TxnId younger = db.db->begin().value();
+  ASSERT_TRUE(db.db->update(older, db.table, a, row("a1")).is_ok());
+
+  // Younger writer to the older one's row: refused before any redo record
+  // or undo op exists for it.
+  const Lsn next = db.db->redo().next_lsn();
+  EXPECT_EQ(db.db->update(younger, db.table, a, row("a2")).code(),
+            ErrorCode::kDeadlock);
+  EXPECT_EQ(db.db->redo().next_lsn(), next);
+  EXPECT_TRUE(db.db->txns().get(younger).value()->undo.empty());
+
+  // Older requester to the younger one's row: a coordinator worker would
+  // wait; the serial thread dies at once instead.
+  ASSERT_TRUE(db.db->update(younger, db.table, b, row("b1")).is_ok());
+  EXPECT_EQ(db.db->read(older, db.table, b).code(), ErrorCode::kDeadlock);
+
+  // The holder commits: the row is granted.
+  ASSERT_TRUE(db.db->commit(older).is_ok());
+  EXPECT_TRUE(db.db->update(younger, db.table, a, row("a2")).is_ok());
+  ASSERT_TRUE(db.db->commit(younger).is_ok());
+  EXPECT_EQ(db.db->locked_count(), 0u);
+}
+
 TEST(Engine, RowTooLargeRejected) {
   SimEnv env;
   SmallDb db(env);

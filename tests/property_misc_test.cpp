@@ -1,10 +1,8 @@
 // Assorted property/model checks: scheduler ordering against a sorted
-// reference, lock-manager behaviour against a reference model, backup-set
-// selection, and TPC-C access-path edges.
+// reference, backup-set selection, and TPC-C access-path edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "common/rng.hpp"
 #include "recovery/backup.hpp"
@@ -12,7 +10,6 @@
 #include "tests/test_env.hpp"
 #include "tpcc/tpcc_db.hpp"
 #include "tpcc/tpcc_loader.hpp"
-#include "txn/lock_manager.hpp"
 
 namespace vdb {
 namespace {
@@ -78,70 +75,6 @@ TEST(SchedulerPropertyCheck, RandomCancellation) {
   }
   sched.run_until(1000);
   EXPECT_EQ(fired, expected);
-}
-
-/// Lock-manager model check: grants must agree with a simple reference
-/// model of 2PL compatibility (S/S compatible, anything with X conflicts,
-/// re-entrant by holder, sole-holder upgrades).
-TEST(LockModelCheck, AgreesWithReferenceModel) {
-  using txn::LockManager;
-  using txn::LockMode;
-  using txn::LockTarget;
-  Rng rng(31337);
-  LockManager lm;
-
-  struct ModelEntry {
-    bool exclusive = false;
-    std::vector<std::uint64_t> holders;
-  };
-  std::map<int, ModelEntry> model;  // resource index -> holders
-  std::vector<std::uint64_t> active{1, 2, 3, 4, 5};
-
-  auto target = [](int r) {
-    return LockTarget::for_row(TableId{1},
-                               RowId{PageId{FileId{0}, 0},
-                                     static_cast<std::uint16_t>(r)});
-  };
-
-  for (int op = 0; op < 4000; ++op) {
-    const std::uint64_t txn =
-        active[static_cast<size_t>(rng.uniform(0, 4))];
-    const int resource = static_cast<int>(rng.uniform(0, 20));
-    if (rng.chance(0.15)) {
-      // Release everything this txn holds.
-      lm.release_all(TxnId{txn});
-      for (auto& [r, entry] : model) {
-        entry.holders.erase(
-            std::remove(entry.holders.begin(), entry.holders.end(), txn),
-            entry.holders.end());
-        if (entry.holders.empty()) entry.exclusive = false;
-      }
-      continue;
-    }
-    const LockMode mode =
-        rng.chance(0.5) ? LockMode::kShared : LockMode::kExclusive;
-    const Status st = lm.acquire(TxnId{txn}, target(resource), mode);
-
-    ModelEntry& entry = model[resource];
-    const bool holds = std::find(entry.holders.begin(), entry.holders.end(),
-                                 txn) != entry.holders.end();
-    bool expect_ok;
-    if (entry.holders.empty()) {
-      expect_ok = true;
-    } else if (holds) {
-      // Re-entrant; upgrade allowed only as sole holder.
-      expect_ok = mode == LockMode::kShared || entry.exclusive ||
-                  entry.holders.size() == 1;
-    } else {
-      expect_ok = mode == LockMode::kShared && !entry.exclusive;
-    }
-    EXPECT_EQ(st.is_ok(), expect_ok)
-        << "op " << op << " txn " << txn << " resource " << resource;
-    if (st.is_ok()) {
-      if (!holds) entry.holders.push_back(txn);
-      if (mode == LockMode::kExclusive) entry.exclusive = true;
-    }
-  }
 }
 
 TEST(BackupSets, RestorePicksNewestSet) {

@@ -1,91 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "txn/lock_manager.hpp"
 #include "txn/txn_manager.hpp"
 
 namespace vdb::txn {
 namespace {
-
-LockTarget row(std::uint32_t table, std::uint32_t block, std::uint16_t slot) {
-  return LockTarget::for_row(TableId{table},
-                             RowId{PageId{FileId{0}, block}, slot});
-}
-
-TEST(LockManager, GrantAndRelease) {
-  LockManager lm;
-  EXPECT_TRUE(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kExclusive).is_ok());
-  EXPECT_TRUE(lm.holds(TxnId{1}, row(1, 1, 1), LockMode::kExclusive));
-  lm.release_all(TxnId{1});
-  EXPECT_FALSE(lm.holds(TxnId{1}, row(1, 1, 1), LockMode::kExclusive));
-  EXPECT_EQ(lm.locked_count(), 0u);
-}
-
-TEST(LockManager, SharedLocksCompatible) {
-  LockManager lm;
-  EXPECT_TRUE(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kShared).is_ok());
-  EXPECT_TRUE(lm.acquire(TxnId{2}, row(1, 1, 1), LockMode::kShared).is_ok());
-  EXPECT_TRUE(lm.holds(TxnId{1}, row(1, 1, 1), LockMode::kShared));
-  EXPECT_TRUE(lm.holds(TxnId{2}, row(1, 1, 1), LockMode::kShared));
-}
-
-TEST(LockManager, ExclusiveConflicts) {
-  LockManager lm;
-  ASSERT_TRUE(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kExclusive).is_ok());
-  // Older requester (id 0 < 1): allowed to wait → timeout.
-  EXPECT_EQ(lm.acquire(TxnId{0}, row(1, 1, 1), LockMode::kExclusive).code(),
-            ErrorCode::kLockTimeout);
-  // Younger requester (id 2 > 1): wait-die → deadlock abort.
-  EXPECT_EQ(lm.acquire(TxnId{2}, row(1, 1, 1), LockMode::kExclusive).code(),
-            ErrorCode::kDeadlock);
-}
-
-TEST(LockManager, Reacquisition) {
-  LockManager lm;
-  ASSERT_TRUE(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kExclusive).is_ok());
-  EXPECT_TRUE(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kExclusive).is_ok());
-  EXPECT_TRUE(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kShared).is_ok());
-}
-
-TEST(LockManager, UpgradeBySoleHolder) {
-  LockManager lm;
-  ASSERT_TRUE(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kShared).is_ok());
-  EXPECT_TRUE(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kExclusive).is_ok());
-  EXPECT_TRUE(lm.holds(TxnId{1}, row(1, 1, 1), LockMode::kExclusive));
-}
-
-TEST(LockManager, UpgradeBlockedByOtherReaders) {
-  LockManager lm;
-  ASSERT_TRUE(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kShared).is_ok());
-  ASSERT_TRUE(lm.acquire(TxnId{2}, row(1, 1, 1), LockMode::kShared).is_ok());
-  EXPECT_EQ(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kExclusive).code(),
-            ErrorCode::kLockTimeout);
-}
-
-TEST(LockManager, SharedBlockedByExclusive) {
-  LockManager lm;
-  ASSERT_TRUE(lm.acquire(TxnId{5}, row(1, 1, 1), LockMode::kExclusive).is_ok());
-  EXPECT_EQ(lm.acquire(TxnId{9}, row(1, 1, 1), LockMode::kShared).code(),
-            ErrorCode::kDeadlock);  // younger
-}
-
-TEST(LockManager, TableAndRowAreDistinctResources) {
-  LockManager lm;
-  ASSERT_TRUE(
-      lm.acquire(TxnId{1}, LockTarget::for_table(TableId{1}),
-                 LockMode::kExclusive)
-          .is_ok());
-  EXPECT_TRUE(lm.acquire(TxnId{2}, row(1, 1, 1), LockMode::kExclusive).is_ok());
-}
-
-TEST(LockManager, ReleaseFreesOnlyOwnLocks) {
-  LockManager lm;
-  ASSERT_TRUE(lm.acquire(TxnId{1}, row(1, 1, 1), LockMode::kShared).is_ok());
-  ASSERT_TRUE(lm.acquire(TxnId{2}, row(1, 1, 1), LockMode::kShared).is_ok());
-  lm.release_all(TxnId{1});
-  EXPECT_TRUE(lm.holds(TxnId{2}, row(1, 1, 1), LockMode::kShared));
-  // Now txn 2 is the sole holder: it can upgrade.
-  EXPECT_TRUE(lm.acquire(TxnId{2}, row(1, 1, 1), LockMode::kExclusive).is_ok());
-}
 
 wal::UndoOp make_op(size_t bytes) {
   wal::UndoOp op;
