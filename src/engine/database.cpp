@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <set>
 
 namespace vdb::engine {
 
@@ -702,14 +701,18 @@ Result<Lsn> Database::resolve_prepared(std::uint64_t gtxn, bool commit) {
   // Branch adopted from recovery: its redo is already applied; commit means
   // sealing the fate with a COMMIT record, abort means compensating the
   // saved undo images.
-  auto it = in_doubt_.find(gtxn);
+  auto it = std::find_if(in_doubt_.begin(), in_doubt_.end(),
+                         [&](const auto& entry) {
+                           return entry.second.gtxn == gtxn;
+                         });
   if (it == in_doubt_.end()) return Lsn{0};  // already resolved elsewhere
-  InDoubtBranch branch = std::move(it->second);
+  const TxnId txn{it->first};
+  const RedoAnalysis::Txn branch = std::move(it->second);
   in_doubt_.erase(it);
   if (commit) {
     wal::LogRecord rec;
     rec.type = wal::LogRecordType::kCommit;
-    rec.txn = branch.txn;
+    rec.txn = txn;
     const Lsn lsn = redo_->append(rec);
     obs::WaitScope sync(&obs_->waits(), &scheduler_->clock(),
                         obs::WaitEvent::kLogFileSync);
@@ -717,7 +720,7 @@ Result<Lsn> Database::resolve_prepared(std::uint64_t gtxn, bool commit) {
     metrics_.commits->inc();
     return lsn;
   }
-  VDB_RETURN_IF_ERROR(undo_incomplete_txn(branch.txn, branch.ops, branch.clrs));
+  VDB_RETURN_IF_ERROR(undo_incomplete_txn(txn, branch.ops, branch.clrs));
   VDB_RETURN_IF_ERROR(redo_->flush());
   metrics_.rollbacks->inc();
   return Lsn{0};
@@ -1151,29 +1154,15 @@ Result<Lsn> Database::instance_recovery() {
     tracer->enter(obs::RecoveryPhase::kRedo, scheduler_->now());
   }
 
-  struct LoserTrack {
-    std::vector<wal::UndoOp> ops;
-    std::uint32_t clrs = 0;
-    /// PREPAREd 2PC branch: not a loser — it goes to the in-doubt table.
-    bool prepared = false;
-    std::uint64_t gtxn = 0;
-    std::uint32_t coord_shard = 0;
-  };
-  std::map<std::uint64_t, LoserTrack> live;  // ordered for determinism
-  // Transactions whose end record was already replayed. A checkpoint taken
-  // *during* a commit's log flush can snapshot the committing transaction
-  // as active even though its COMMIT record precedes the checkpoint record;
-  // an ended transaction must never re-enter the loser set.
-  std::set<std::uint64_t> ended;
+  RedoAnalysis analysis;
   const Lsn start = redo_->recovery_position();
   Lsn recovered_to = start;
-  std::uint64_t max_txn = 0;
   std::uint64_t records = 0;
   std::uint64_t skipped = 0;
   Status inner = Status::ok();
 
-  // Two-phase replay: the scan below does the serial bookkeeping (loser
-  // tracking, clock charges) and stages page records; the plan applies them
+  // Two-phase replay: the scan below does the serial bookkeeping (redo
+  // analysis, clock charges) and stages page records; the plan applies them
   // partitioned by page at each drain point (across workers when the drain
   // is big enough to pay for them).
   //
@@ -1207,75 +1196,21 @@ Result<Lsn> Database::instance_recovery() {
     advance(early ? cfg_.cost.cpu_per_analysis_record
                   : cfg_.cost.cpu_per_replay_record);
     recovered_to = std::max(recovered_to, rec.lsn);
-    if (rec.txn.valid() && rec.txn.value > max_txn) max_txn = rec.txn.value;
-
-    switch (rec.type) {
-      case wal::LogRecordType::kCheckpoint:
-        // The snapshot supersedes anything collected so far for those
-        // transactions (it includes all of their ops up to this record).
-        for (const auto& snap : rec.active_txns) {
-          if (ended.contains(snap.txn.value)) continue;
-          LoserTrack track;
-          track.ops = snap.ops;
-          track.prepared = snap.prepared;
-          track.gtxn = snap.gtxn;
-          track.coord_shard = snap.coord_shard;
-          live[snap.txn.value] = std::move(track);
-        }
-        for (const auto& d : rec.coord_decisions) {
-          coord_decisions_[d.gtxn] = d.commit;
-        }
-        break;
-      case wal::LogRecordType::kCommit:
-      case wal::LogRecordType::kAbort:
-        live.erase(rec.txn.value);
-        ended.insert(rec.txn.value);
-        break;
-      case wal::LogRecordType::kTxnPrepare: {
-        LoserTrack& track = live[rec.txn.value];
-        track.prepared = true;
-        track.gtxn = rec.gtxn;
-        track.coord_shard = rec.coord_shard;
-        break;
+    analysis.note(rec);
+    if (RedoApplyPlan::wants(rec.type)) {
+      plan.stage(rec);
+    } else if (wal::is_ddl(rec.type)) {
+      // A serial barrier: staged changes on the affected objects must land
+      // before the catalog/tablespace operation runs.
+      auto stats = plan.drain();
+      if (!stats.is_ok()) {
+        inner = stats.status();
+        return false;
       }
-      case wal::LogRecordType::kCoordCommit:
-        coord_decisions_[rec.gtxn] = true;
-        break;
-      case wal::LogRecordType::kCoordAbort:
-        coord_decisions_[rec.gtxn] = false;
-        break;
-      case wal::LogRecordType::kInsert:
-      case wal::LogRecordType::kUpdate:
-      case wal::LogRecordType::kDelete: {
-        plan.stage(rec);
-        if (rec.is_clr) {
-          live[rec.txn.value].clrs += 1;
-        } else {
-          live[rec.txn.value].ops.push_back(
-              wal::UndoOp{rec.lsn, rec.type, rec.dml});
-        }
-        break;
-      }
-      case wal::LogRecordType::kFormatPage:
-        plan.stage(rec);
-        break;
-      default: {
-        // DDL: a serial barrier — staged changes on the affected objects
-        // must land before the catalog/tablespace operation runs.
-        auto stats = plan.drain();
-        if (!stats.is_ok()) {
-          inner = stats.status();
-          return false;
-        }
-        Status st = apply_record(rec);
-        if (!st.is_ok() && st.code() != ErrorCode::kMediaFailure &&
-            st.code() != ErrorCode::kOffline &&
-            st.code() != ErrorCode::kNotFound &&
-            st.code() != ErrorCode::kCorruption) {
-          inner = st;
-          return false;
-        }
-        break;
+      Status st = apply_record(rec);
+      if (!st.is_ok() && !RedoApplyPlan::skippable(st.code())) {
+        inner = st;
+        return false;
       }
     }
     return true;
@@ -1304,8 +1239,8 @@ Result<Lsn> Database::instance_recovery() {
     // Undo probes and compensates on the loser pages directly, so those
     // pages must be current before rollback touches them — drain exactly
     // their runs now (charged via charge_apply) and leave the rest pending.
-    for (const auto& [txn_id, track] : live) {
-      for (const auto& op : track.ops) {
+    for (const auto& [txn_id, txn] : analysis.live) {
+      for (const auto& op : txn.ops) {
         auto stats = plan.drain_page(op.change.rid.page);
         if (!stats.is_ok()) {
           set_recovering(false);
@@ -1314,29 +1249,10 @@ Result<Lsn> Database::instance_recovery() {
       }
     }
   }
-  // PREPAREd branches are not losers: park them in the in-doubt table for
-  // the coordinator (or its recovered decision record) to settle.
-  for (auto it = live.begin(); it != live.end();) {
-    if (!it->second.prepared) {
-      ++it;
-      continue;
-    }
-    InDoubtBranch branch;
-    branch.txn = TxnId{it->first};
-    branch.coord_shard = it->second.coord_shard;
-    branch.ops = std::move(it->second.ops);
-    branch.clrs = it->second.clrs;
-    in_doubt_[it->second.gtxn] = std::move(branch);
-    it = live.erase(it);
-  }
-  for (auto it = live.rbegin(); it != live.rend(); ++it) {
-    if (it->second.ops.empty()) continue;
-    metrics_.loser_txns->inc();
-    VDB_RETURN_IF_ERROR(undo_incomplete_txn(TxnId{it->first}, it->second.ops,
-                                            it->second.clrs));
-  }
+  VDB_ASSIGN_OR_RETURN(const std::uint64_t losers,
+                       settle_analysis(std::move(analysis)));
+  metrics_.loser_txns->inc(losers);
   VDB_RETURN_IF_ERROR(redo_->flush());
-  txns_.restore_next_id(max_txn + 1);
 
   set_recovering(false);
   if (tracer != nullptr) {
@@ -1357,6 +1273,28 @@ Result<Lsn> Database::instance_recovery() {
   // part of the open phase for tracing purposes.
   VDB_RETURN_IF_ERROR(full_checkpoint());
   return recovered_to;
+}
+
+Result<std::uint64_t> Database::settle_analysis(RedoAnalysis analysis) {
+  for (const auto& [gtxn, commit] : analysis.decisions) {
+    coord_decisions_[gtxn] = commit;
+  }
+  // PREPAREd branches are not losers: park them in the in-doubt table for
+  // the coordinator (or its recovered decision record) to settle.
+  std::uint64_t losers = 0;
+  for (auto it = analysis.live.rbegin(); it != analysis.live.rend(); ++it) {
+    RedoAnalysis::Txn& txn = it->second;
+    if (txn.prepared) {
+      in_doubt_[it->first] = std::move(txn);
+      continue;
+    }
+    if (txn.ops.empty()) continue;
+    losers += 1;
+    VDB_RETURN_IF_ERROR(undo_incomplete_txn(TxnId{it->first}, txn.ops,
+                                            txn.clrs));
+  }
+  txns_.restore_next_id(analysis.max_txn + 1);
+  return losers;
 }
 
 Status Database::undo_incomplete_txn(TxnId txn,

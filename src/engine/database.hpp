@@ -31,6 +31,7 @@
 #include "common/types.hpp"
 #include "engine/control_file.hpp"
 #include "engine/db_config.hpp"
+#include "engine/redo_analysis.hpp"
 #include "engine/replay_plan.hpp"
 #include "engine/restart.hpp"
 #include "obs/observability.hpp"
@@ -146,15 +147,6 @@ class Database {
 
   // --- two-phase commit (fleet) -----------------------------------------------
 
-  /// One in-doubt 2PC branch surfaced by instance recovery or stand-by
-  /// activation: PREPAREd, but no end record and no local decision.
-  struct InDoubtBranch {
-    TxnId txn{};
-    std::uint32_t coord_shard = 0;
-    std::vector<wal::UndoOp> ops;
-    std::uint64_t clrs = 0;
-  };
-
   /// Phase one: logs kTxnPrepare and forces it to disk. From here the
   /// branch cannot be rolled back unilaterally — recovery keeps it in
   /// doubt until the coordinator's decision is known.
@@ -173,8 +165,10 @@ class Database {
   /// table; checkpoints stop carrying the entry).
   void forget_decision(std::uint64_t gtxn);
 
-  /// In-doubt branches left behind by the last recovery, keyed by gtxn.
-  const std::map<std::uint64_t, InDoubtBranch>& in_doubt_branches() const {
+  /// In-doubt branches left behind by the last recovery (PREPAREd, no end
+  /// record, no local decision), keyed by transaction id.
+  const std::map<std::uint64_t, RedoAnalysis::Txn>& in_doubt_branches()
+      const {
     return in_doubt_;
   }
 
@@ -184,18 +178,6 @@ class Database {
   /// transaction manager and for branches adopted from recovery. Returns
   /// the commit LSN (0 for abort / already-resolved branches).
   Result<Lsn> resolve_prepared(std::uint64_t gtxn, bool commit);
-
-  /// Adopts an in-doubt branch discovered by an external replay driver
-  /// (stand-by activation).
-  void adopt_in_doubt(std::uint64_t gtxn, InDoubtBranch branch) {
-    in_doubt_[gtxn] = std::move(branch);
-  }
-
-  /// Records a coordinator decision recovered by an external replay driver
-  /// (no new log record — the decision is already durable upstream).
-  void note_coord_decision(std::uint64_t gtxn, bool commit) {
-    coord_decisions_[gtxn] = commit;
-  }
 
   Result<RowId> insert(TxnId txn, TableId table,
                        std::span<const std::uint8_t> row);
@@ -233,16 +215,23 @@ class Database {
 
   // --- recovery collaboration --------------------------------------------------
 
+  //
+  // Every replay driver (instance, media, block and point-in-time recovery,
+  // the stand-by's managed recovery) stages page records into a plan from
+  // make_replay_plan() and applies the rest through apply_record(). Those
+  // that rebuild a transaction table (instance and point-in-time recovery,
+  // stand-by activation) note every record in a RedoAnalysis and hand it to
+  // settle_analysis() once their redo is applied.
+
   /// Applies one redo record with page-LSN idempotency guards. DDL records
-  /// are applied idempotently. Used by instance recovery, media recovery,
-  /// and the stand-by's managed recovery.
+  /// are applied idempotently; transaction bookkeeping records are no-ops
+  /// (RedoAnalysis notes them).
   Status apply_record(const wal::LogRecord& rec);
 
   /// Builds a partitioned apply plan wired to this instance — the shared
-  /// phase-two engine for every replay driver (instance recovery, media
-  /// recovery, standby managed recovery). The driver scans the redo stream
-  /// serially, stages records the plan wants(), drains at serial barriers
-  /// (DDL) and at end of scan. `on_skip` fires for records skipped on
+  /// phase-two engine for every replay driver. The driver scans the redo
+  /// stream serially, stages records the plan wants(), drains at serial
+  /// barriers and at end of scan. `on_skip` fires for records skipped on
   /// missing/offline datafiles. The most workers a drain may use comes from
   /// DatabaseConfig::replay_jobs (0 = VDB_JOBS).
   RedoApplyPlan make_replay_plan(
@@ -260,12 +249,13 @@ class Database {
   /// the database state is current.
   Result<Lsn> instance_recovery();
 
-  /// Rolls back one incomplete transaction discovered by a replay driver
-  /// (instance recovery, stand-by activation): compensates the not-yet-
-  /// compensated tail of `ops` (the last `clrs_done` were already undone)
-  /// and writes the ABORT record.
-  Status undo_incomplete_txn(TxnId txn, const std::vector<wal::UndoOp>& ops,
-                             std::uint64_t clrs_done);
+  /// Settles a transaction table rebuilt from applied redo: records its
+  /// coordinator decisions, adopts PREPAREd branches as in-doubt, rolls the
+  /// other in-flight transactions back newest first (CLRs and ABORT records
+  /// land in the redo buffer; the driver flushes), and raises the next
+  /// transaction id above every id noted. Returns the number of
+  /// transactions rolled back.
+  Result<std::uint64_t> settle_analysis(RedoAnalysis analysis);
 
   /// Puts the engine in / out of recovery mode (offline files accessible).
   void set_recovering(bool on);
@@ -366,6 +356,12 @@ class Database {
   Lsn pseudo_lsn() const;  // for NOLOGGING changes: below any future record
   void notify(const RowChange& change);
   Status apply_undo_op(TxnId txn, const wal::UndoOp& op, bool log_clr);
+  /// Rolls back one incomplete transaction (a recovery loser or an aborted
+  /// in-doubt branch): compensates the not-yet-compensated tail of `ops`
+  /// (the last `clrs_done` were already undone) and writes the ABORT
+  /// record.
+  Status undo_incomplete_txn(TxnId txn, const std::vector<wal::UndoOp>& ops,
+                             std::uint64_t clrs_done);
   Status handle_store_failures(
       const std::vector<std::pair<PageId, Status>>& failures);
 
@@ -409,10 +405,11 @@ class Database {
   std::uint64_t last_archived_seq_ = 0;
   InstanceState pre_recovery_state_ = InstanceState::kClosed;
   /// 2PC state reconstructed by recovery (and maintained at runtime):
-  /// in-doubt branches awaiting their coordinator's outcome, and this
+  /// in-doubt branches awaiting their coordinator's outcome (by transaction
+  /// id; resolve_prepared looks one up by gtxn), and this
   /// instance's own coordinator decision table. Ordered so checkpoint
   /// encoding is deterministic.
-  std::map<std::uint64_t, InDoubtBranch> in_doubt_;
+  std::map<std::uint64_t, RedoAnalysis::Txn> in_doubt_;
   std::map<std::uint64_t, bool> coord_decisions_;
   /// Row mediation (see set_concurrency_control): `cc_` is the own 2PL
   /// table, counting nothing, or a coordinator's delegate.

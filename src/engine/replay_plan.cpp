@@ -6,17 +6,10 @@
 
 namespace vdb::engine {
 
-namespace {
-
-bool skippable(ErrorCode code) {
-  // Records touching deleted/offline/corrupt files are skipped; media
-  // recovery (whole-file or per-block) brings those forward later (same set
-  // every replay driver uses).
+bool RedoApplyPlan::skippable(ErrorCode code) {
   return code == ErrorCode::kMediaFailure || code == ErrorCode::kOffline ||
          code == ErrorCode::kNotFound || code == ErrorCode::kCorruption;
 }
-
-}  // namespace
 
 unsigned RedoApplyPlan::apply_workers(std::uint64_t records, unsigned jobs) {
   const std::uint64_t by_size = records / kApplyRecordsPerWorker;

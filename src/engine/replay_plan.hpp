@@ -3,8 +3,8 @@
 //
 // Replay is two-phase. Phase one — the driver's scan — walks the redo
 // stream in LSN order doing the bookkeeping only a serial pass can do
-// (loser-transaction tracking, stop-before positions, simulated-clock
-// charges) and stages every page-targeted record here. Phase two — drain()
+// (redo analysis, stop-before positions, simulated-clock charges) and
+// stages every page-targeted record here. Phase two — drain()
 // — groups the staged records into per-page runs and applies them chunk by
 // chunk. A chunk too small to pay for a thread start applies inline on the
 // calling thread; a bigger one spreads its runs over up to `jobs` workers
@@ -83,6 +83,12 @@ class RedoApplyPlan {
     skipped_counter_ = reg.counter("replay records skipped");
     drains_counter_ = reg.counter("replay drains");
   }
+
+  /// True for apply errors a replay skips instead of failing on: the
+  /// record touches a deleted, offline or corrupt file, which media
+  /// recovery (whole-file or per-block) brings forward later. Every replay
+  /// driver uses this one set.
+  static bool skippable(ErrorCode code);
 
   /// True for record types the plan partitions (DML + page format). The
   /// driver applies everything else itself — DDL and checkpoint records are

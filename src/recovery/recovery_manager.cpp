@@ -5,7 +5,7 @@
 #include <vector>
 #include <cstdio>
 
-#include "common/codec.hpp"
+#include "wal/redo_log.hpp"
 
 namespace vdb::recovery {
 
@@ -64,27 +64,6 @@ struct LogSource {
   std::uint32_t group_index = 0;  // when !is_archive
 };
 
-constexpr size_t kGroupHeaderSize = 20;
-
-/// Reads just the 20-byte header of a log file.
-Result<std::pair<std::uint64_t, Lsn>> read_log_header(sim::SimFs& fs,
-                                                      const std::string& path) {
-  auto bytes = fs.read(path, 0, kGroupHeaderSize, sim::IoMode::kForeground);
-  if (!bytes.is_ok()) return bytes.status();
-  Decoder dec(bytes.value());
-  auto magic = dec.get_u32();
-  auto seq = dec.get_u64();
-  auto start = dec.get_u64();
-  if (!magic.is_ok() || !seq.is_ok() || !start.is_ok()) {
-    char detail[64];
-    std::snprintf(detail, sizeof(detail),
-                  " (offset 0, %zu-byte header, magic=%08x)", kGroupHeaderSize,
-                  magic.is_ok() ? magic.value() : 0u);
-    return Status{ErrorCode::kCorruption, "bad log header: " + path + detail};
-  }
-  return std::make_pair(seq.value(), start.value());
-}
-
 /// Tiles `phase` into the trace the harness (or startup) opened at the
 /// failure instant. No active trace -> no-op, so plain unit-test
 /// recoveries stay untraced.
@@ -98,7 +77,8 @@ void enter_phase(engine::Database& db, obs::RecoveryPhase phase) {
 Result<RecoveryReport> RecoveryManager::replay_from(
     engine::Database& db, Lsn from,
     const std::function<bool(const wal::LogRecord&)>& should_apply,
-    const std::function<bool(const wal::LogRecord&)>& stop_before) {
+    const std::function<bool(const wal::LogRecord&)>& stop_before,
+    engine::RedoAnalysis* analysis) {
   sim::SimFs& fs = db.host().fs();
   const engine::CostModel& cost = db.config().cost;
   enter_phase(db, obs::RecoveryPhase::kRedo);
@@ -110,11 +90,11 @@ Result<RecoveryReport> RecoveryManager::replay_from(
   std::vector<LogSource> sources;
   for (const std::string& path :
        fs.list(db.config().redo.archive_dir + "/arch_")) {
-    auto header = read_log_header(fs, path);
+    auto header = wal::read_log_header(fs, path);
     if (!header.is_ok()) continue;  // corrupt archive: unreadable, skip
     LogSource src;
-    src.seq = header.value().first;
-    src.start_lsn = header.value().second;
+    src.seq = header.value().seq;
+    src.start_lsn = header.value().start_lsn;
     src.is_archive = true;
     src.archive_path = path;
     sources.push_back(std::move(src));
@@ -195,6 +175,7 @@ Result<RecoveryReport> RecoveryManager::replay_from(
       }
       db.clock().advance_by(cost.cpu_per_replay_record);
       if (rec.lsn < from) return true;
+      if (analysis != nullptr) analysis->note(rec);
       if (!should_apply || should_apply(rec)) {
         if (engine::RedoApplyPlan::wants(rec.type)) {
           plan.stage(rec);
@@ -204,10 +185,7 @@ Result<RecoveryReport> RecoveryManager::replay_from(
           Status st = drain_plan();
           if (st.is_ok()) st = db.apply_record(rec);
           if (!st.is_ok()) {
-            if (st.code() != ErrorCode::kOffline &&
-                st.code() != ErrorCode::kMediaFailure &&
-                st.code() != ErrorCode::kNotFound &&
-                st.code() != ErrorCode::kCorruption) {
+            if (!engine::RedoApplyPlan::skippable(st.code())) {
               inner = st;
               return false;
             }
@@ -230,10 +208,7 @@ Result<RecoveryReport> RecoveryManager::replay_from(
         return report;
       }
       report.archives_read += 1;
-      VDB_RETURN_IF_ERROR(wal::parse_records(
-          std::span<const std::uint8_t>(bytes.value())
-              .subspan(kGroupHeaderSize),
-          handle_record));
+      VDB_RETURN_IF_ERROR(wal::parse_log_records(bytes.value(), handle_record));
     } else {
       auto member = db.redo().intact_member(src.group_index);
       if (!member.is_ok()) {
@@ -243,10 +218,7 @@ Result<RecoveryReport> RecoveryManager::replay_from(
       }
       auto bytes = fs.read_all(member.value(), sim::IoMode::kForeground);
       if (!bytes.is_ok()) return bytes.status();
-      VDB_RETURN_IF_ERROR(wal::parse_records(
-          std::span<const std::uint8_t>(bytes.value())
-              .subspan(kGroupHeaderSize),
-          handle_record));
+      VDB_RETURN_IF_ERROR(wal::parse_log_records(bytes.value(), handle_record));
     }
     if (!inner.is_ok()) return inner;
   }
@@ -401,18 +373,23 @@ Result<RecoveryManager::PitResult> RecoveryManager::point_in_time_recover(
   db->set_recovering(true);
 
   // 3. Roll forward, stopping just before the offending DDL.
-  auto report =
-      replay_from(*db, set.value().backup_lsn, nullptr, stop_before);
+  engine::RedoAnalysis analysis;
+  auto report = replay_from(*db, set.value().backup_lsn, nullptr, stop_before,
+                            &analysis);
   if (!report.is_ok()) return report.status();
   report.value().files_restored = set.value().files.size();
 
   // 4. RESETLOGS: the new incarnation's redo starts above everything the
   //    old one ever wrote, so stale archives can never be confused with new
   //    redo.
-  db->set_recovering(false);
   enter_phase(*db, obs::RecoveryPhase::kOpen);
   const Lsn reset_at = db->redo().next_lsn() + (1u << 20);
   VDB_RETURN_IF_ERROR(db->redo().resetlogs(reset_at));
+  // 5. Open RESETLOGS rolls back what had not committed at the stop point
+  //    (CLRs land in the new incarnation's redo) and keeps PREPAREd
+  //    branches in doubt.
+  VDB_RETURN_IF_ERROR(db->settle_analysis(std::move(analysis)).status());
+  db->set_recovering(false);
   VDB_RETURN_IF_ERROR(db->open_after_external_recovery());
 
   PitResult result;
@@ -428,13 +405,6 @@ Result<RecoveryManager::PitResult> RecoveryManager::restore_to_backup(
   // Stop predicate that fires immediately: restore only, no roll-forward.
   auto stop_everything = [](const wal::LogRecord&) { return true; };
   return point_in_time_recover(cfg, stop_everything, pre_open);
-}
-
-Result<std::unique_ptr<engine::Database>> RecoveryManager::restart_instance(
-    const engine::DatabaseConfig& cfg) {
-  auto db = std::make_unique<engine::Database>(host_, scheduler_, cfg);
-  VDB_RETURN_IF_ERROR(db->startup());
-  return db;
 }
 
 }  // namespace vdb::recovery

@@ -1,8 +1,9 @@
 // Recovery manager: Oracle-style complete and incomplete recovery built on
 // backups plus the archived + online redo stream.
 //
-// The recovery procedures here are the ones the paper's faultload triggers:
-//  - crash restart (instance recovery)          — Shutdown abort
+// The recovery procedures here are the ones the paper's faultload triggers
+// (crash restart — Shutdown abort — is Database::startup's instance
+// recovery):
 //  - datafile media recovery (restore + roll)   — Delete datafile
 //  - offline-datafile roll-forward              — Set datafile offline
 //  - tablespace online                          — Set tablespace offline
@@ -11,6 +12,8 @@
 // Complete recovery loses nothing; incomplete recovery stops just before
 // the offending DDL record and loses every transaction committed after
 // that point — exactly the paper's complete/incomplete split (Tables 4-5).
+// Like a RESETLOGS open, it also rolls back what had not committed at the
+// stop point (the RedoAnalysis of its replay, settled by the database).
 #pragma once
 
 #include <cstdint>
@@ -71,8 +74,9 @@ class RecoveryManager {
 
   /// Point-in-time (incomplete) recovery: restore every datafile from the
   /// newest backup, replay archived + online redo and stop immediately
-  /// before the first record matching `stop_before`, then RESETLOGS and
-  /// open. Returns the new instance.
+  /// before the first record matching `stop_before`, then RESETLOGS, roll
+  /// back what had not committed at that point, and open. Returns the new
+  /// instance.
   struct PitResult {
     std::unique_ptr<engine::Database> db;
     RecoveryReport report;
@@ -88,21 +92,19 @@ class RecoveryManager {
       const engine::DatabaseConfig& cfg,
       const std::function<void(engine::Database&)>& pre_open = {});
 
-  /// Crash restart: new incarnation over the same host; startup() performs
-  /// instance recovery.
-  Result<std::unique_ptr<engine::Database>> restart_instance(
-      const engine::DatabaseConfig& cfg);
-
  private:
   /// Applies records with lsn >= from, in order, from archives then online
   /// groups. `should_apply` filters (nullptr = apply everything);
   /// `stop_before` ends the replay without applying the matching record
   /// (nullptr = never stop). Detects redo-chain gaps via group sequence
-  /// continuity.
+  /// continuity. `analysis`, when given, notes every record from `from` up
+  /// to the stop point (point-in-time recovery; media and block recovery
+  /// rebuild no transaction table).
   Result<RecoveryReport> replay_from(
       engine::Database& db, Lsn from,
       const std::function<bool(const wal::LogRecord&)>& should_apply,
-      const std::function<bool(const wal::LogRecord&)>& stop_before);
+      const std::function<bool(const wal::LogRecord&)>& stop_before,
+      engine::RedoAnalysis* analysis = nullptr);
 
   sim::Host* host_;
   sim::Scheduler* scheduler_;

@@ -3,12 +3,9 @@
 #include <algorithm>
 
 #include "wal/log_record.hpp"
+#include "wal/redo_log.hpp"
 
 namespace vdb::standby {
-
-namespace {
-constexpr size_t kGroupHeaderSize = 20;
-}
 
 StandbyDatabase::StandbyDatabase(sim::Host* standby_host,
                                  sim::Scheduler* scheduler, StandbyConfig cfg,
@@ -93,72 +90,25 @@ void StandbyDatabase::apply_archive(const std::string& standby_path) {
   if (!bytes.is_ok()) return;
 
   // Managed recovery is the same two-phase replay the primary's recovery
-  // drivers use: scan serially (loser tracking, busy-time accounting),
-  // stage page records, drain the partitioned plan at DDL barriers and at
-  // the end of the archive. Apply failures are ignored exactly as before —
-  // gaps are impossible since archives arrive in sequence order.
+  // drivers use: scan serially (redo analysis, busy-time accounting), stage
+  // page records, drain the partitioned plan at DDL barriers and at the end
+  // of the archive. Apply failures are ignored — gaps are impossible since
+  // archives arrive in sequence order.
   engine::RedoApplyPlan plan = db_->make_replay_plan();
 
   std::uint64_t records = 0;
-  (void)wal::parse_records(
-      std::span<const std::uint8_t>(bytes.value()).subspan(kGroupHeaderSize),
-      [&](const wal::LogRecord& rec) {
-        records += 1;
-        applied_to_ = std::max(applied_to_, rec.lsn);
-        switch (rec.type) {
-          case wal::LogRecordType::kCommit:
-          case wal::LogRecordType::kAbort:
-            live_.erase(rec.txn.value);
-            ended_.insert(rec.txn.value);
-            break;
-          case wal::LogRecordType::kCheckpoint:
-            for (const auto& snap : rec.active_txns) {
-              if (ended_.contains(snap.txn.value)) continue;
-              LoserTrack track;
-              track.ops = snap.ops;
-              track.prepared = snap.prepared;
-              track.gtxn = snap.gtxn;
-              track.coord_shard = snap.coord_shard;
-              live_[snap.txn.value] = std::move(track);
-            }
-            for (const auto& d : rec.coord_decisions) {
-              coord_decisions_[d.gtxn] = d.commit;
-            }
-            break;
-          case wal::LogRecordType::kTxnPrepare: {
-            LoserTrack& track = live_[rec.txn.value];
-            track.prepared = true;
-            track.gtxn = rec.gtxn;
-            track.coord_shard = rec.coord_shard;
-            break;
-          }
-          case wal::LogRecordType::kCoordCommit:
-            coord_decisions_[rec.gtxn] = true;
-            break;
-          case wal::LogRecordType::kCoordAbort:
-            coord_decisions_[rec.gtxn] = false;
-            break;
-          case wal::LogRecordType::kInsert:
-          case wal::LogRecordType::kUpdate:
-          case wal::LogRecordType::kDelete:
-            plan.stage(rec);
-            if (rec.is_clr) {
-              live_[rec.txn.value].clrs += 1;
-            } else {
-              live_[rec.txn.value].ops.push_back(
-                  wal::UndoOp{rec.lsn, rec.type, rec.dml});
-            }
-            break;
-          case wal::LogRecordType::kFormatPage:
-            plan.stage(rec);
-            break;
-          default:
-            (void)plan.drain();  // DDL barrier
-            (void)db_->apply_record(rec);
-            break;
-        }
-        return true;
-      });
+  (void)wal::parse_log_records(bytes.value(), [&](const wal::LogRecord& rec) {
+    records += 1;
+    applied_to_ = std::max(applied_to_, rec.lsn);
+    analysis_.note(rec);
+    if (engine::RedoApplyPlan::wants(rec.type)) {
+      plan.stage(rec);
+    } else if (wal::is_ddl(rec.type)) {
+      (void)plan.drain();  // DDL barrier
+      (void)db_->apply_record(rec);
+    }
+    return true;
+  });
   (void)plan.drain();
   records_applied_ += records;
   archives_applied_ += 1;
@@ -188,27 +138,7 @@ Result<ActivationReport> StandbyDatabase::activate() {
   // PREPAREd 2PC branches are adopted as in-doubt instead — the failover
   // orchestrator resolves them against the coordinator's decision.
   if (tracer.active()) tracer.enter(obs::RecoveryPhase::kUndo, clock.now());
-  for (const auto& [gtxn, commit] : coord_decisions_) {
-    db_->note_coord_decision(gtxn, commit);
-  }
-  for (auto it = live_.begin(); it != live_.end();) {
-    if (!it->second.prepared) {
-      ++it;
-      continue;
-    }
-    engine::Database::InDoubtBranch branch;
-    branch.txn = TxnId{it->first};
-    branch.coord_shard = it->second.coord_shard;
-    branch.ops = std::move(it->second.ops);
-    branch.clrs = it->second.clrs;
-    db_->adopt_in_doubt(it->second.gtxn, std::move(branch));
-    it = live_.erase(it);
-  }
-  for (auto it = live_.rbegin(); it != live_.rend(); ++it) {
-    if (it->second.ops.empty()) continue;
-    VDB_RETURN_IF_ERROR(db_->undo_incomplete_txn(
-        TxnId{it->first}, it->second.ops, it->second.clrs));
-  }
+  VDB_RETURN_IF_ERROR(db_->settle_analysis(std::move(analysis_)).status());
   db_->set_recovering(false);
   if (tracer.active()) tracer.enter(obs::RecoveryPhase::kOpen, clock.now());
   VDB_RETURN_IF_ERROR(db_->open_after_external_recovery());

@@ -6,6 +6,11 @@
 // primary failure the standby is activated: it finishes applying what it
 // received, opens with RESETLOGS, and takes over.
 //
+// Managed recovery is one more replay driver over the engine's shared
+// pieces: each archive is staged into a RedoApplyPlan and noted in one
+// RedoAnalysis kept across archives; activation settles that analysis the
+// way instance recovery settles its own (Database::settle_analysis).
+//
 // Two properties drive the paper's results:
 //  - activation time is short and independent of the fault type and of the
 //    primary's recovery configuration (Figure 6);
@@ -20,15 +25,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "engine/database.hpp"
+#include "engine/redo_analysis.hpp"
 #include "recovery/backup.hpp"
 #include "sim/host.hpp"
 #include "sim/network.hpp"
@@ -79,16 +82,6 @@ class StandbyDatabase {
   /// busy-until horizon).
   void apply_archive(const std::string& standby_path);
 
-  struct LoserTrack {
-    std::vector<wal::UndoOp> ops;
-    std::uint64_t clrs = 0;
-    /// PREPAREd 2PC branch seen in the shipped redo: activation must adopt
-    /// it as in-doubt instead of rolling it back.
-    bool prepared = false;
-    std::uint64_t gtxn = 0;
-    std::uint32_t coord_shard = 0;
-  };
-
   sim::Host* host_;
   sim::Scheduler* scheduler_;
   StandbyConfig cfg_;
@@ -99,13 +92,11 @@ class StandbyDatabase {
   std::uint64_t records_applied_ = 0;
   SimTime busy_until_ = 0;       // managed-recovery work horizon
   SimTime last_arrival_ = 0;     // latest scheduled archive arrival
-  /// Transactions in flight at the tail of the applied redo: an archive can
-  /// end mid-transaction, and activation must roll those changes back.
-  std::map<std::uint64_t, LoserTrack> live_;
-  std::set<std::uint64_t> ended_;
-  /// Coordinator decisions seen in the shipped redo, handed to the database
-  /// at activation so in-doubt resolution works on the promoted primary.
-  std::map<std::uint64_t, bool> coord_decisions_;
+  /// Transaction table of all redo applied so far, kept across archives:
+  /// an archive can end mid-transaction, and activation settles it (rolls
+  /// losers back, adopts PREPAREd branches in doubt, carries coordinator
+  /// decisions and transaction ids over to the promoted primary).
+  engine::RedoAnalysis analysis_;
   bool activated_ = false;
   bool instantiated_ = false;
 };

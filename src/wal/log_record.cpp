@@ -23,6 +23,11 @@ const char* to_string(LogRecordType t) {
   return "?";
 }
 
+bool is_ddl(LogRecordType t) {
+  return t == LogRecordType::kCreateTable || t == LogRecordType::kDropTable ||
+         t == LogRecordType::kDropTablespace;
+}
+
 namespace {
 
 // Before/after images share most bytes on typical updates (a few numeric

@@ -45,6 +45,10 @@ enum class LogRecordType : std::uint8_t {
 
 const char* to_string(LogRecordType t);
 
+/// True for the catalog and tablespace records (create/drop table, drop
+/// tablespace): serial barriers for every replay driver.
+bool is_ddl(LogRecordType t);
+
 /// One row-level change: enough to redo (after) and to undo (before).
 struct DmlChange {
   TableId table{};

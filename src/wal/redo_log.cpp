@@ -11,6 +11,27 @@ constexpr std::uint32_t kGroupMagic = 0x52444C47;  // "RDLG"
 constexpr size_t kGroupHeaderSize = 20;            // magic + seq + start_lsn
 }  // namespace
 
+Result<LogFileHeader> parse_log_header(std::span<const std::uint8_t> image) {
+  Decoder dec(image);
+  if (image.size() < kGroupHeaderSize || dec.get_u32().value() != kGroupMagic) {
+    return Status{ErrorCode::kCorruption, "bad log file header"};
+  }
+  // Braced initialisers evaluate left to right: seq, then start_lsn.
+  return LogFileHeader{dec.get_u64().value(), dec.get_u64().value()};
+}
+
+Result<LogFileHeader> read_log_header(sim::SimFs& fs, const std::string& path) {
+  auto bytes = fs.read(path, 0, kGroupHeaderSize, sim::IoMode::kForeground);
+  if (!bytes.is_ok()) return bytes.status();
+  return parse_log_header(bytes.value());
+}
+
+Status parse_log_records(std::span<const std::uint8_t> image,
+                         const std::function<bool(const LogRecord&)>& fn) {
+  if (!parse_log_header(image).is_ok()) return Status::ok();
+  return parse_records(image.subspan(kGroupHeaderSize), fn);
+}
+
 RedoLog::RedoLog(sim::SimFs* fs, RedoLogConfig cfg, Callbacks cb)
     : fs_(fs), cfg_(cfg), cb_(std::move(cb)) {
   VDB_CHECK_MSG(cfg_.groups >= 2, "Oracle requires at least two redo groups");
@@ -123,11 +144,10 @@ Status RedoLog::open_existing() {
     auto bytes = fs_->read_all(member.value(), sim::IoMode::kForeground);
     if (!bytes.is_ok()) return bytes.status();
     const auto& data = bytes.value();
-    if (data.size() < kGroupHeaderSize) continue;  // never used
-    Decoder dec(data);
-    if (dec.get_u32().value() != kGroupMagic) continue;
-    g.seq = dec.get_u64().value();
-    g.start_lsn = dec.get_u64().value();
+    auto header = parse_log_header(data);
+    if (!header.is_ok()) continue;  // never used
+    g.seq = header.value().seq;
+    g.start_lsn = header.value().start_lsn;
     Lsn end = g.start_lsn;
     std::uint64_t charged = 0;
     // The sized parse overload reports each record's framed length, so the
@@ -362,11 +382,9 @@ Status RedoLog::read_online(Lsn from,
     if (!member.is_ok()) return member.status();
     auto bytes = fs_->read_all(member.value(), sim::IoMode::kForeground);
     if (!bytes.is_ok()) return bytes.status();
-    if (bytes.value().size() < kGroupHeaderSize) continue;
     bool keep_going = true;
-    VDB_RETURN_IF_ERROR(parse_records(
-        std::span<const std::uint8_t>(bytes.value()).subspan(kGroupHeaderSize),
-        [&](const LogRecord& rec) {
+    VDB_RETURN_IF_ERROR(parse_log_records(
+        bytes.value(), [&](const LogRecord& rec) {
           if (rec.lsn < from) return true;
           keep_going = fn(rec);
           return keep_going;

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,26 @@ struct RedoGroup {
   SimTime archive_done_at = 0;      // background copy completion
   bool current = false;
 };
+
+/// Header at the front of every online group member and archived log.
+struct LogFileHeader {
+  std::uint64_t seq = 0;
+  Lsn start_lsn = kInvalidLsn;
+};
+
+/// Decodes the header at the front of a log file image. kCorruption when
+/// the image is shorter than a header or its magic does not match (a group
+/// truncated for reuse and not yet written reads so too).
+Result<LogFileHeader> parse_log_header(std::span<const std::uint8_t> image);
+
+/// Reads and decodes just the header of the log file at `path` (one
+/// header-sized foreground read).
+Result<LogFileHeader> read_log_header(sim::SimFs& fs, const std::string& path);
+
+/// Passes every intact record of a log file image to `fn` (parse_records
+/// over the body). An image without a valid header holds no records.
+Status parse_log_records(std::span<const std::uint8_t> image,
+                         const std::function<bool(const LogRecord&)>& fn);
 
 class RedoLog {
  public:

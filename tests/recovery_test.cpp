@@ -154,6 +154,45 @@ TEST_F(RecoveryTest, PointInTimeLosesCommitsAfterStopPoint) {
   EXPECT_FALSE(pit.value().db->table_id("audit").is_ok());  // lost with tail
 }
 
+// Crashes with one committed row and one uncommitted row in `accounts`,
+// both below the stop point: a DROP of a second table. Returns the id of
+// the uncommitted transaction, the highest id in the redo.
+TxnId crash_with_uncommitted_row_before_drop(engine::Database& db,
+                                             TableId table, UserId user) {
+  put_row(db, table, "committed");
+  auto open = db.begin();
+  VDB_CHECK(open.is_ok());
+  VDB_CHECK(db.insert(open.value(), table, row("uncommitted")).is_ok());
+  VDB_CHECK(db.create_table("audit", "USERS", 64, user).is_ok());
+  VDB_CHECK(db.drop_table("audit").is_ok());  // flushes the insert too
+  VDB_CHECK(db.shutdown_abort().is_ok());
+  return open.value();
+}
+
+TEST_F(RecoveryTest, PointInTimeRollsBackUncommittedWork) {
+  ASSERT_TRUE(backups_->take_backup(db()).is_ok());
+  crash_with_uncommitted_row_before_drop(db(), table(), db_->user);
+
+  auto pit = rm_->point_in_time_recover(cfg_, stop_before_drop_table("audit"));
+  ASSERT_TRUE(pit.is_ok()) << pit.status().to_string();
+  engine::Database& recovered = *pit.value().db;
+  const auto rows = all_rows(recovered, recovered.table_id("accounts").value());
+  EXPECT_EQ(rows, (std::vector<std::string>{"committed"}));
+  EXPECT_EQ(recovered.txns().active_count(), 0u);
+}
+
+TEST_F(RecoveryTest, PointInTimeKeepsTxnIdsAboveReplayedOnes) {
+  ASSERT_TRUE(backups_->take_backup(db()).is_ok());
+  const TxnId highest =
+      crash_with_uncommitted_row_before_drop(db(), table(), db_->user);
+
+  auto pit = rm_->point_in_time_recover(cfg_, stop_before_drop_table("audit"));
+  ASSERT_TRUE(pit.is_ok()) << pit.status().to_string();
+  auto next = pit.value().db->begin();
+  ASSERT_TRUE(next.is_ok());
+  EXPECT_GT(next.value().value, highest.value);
+}
+
 TEST_F(RecoveryTest, RestoreToBackupLosesEverythingSince) {
   put_row(db(), table(), "in-backup");
   ASSERT_TRUE(backups_->take_backup(db()).is_ok());
@@ -172,11 +211,11 @@ TEST_F(RecoveryTest, RestoreToBackupLosesEverythingSince) {
 TEST_F(RecoveryTest, RestartInstanceRunsCrashRecovery) {
   put_row(db(), table(), "survives");
   ASSERT_TRUE(db().shutdown_abort().is_ok());
-  auto fresh = rm_->restart_instance(cfg_);
-  ASSERT_TRUE(fresh.is_ok());
-  EXPECT_TRUE(fresh.value()->is_open());
-  const auto rows =
-      all_rows(*fresh.value(), fresh.value()->table_id("accounts").value());
+  auto fresh =
+      std::make_unique<engine::Database>(&env_.host, &env_.sched, cfg_);
+  ASSERT_TRUE(fresh->startup().is_ok());
+  EXPECT_TRUE(fresh->is_open());
+  const auto rows = all_rows(*fresh, fresh->table_id("accounts").value());
   EXPECT_EQ(rows, (std::vector<std::string>{"survives"}));
 }
 

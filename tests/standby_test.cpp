@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "recovery/backup.hpp"
 #include "sim/network.hpp"
 #include "standby/standby.hpp"
@@ -98,6 +100,56 @@ TEST_F(StandbyTest, ActivationRecoversArchivedState) {
   EXPECT_EQ(rows.size(), expect_survivors);
   EXPECT_GT(expect_survivors, 0u);
   EXPECT_LT(expect_survivors, commit_lsns.size());  // some tail was lost
+}
+
+TEST_F(StandbyTest, ActivationKeepsTxnIdsAboveShippedOnes) {
+  std::vector<std::pair<TxnId, Lsn>> commits;
+  for (int i = 0; i < 400; ++i) {
+    auto txn = primary_->db->begin();
+    ASSERT_TRUE(txn.is_ok());
+    ASSERT_TRUE(
+        primary_->db->insert(txn.value(), primary_->table, row("r")).is_ok());
+    auto lsn = primary_->db->commit(txn.value());
+    ASSERT_TRUE(lsn.is_ok());
+    commits.emplace_back(txn.value(), lsn.value());
+  }
+  ASSERT_TRUE(primary_->db->shutdown_abort().is_ok());
+
+  auto report = standby_->activate();
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  std::uint64_t highest_applied = 0;
+  for (const auto& [txn, lsn] : commits) {
+    if (lsn <= report.value().recovered_to) {
+      highest_applied = std::max(highest_applied, txn.value);
+    }
+  }
+  ASSERT_GT(highest_applied, 0u);
+  auto next = standby_->db().begin();
+  ASSERT_TRUE(next.is_ok());
+  EXPECT_GT(next.value().value, highest_applied);
+}
+
+TEST_F(StandbyTest, ActivationRollsBackTxnOpenAcrossShippedArchives) {
+  // The open transaction's insert lands in an early archive; every later
+  // archive, the last shipped one included, ends while it is still open.
+  auto open = primary_->db->begin();
+  ASSERT_TRUE(open.is_ok());
+  ASSERT_TRUE(primary_->db
+                  ->insert(open.value(), primary_->table, row("uncommitted"))
+                  .is_ok());
+  for (int i = 0; i < 400; ++i) {
+    put_row(*primary_->db, primary_->table, "committed");
+  }
+  ASSERT_GT(standby_->archives_applied(), 1u);
+  ASSERT_TRUE(primary_->db->shutdown_abort().is_ok());
+
+  auto report = standby_->activate();
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  const auto rows =
+      all_rows(standby_->db(), standby_->db().table_id("accounts").value());
+  EXPECT_FALSE(rows.empty());
+  EXPECT_EQ(std::count(rows.begin(), rows.end(), "uncommitted"), 0);
+  EXPECT_EQ(standby_->db().txns().active_count(), 0u);
 }
 
 TEST_F(StandbyTest, ActivatedStandbyAcceptsNewWork) {

@@ -456,6 +456,51 @@ TEST_F(RedoLogTest, ArchiveModeProducesArchives) {
   EXPECT_GT(records, 0);
 }
 
+TEST_F(RedoLogTest, LogFileReaderSkipsBadHeaders) {
+  auto log = make_log(4096, 3, /*archive=*/true);
+  ASSERT_TRUE(log->create().is_ok());
+  for (int i = 0; i < 100; ++i) {
+    LogRecord rec = make_commit(static_cast<std::uint64_t>(i));
+    log->append(rec);
+    ASSERT_TRUE(log->flush().is_ok());
+  }
+  const auto archives = host_.fs().list("/arch/arch_");
+  ASSERT_GT(archives.size(), 1u);
+  const std::string& path = archives[0];
+  auto header = read_log_header(host_.fs(), path);
+  ASSERT_TRUE(header.is_ok());
+  EXPECT_EQ(header.value().seq, 1u);
+  EXPECT_EQ(header.value().start_lsn, 1u);
+
+  auto bytes = host_.fs().read_all(path, sim::IoMode::kBackground);
+  ASSERT_TRUE(bytes.is_ok());
+  std::vector<std::uint8_t> image = bytes.value();
+  auto count_records = [](std::span<const std::uint8_t> data) {
+    int records = 0;
+    EXPECT_TRUE(parse_log_records(data, [&](const LogRecord&) {
+                  records += 1;
+                  return true;
+                }).is_ok());
+    return records;
+  };
+  EXPECT_GT(count_records(image), 0);
+
+  // A damaged magic: the header reads as corrupt and the file holds no
+  // records, like a never-used online group.
+  image[0] ^= 0xFF;
+  ASSERT_TRUE(host_.fs()
+                  .write(path, 0, std::span<const std::uint8_t>(image).first(4),
+                         sim::IoMode::kBackground)
+                  .is_ok());
+  EXPECT_EQ(read_log_header(host_.fs(), path).code(), ErrorCode::kCorruption);
+  EXPECT_EQ(count_records(image), 0);
+  // An image shorter than a header holds no records either.
+  image[0] ^= 0xFF;
+  const auto truncated = std::span<const std::uint8_t>(image).first(19);
+  EXPECT_EQ(parse_log_header(truncated).code(), ErrorCode::kCorruption);
+  EXPECT_EQ(count_records(truncated), 0);
+}
+
 TEST_F(RedoLogTest, ResetlogsStartsFreshAboveOldLsns) {
   auto log = make_log(8192, 3);
   ASSERT_TRUE(log->create().is_ok());
