@@ -10,12 +10,11 @@
 // per-shard lost transactions — and the benchmark's hard zero, cross-shard
 // atomicity violations (a gtxn committed on one shard, aborted on
 // another).
-#include <atomic>
 #include <chrono>
 #include <optional>
-#include <thread>
 
 #include "bench/bench_common.hpp"
+#include "common/parallel.hpp"
 #include "fleet/fleet_experiment.hpp"
 
 using namespace vdb;
@@ -41,27 +40,15 @@ struct FleetOutcome {
 std::vector<FleetOutcome> run_all(const std::vector<FleetRun>& batch,
                                   unsigned jobs) {
   std::vector<FleetOutcome> outcomes(batch.size());
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= batch.size()) return;
-      const auto started = std::chrono::steady_clock::now();
-      fleet::FleetExperiment experiment(batch[i].opts);
-      outcomes[i].label = batch[i].label;
-      outcomes[i].result = experiment.run();
-      outcomes[i].wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count();
-    }
-  };
-  std::vector<std::thread> pool;
-  const unsigned n =
-      std::min<unsigned>(jobs, static_cast<unsigned>(batch.size()));
-  for (unsigned t = 0; t + 1 < n; ++t) pool.emplace_back(worker);
-  worker();
-  for (std::thread& t : pool) t.join();
+  parallel_for(batch.size(), jobs, [&](std::size_t i) {
+    const auto started = std::chrono::steady_clock::now();
+    outcomes[i].label = batch[i].label;
+    outcomes[i].result = fleet::FleetExperiment(batch[i].opts).run();
+    outcomes[i].wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      started)
+            .count();
+  });
   return outcomes;
 }
 
@@ -188,6 +175,7 @@ int main() {
       std::fprintf(
           f,
           "\"shard_count\": %u, \"tpmc\": %s, \"committed\": %llu, "
+          "\"failed_attempts\": %llu, "
           "\"cross_shard_started\": %llu, \"cross_shard_committed\": %llu, "
           "\"fault_injected\": %s, \"recovered\": %s, "
           "\"detection_seconds\": %s, \"recovery_seconds\": %s, "
@@ -196,6 +184,7 @@ int main() {
           "\"lost_per_shard\": [",
           r.shard_count, json_num(r.tpmc).c_str(),
           static_cast<unsigned long long>(r.committed),
+          static_cast<unsigned long long>(r.failed_attempts),
           static_cast<unsigned long long>(r.cross_shard_started),
           static_cast<unsigned long long>(r.cross_shard_committed),
           r.fault_injected ? "true" : "false",

@@ -77,7 +77,7 @@ def check_fleet(path: pathlib.Path, doc: dict) -> list[str]:
         if not isinstance(shard_count, int) or shard_count < 2:
             errors.append(f"{path}: run '{label}' shard_count "
                           f"{shard_count!r} is not an integer >= 2")
-        for field in ("promotions", "in_doubt_resolved",
+        for field in ("failed_attempts", "promotions", "in_doubt_resolved",
                       "atomicity_violations", "lost_committed"):
             value = run.get(field)
             if not isinstance(value, int) or value < 0:

@@ -1,113 +1,28 @@
 #include "benchmark/experiment.hpp"
 
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "engine/database.hpp"
-#include "recovery/backup.hpp"
+#include "benchmark/testbed.hpp"
 #include "recovery/recovery_manager.hpp"
-#include "sim/host.hpp"
-#include "sim/network.hpp"
-#include "standby/standby.hpp"
 #include "tpcc/consistency.hpp"
-#include "tpcc/tpcc_db.hpp"
 #include "tpcc/tpcc_driver.hpp"
-#include "tpcc/tpcc_loader.hpp"
 
 namespace vdb::bench {
-
-namespace {
-
-void add_standard_disks(sim::Host& host) {
-  // The paper's testbed: four disks per server. Data, online redo, archive
-  // destination, and backup area each get their own device.
-  host.add_disk("/data");
-  host.add_disk("/redo");
-  host.add_disk("/arch");
-  host.add_disk("/backup");
-}
-
-engine::DatabaseConfig make_db_config(const ExperimentOptions& opts) {
-  engine::DatabaseConfig cfg;
-  cfg.name = "tpcc";
-  cfg.redo.file_size_bytes =
-      static_cast<std::uint64_t>(opts.config.file_mb) * 1024 * 1024;
-  cfg.redo.groups = opts.config.groups;
-  cfg.redo.archive_mode = opts.archive_mode || opts.with_standby;
-  cfg.checkpoint_timeout =
-      static_cast<SimDuration>(opts.config.timeout_sec) * kSecond;
-  cfg.storage.cache_pages = opts.cache_pages;
-  cfg.restart_mode = opts.restart_mode;
-  cfg.early_open_stall = opts.early_open_stall;
-  cfg.cc_protocol = opts.cc_protocol;
-  return cfg;
-}
-
-}  // namespace
 
 Result<ExperimentResult> Experiment::run() {
   sim::VirtualClock clock;
   sim::Scheduler sched(&clock);
-  sim::Host primary("primary", &clock);
-  add_standard_disks(primary);
-
-  // The experiment owns the statistics area so counters, wait events and
-  // the recovery trace survive crash-restart incarnation swaps (each
-  // restart builds a new Database that registers into the same registry).
-  // A configured standby shares it too: its engine merges into the same
-  // counters, and stand-by activation extends the same recovery trace.
-  auto stats_area = std::make_unique<obs::Observability>();
-  engine::DatabaseConfig cfg = make_db_config(opts_);
-  cfg.obs = stats_area.get();
-  auto db = std::make_unique<engine::Database>(&primary, &sched, cfg);
-  VDB_RETURN_IF_ERROR(db->create());
-
-  // TPCC tablespace spread over the data disk's files.
-  std::vector<std::pair<std::string, std::uint32_t>> files;
-  for (std::uint32_t i = 0; i < opts_.datafiles; ++i) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "/data/tpcc%02u.dbf", i + 1);
-    files.emplace_back(buf, opts_.datafile_blocks);
-  }
-  auto ts = db->create_tablespace("TPCC", files);
-  if (!ts.is_ok()) return ts.status();
-  auto user = db->create_user("TPCC", /*is_dba=*/false);
-  if (!user.is_ok()) return user.status();
-
-  tpcc::TpccDb tdb(opts_.scale);
-  VDB_RETURN_IF_ERROR(tdb.create_schema(*db, "TPCC", user.value()));
-  VDB_RETURN_IF_ERROR(tdb.attach(db.get()));
-  tpcc::Loader loader(&tdb, opts_.seed ^ 0x10ad5eedull);
-  auto load = loader.load();
-  if (!load.is_ok()) return load.status();
-
-  recovery::BackupManager backups(&primary.fs(), "/backup");
-  recovery::RecoveryManager rm(&primary, &sched, &backups);
-
-  std::unique_ptr<sim::Host> standby_host;
-  std::unique_ptr<sim::NetworkLink> link;
-  std::unique_ptr<standby::StandbyDatabase> sb;
-  if (opts_.with_standby) {
-    standby_host = std::make_unique<sim::Host>("standby", &clock);
-    add_standard_disks(*standby_host);
-    link = std::make_unique<sim::NetworkLink>();
-    standby::StandbyConfig scfg;
-    scfg.db = cfg;
-    sb = std::make_unique<standby::StandbyDatabase>(standby_host.get(),
-                                                    &sched, scfg, link.get());
-    VDB_RETURN_IF_ERROR(sb->instantiate_from(*db, backups));
-    db->archiver().on_archived = [&](const std::string& path,
-                                     std::uint64_t seq, SimTime done_at) {
-      sb->on_primary_archive(primary.fs(), path, seq, done_at);
-    };
-  } else {
-    auto backup = backups.take_backup(*db);
-    if (!backup.is_ok()) return backup.status();
-  }
+  Testbed tb(&sched);
+  VDB_RETURN_IF_ERROR(tb.build(opts_, Testbed::Names{}));
+  obs::Observability& stats_area = *tb.obs;
+  std::unique_ptr<engine::Database>& db = tb.db;
+  tpcc::TpccDb& tdb = *tb.tdb;
+  recovery::RecoveryManager rm(tb.primary_host.get(), &sched,
+                               tb.backups.get());
 
   tpcc::DriverConfig dcfg;
   dcfg.seed = opts_.seed;
@@ -133,7 +48,7 @@ Result<ExperimentResult> Experiment::run() {
     // post-recovery commit belongs to the resume phase; the span is left
     // OPEN (entered, not exited) so early-open restart modes can interleave
     // on_demand spans into it while the workload runs.
-    obs::RecoveryTracer& tracer = stats_area->tracer();
+    obs::RecoveryTracer& tracer = stats_area.tracer();
     const SimTime open_at = clock.now();
     if (tracer.active()) {
       tracer.enter(obs::RecoveryPhase::kResume, open_at);
@@ -190,7 +105,7 @@ Result<ExperimentResult> Experiment::run() {
   // end-user; the detection span then runs exactly until the procedure
   // starts, so later phases tile [recovery_start, first commit].
   auto begin_trace = [&](const char* label, SimTime failure_time) {
-    obs::RecoveryTracer& tracer = stats_area->tracer();
+    obs::RecoveryTracer& tracer = stats_area.tracer();
     tracer.start(label, failure_time);
     tracer.enter(obs::RecoveryPhase::kDetection, failure_time);
   };
@@ -232,7 +147,7 @@ Result<ExperimentResult> Experiment::run() {
                         "pre-fault workload failed: " + pre.message());
     }
 
-    faults::ExtendedFaultInjector injector(&backups);
+    faults::ExtendedFaultInjector injector(tb.backups.get());
     VDB_RETURN_IF_ERROR(injector.inject(*db, sfault));
     result.fault_injected = true;
     result.fault_time = clock.now();
@@ -261,7 +176,7 @@ Result<ExperimentResult> Experiment::run() {
       begin_trace("storage recovery", failure_time);
       clock.advance_by(opts_.detection_time);
       const SimTime recovery_start = clock.now();
-      stats_area->tracer().enter(obs::RecoveryPhase::kRestore, recovery_start);
+      stats_area.tracer().enter(obs::RecoveryPhase::kRestore, recovery_start);
 
       Lsn recovered_to = std::numeric_limits<Lsn>::max();  // complete
       bool procedure_ok = true;
@@ -275,21 +190,12 @@ Result<ExperimentResult> Experiment::run() {
           break;
         }
         case faults::ExtendedFaultType::kTornPageWrite: {
-          auto fresh =
-              std::make_unique<engine::Database>(&primary, &sched, cfg);
-          fresh->set_on_mounted(
-              [&](engine::Database& d) { (void)tdb.attach(&d); });
           // Instance recovery replays from the tearing checkpoint onward,
           // which never revisits the torn block — repair it from the
           // backup before the rebuild scan reads it.
-          fresh->set_post_recovery_hook(
+          Status up = tb.restart(
               [&](engine::Database& d) { return repair_corrupt_blocks(d); });
-          Status up = fresh->startup();
-          if (!up.is_ok()) {
-            procedure_ok = false;
-          } else {
-            db = std::move(fresh);
-          }
+          if (!up.is_ok()) procedure_ok = false;
           break;
         }
         case faults::ExtendedFaultType::kTransientIoErrors: {
@@ -321,7 +227,7 @@ Result<ExperimentResult> Experiment::run() {
         return make_error(pre.code(),
                           "pre-latent workload failed: " + pre.message());
       }
-      faults::ExtendedFaultInjector latent_injector(&backups);
+      faults::ExtendedFaultInjector latent_injector(tb.backups.get());
       VDB_RETURN_IF_ERROR(latent_injector.inject(*db, *opts_.latent_fault));
     }
 
@@ -358,7 +264,7 @@ Result<ExperimentResult> Experiment::run() {
                   failure_time);
       clock.advance_by(opts_.detection_time);
       const SimTime recovery_start = clock.now();
-      stats_area->tracer().enter(obs::RecoveryPhase::kRestore, recovery_start);
+      stats_area.tracer().enter(obs::RecoveryPhase::kRestore, recovery_start);
 
       Lsn recovered_to = std::numeric_limits<Lsn>::max();  // complete
       bool procedure_ok = true;
@@ -367,8 +273,8 @@ Result<ExperimentResult> Experiment::run() {
         // Fail over to the stand-by, whatever the fault was (§5.3). The
         // broken primary is powered off.
         if (db->is_open()) (void)db->shutdown_abort();
-        VDB_RETURN_IF_ERROR(tdb.attach(&sb->db()));
-        auto act = sb->activate();
+        VDB_RETURN_IF_ERROR(tdb.attach(&tb.standby->db()));
+        auto act = tb.standby->activate();
         if (!act.is_ok()) {
           procedure_ok = false;
         } else {
@@ -379,16 +285,7 @@ Result<ExperimentResult> Experiment::run() {
       } else {
         switch (faults::recovery_kind(fault.type)) {
           case faults::RecoveryKind::kInstanceRestart: {
-            auto fresh =
-                std::make_unique<engine::Database>(&primary, &sched, cfg);
-            fresh->set_on_mounted(
-                [&](engine::Database& d) { (void)tdb.attach(&d); });
-            Status up = fresh->startup();
-            if (!up.is_ok()) {
-              procedure_ok = false;
-            } else {
-              db = std::move(fresh);
-            }
+            if (!tb.restart().is_ok()) procedure_ok = false;
             break;
           }
           case faults::RecoveryKind::kMediaRecovery: {
@@ -400,7 +297,7 @@ Result<ExperimentResult> Experiment::run() {
               // back to the last backup — losing everything since.
               if (db->is_open()) (void)db->shutdown_abort();
               auto pit = rm.restore_to_backup(
-                  cfg, [&](engine::Database& d) { (void)tdb.attach(&d); });
+                  tb.cfg, [&](engine::Database& d) { (void)tdb.attach(&d); });
               if (!pit.is_ok()) {
                 procedure_ok = false;
               } else {
@@ -422,7 +319,7 @@ Result<ExperimentResult> Experiment::run() {
             // The DBA types one ALTER TABLESPACE ... ONLINE. No restore
             // happens; re-enter at the same instant so the zero-length
             // restore span is dropped and the command is an open phase.
-            stats_area->tracer().enter(obs::RecoveryPhase::kOpen,
+            stats_area.tracer().enter(obs::RecoveryPhase::kOpen,
                                        recovery_start);
             clock.advance_by(800 * kMillisecond);
             Status online = db->alter_tablespace_online(fault.tablespace);
@@ -436,7 +333,8 @@ Result<ExperimentResult> Experiment::run() {
                     ? recovery::stop_before_drop_tablespace(fault.tablespace)
                     : recovery::stop_before_drop_table(fault.table);
             auto pit = rm.point_in_time_recover(
-                cfg, stop, [&](engine::Database& d) { (void)tdb.attach(&d); });
+                tb.cfg, stop,
+                [&](engine::Database& d) { (void)tdb.attach(&d); });
             if (!pit.is_ok()) {
               procedure_ok = false;
             } else {
@@ -456,10 +354,9 @@ Result<ExperimentResult> Experiment::run() {
   }
 
   // Collect measures.
-  engine::Database* final_db =
-      (opts_.with_standby && sb->active()) ? &sb->db() : db.get();
+  engine::Database& final_db = tb.serving_db();
   result.redo_bytes = db->redo().next_lsn() - redo_start_lsn;
-  for (const auto& disk : primary.disks()) {
+  for (const auto& disk : tb.primary_host->disks()) {
     result.transient_errors += disk->stats().transient_errors;
   }
 
@@ -475,11 +372,11 @@ Result<ExperimentResult> Experiment::run() {
   result.workers = driver.workers();
   result.cc_retries = driver.stats().cc_retries;
 
-  if (final_db->is_open()) {
+  if (final_db.is_open()) {
     // Early-open restart: drain any redo still pending so the consistency
     // check (and any state comparison the caller runs) sees the fully
     // converged end state.
-    VDB_RETURN_IF_ERROR(final_db->complete_restart_recovery());
+    VDB_RETURN_IF_ERROR(final_db.complete_restart_recovery());
     tpcc::ConsistencyChecker checker(&tdb);
     auto report = checker.run_all();
     if (!report.is_ok()) return report.status();
@@ -488,7 +385,7 @@ Result<ExperimentResult> Experiment::run() {
     result.integrity_messages = report.value().messages;
   }
 
-  const obs::RecoveryTrace* trace = stats_area->tracer().latest();
+  const obs::RecoveryTrace* trace = stats_area.tracer().latest();
   if (trace != nullptr) {
     for (size_t k = 0; k < obs::kRecoveryPhaseCount; ++k) {
       const auto phase = static_cast<obs::RecoveryPhase>(k);
@@ -496,7 +393,7 @@ Result<ExperimentResult> Experiment::run() {
                                           trace->phase_time(phase));
     }
   }
-  result.metrics = stats_area->snapshot();
+  result.metrics = stats_area.snapshot();
   return result;
 }
 

@@ -7,17 +7,25 @@ namespace vdb::engine {
 void RedoAnalysis::note(const wal::LogRecord& rec) {
   if (rec.txn.valid()) max_txn = std::max(max_txn, rec.txn.value);
   switch (rec.type) {
-    case wal::LogRecordType::kCheckpoint:
+    case wal::LogRecordType::kCheckpoint: {
       // The snapshot supersedes anything collected so far for those
       // transactions (it includes all of their ops up to this record).
+      // An ended transaction it leaves out is never listed again (snapshots
+      // skip end-logged transactions), so only the ones it lists stay.
+      std::set<std::uint64_t> still_listed;
       for (const auto& snap : rec.active_txns) {
         max_txn = std::max(max_txn, snap.txn.value);
-        if (ended.contains(snap.txn.value)) continue;
+        if (ended.contains(snap.txn.value)) {
+          still_listed.insert(snap.txn.value);
+          continue;
+        }
         live[snap.txn.value] =
             Txn{snap.ops, 0, snap.prepared, snap.gtxn, snap.coord_shard};
       }
+      ended = std::move(still_listed);
       for (const auto& d : rec.coord_decisions) decisions[d.gtxn] = d.commit;
       break;
+    }
     case wal::LogRecordType::kCommit:
     case wal::LogRecordType::kAbort:
       live.erase(rec.txn.value);

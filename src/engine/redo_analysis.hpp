@@ -35,9 +35,9 @@ struct RedoAnalysis {
 
   /// In-flight transactions by id (ordered, so undo can run newest first).
   std::map<std::uint64_t, Txn> live;
-  /// Transactions whose end record was noted. A checkpoint snapshot that
-  /// still lists one (taken while its end record was in flight) must never
-  /// revive it.
+  /// Transactions whose end record was noted since the last checkpoint, or
+  /// that the last checkpoint's snapshot still lists (taken while their end
+  /// record was in flight). A later snapshot must never revive one.
   std::set<std::uint64_t> ended;
   /// Coordinator decisions, from checkpoint records and decision records.
   std::map<std::uint64_t, bool> decisions;

@@ -1,10 +1,7 @@
 #include "fleet/fleet.hpp"
 
-#include <cstdio>
 #include <string>
 #include <utility>
-
-#include "tpcc/tpcc_loader.hpp"
 
 namespace vdb::fleet {
 
@@ -52,17 +49,6 @@ std::uint64_t TwoPhaseRegistry::atomicity_violations() const {
   return violations;
 }
 
-namespace {
-
-void add_standard_disks(sim::Host& host) {
-  host.add_disk("/data");
-  host.add_disk("/redo");
-  host.add_disk("/arch");
-  host.add_disk("/backup");
-}
-
-}  // namespace
-
 Fleet::Fleet(FleetConfig cfg)
     : cfg_(std::move(cfg)), sched_(&clock_) {
   if (cfg_.scale.warehouses < cfg_.shards * 2) {
@@ -80,102 +66,36 @@ std::uint32_t Fleet::shard_of(std::uint32_t warehouse) const {
       (static_cast<std::uint64_t>(warehouse) * 2654435761ull) % cfg_.shards);
 }
 
-engine::Database& Fleet::active_db(std::uint32_t i) {
-  Shard& s = *shards_[i];
-  return s.promoted ? s.standby->db() : *s.db;
-}
-
 Status Fleet::setup() {
   if (cfg_.shards < 2) {
     return Status{ErrorCode::kInvalidArgument, "fleet needs >= 2 shards"};
   }
   shards_.clear();
   for (std::uint32_t i = 0; i < cfg_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(&sched_));
     shards_[i]->index = i;
   }
   for (std::uint32_t w = 1; w <= cfg_.scale.warehouses; ++w) {
     shards_[shard_of(w)]->warehouses.push_back(w);
   }
   for (std::uint32_t i = 0; i < cfg_.shards; ++i) {
-    if (shards_[i]->warehouses.empty()) {
+    Shard& s = *shards_[i];
+    if (s.warehouses.empty()) {
       return Status{ErrorCode::kInvalidArgument,
                     "warehouse hash left shard " + std::to_string(i) +
                         " empty; raise scale.warehouses"};
     }
-    VDB_RETURN_IF_ERROR(setup_shard(i));
+    const std::string tag = "shard" + std::to_string(i);
+    bench::ExperimentOptions opts;
+    opts.scale = cfg_.scale;
+    opts.with_standby = true;
+    // The shard loads its own warehouses plus the full (replicated) item
+    // catalog. A per-shard seed keeps the loads independent.
+    opts.seed = cfg_.seed ^ (0x9e3779b97f4a7c15ull * (i + 1));
+    VDB_RETURN_IF_ERROR(
+        s.build(opts, {tag, tag + "-standby", "tpcc-" + tag}, s.warehouses));
   }
   return Status::ok();
-}
-
-Status Fleet::setup_shard(std::uint32_t i) {
-  Shard& s = *shards_[i];
-  const std::string tag = "shard" + std::to_string(i);
-  s.primary_host = std::make_unique<sim::Host>(tag, &clock_);
-  add_standard_disks(*s.primary_host);
-  s.obs = std::make_unique<obs::Observability>();
-
-  engine::DatabaseConfig cfg;
-  cfg.name = "tpcc-" + tag;
-  cfg.redo.file_size_bytes =
-      static_cast<std::uint64_t>(cfg_.redo_file_mb) * 1024 * 1024;
-  cfg.redo.groups = cfg_.redo_groups;
-  cfg.redo.archive_mode = true;  // standby shipping needs archives
-  cfg.checkpoint_timeout = cfg_.checkpoint_timeout;
-  cfg.storage.cache_pages = cfg_.cache_pages;
-  cfg.obs = s.obs.get();
-  s.cfg = cfg;
-
-  s.db = std::make_unique<engine::Database>(s.primary_host.get(), &sched_,
-                                            s.cfg);
-  VDB_RETURN_IF_ERROR(s.db->create());
-
-  std::vector<std::pair<std::string, std::uint32_t>> files;
-  for (std::uint32_t f = 0; f < cfg_.datafiles; ++f) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "/data/tpcc%02u.dbf", f + 1);
-    files.emplace_back(buf, cfg_.datafile_blocks);
-  }
-  auto ts = s.db->create_tablespace("TPCC", files);
-  if (!ts.is_ok()) return ts.status();
-  auto user = s.db->create_user("TPCC", /*is_dba=*/false);
-  if (!user.is_ok()) return user.status();
-
-  s.tdb = std::make_unique<tpcc::TpccDb>(cfg_.scale);
-  VDB_RETURN_IF_ERROR(s.tdb->create_schema(*s.db, "TPCC", user.value()));
-  VDB_RETURN_IF_ERROR(s.tdb->attach(s.db.get()));
-
-  // Warehouse-subset population: this shard's warehouses plus the full
-  // (replicated) item catalog. Per-shard seed keeps loads independent.
-  tpcc::Loader loader(s.tdb.get(),
-                      cfg_.seed ^ 0x10ad5eedull ^
-                          (0x9e3779b97f4a7c15ull * (i + 1)));
-  auto load = loader.load_warehouses(s.warehouses);
-  if (!load.is_ok()) return load.status();
-
-  s.backups = std::make_unique<recovery::BackupManager>(
-      &s.primary_host->fs(), "/backup");
-
-  s.standby_host = std::make_unique<sim::Host>(tag + "-standby", &clock_);
-  add_standard_disks(*s.standby_host);
-  s.link = std::make_unique<sim::NetworkLink>();
-  standby::StandbyConfig scfg;
-  scfg.db = s.cfg;
-  s.standby = std::make_unique<standby::StandbyDatabase>(
-      s.standby_host.get(), &sched_, scfg, s.link.get());
-  VDB_RETURN_IF_ERROR(s.standby->instantiate_from(*s.db, *s.backups));
-  wire_shipping(s);
-  return Status::ok();
-}
-
-void Fleet::wire_shipping(Shard& s) {
-  sim::SimFs* primary_fs = &s.primary_host->fs();
-  standby::StandbyDatabase* sb = s.standby.get();
-  s.db->archiver().on_archived = [primary_fs, sb](const std::string& path,
-                                                  std::uint64_t seq,
-                                                  SimTime done_at) {
-    sb->on_primary_archive(*primary_fs, path, seq, done_at);
-  };
 }
 
 Status Fleet::restart_shard(std::uint32_t i) {
@@ -185,13 +105,7 @@ Status Fleet::restart_shard(std::uint32_t i) {
                   "shard failed over; the promoted standby is the instance"};
   }
   if (s.db->is_open()) return Status::ok();  // nothing to do
-  // A crashed incarnation never comes back — a fresh instance mounts the
-  // surviving files and instance-recovers from the redo stream.
-  s.db = std::make_unique<engine::Database>(s.primary_host.get(), &sched_,
-                                            s.cfg);
-  VDB_RETURN_IF_ERROR(s.db->startup());
-  VDB_RETURN_IF_ERROR(s.tdb->attach(s.db.get()));
-  wire_shipping(s);
+  VDB_RETURN_IF_ERROR(s.restart());
   s.failed_at = 0;
   return Status::ok();
 }
@@ -221,9 +135,7 @@ Result<standby::ActivationReport> Fleet::promote(std::uint32_t i) {
 
 bool Fleet::healthy() const {
   for (const auto& s : shards_) {
-    const engine::Database& db =
-        s->promoted ? s->standby->db() : *s->db;
-    if (!db.is_open()) return false;
+    if (!s->serving_db().is_open()) return false;
   }
   return true;
 }

@@ -21,11 +21,9 @@
 #include <memory>
 #include <vector>
 
+#include "benchmark/testbed.hpp"
 #include "common/status.hpp"
 #include "engine/database.hpp"
-#include "obs/observability.hpp"
-#include "recovery/backup.hpp"
-#include "sim/host.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/virtual_clock.hpp"
@@ -35,18 +33,13 @@
 
 namespace vdb::fleet {
 
+/// Each shard is one paper testbed sized by ExperimentOptions' defaults
+/// (F40G3T10, two datafiles, 2048 cache frames), with a stand-by.
 struct FleetConfig {
   std::uint32_t shards = 2;
   /// TPC-C scale for the whole fleet; scale.warehouses spread over shards.
   tpcc::TpccScale scale{};
   std::uint64_t seed = 12345;
-  /// Per-shard recovery configuration (each shard is one paper testbed).
-  std::uint32_t redo_file_mb = 40;
-  std::uint32_t redo_groups = 3;
-  SimDuration checkpoint_timeout = 600 * kSecond;
-  std::uint32_t datafiles = 2;
-  std::uint32_t datafile_blocks = 512;
-  std::uint32_t cache_pages = 2048;
 };
 
 /// One branch of a distributed transaction, as the benchmark observed it.
@@ -95,21 +88,14 @@ class TwoPhaseRegistry {
   std::map<std::uint64_t, GlobalTxn> txns_;
 };
 
-/// One shard: a primary host + instance, its standby fed over a network
-/// link, and the TPC-C access paths bound to whichever incarnation is
-/// active. The statistics area is per shard and survives promotion.
-struct Shard {
+/// One shard: a testbed (primary host and instance, stand-by fed over a
+/// network link, statistics area that survives promotion) whose TPC-C
+/// access paths are bound to whichever incarnation is active.
+struct Shard : bench::Testbed {
+  using Testbed::Testbed;
+
   std::uint32_t index = 0;
   std::vector<std::uint32_t> warehouses;
-  std::unique_ptr<sim::Host> primary_host;
-  std::unique_ptr<sim::Host> standby_host;
-  std::unique_ptr<sim::NetworkLink> link;
-  std::unique_ptr<obs::Observability> obs;
-  engine::DatabaseConfig cfg;
-  std::unique_ptr<engine::Database> db;
-  std::unique_ptr<tpcc::TpccDb> tdb;
-  std::unique_ptr<recovery::BackupManager> backups;
-  std::unique_ptr<standby::StandbyDatabase> standby;
   bool promoted = false;
   /// After promotion: the activation watermark — primary commits above it
   /// were in the unarchived online group and are lost.
@@ -121,8 +107,7 @@ class Fleet {
  public:
   explicit Fleet(FleetConfig cfg);
 
-  /// Builds every shard: hosts, instance, TPC-C schema, warehouse-subset
-  /// load, standby instantiation and archive-shipping wiring.
+  /// Builds every shard's testbed over its warehouse subset.
   Status setup();
 
   /// Static partition map: multiplicative hash of the warehouse id.
@@ -134,7 +119,9 @@ class Fleet {
 
   /// The shard's serving instance: the promoted standby when failed over,
   /// else the original primary.
-  engine::Database& active_db(std::uint32_t i);
+  engine::Database& active_db(std::uint32_t i) {
+    return shards_[i]->serving_db();
+  }
   tpcc::TpccDb& tdb(std::uint32_t i) { return *shards_[i]->tdb; }
 
   /// Kills a shard's serving instance (SHUTDOWN ABORT) — the fleet
@@ -162,10 +149,6 @@ class Fleet {
   const tpcc::TpccScale& scale() const { return cfg_.scale; }
 
  private:
-  Status setup_shard(std::uint32_t i);
-  /// (Re-)points the primary's archiver at the shard's standby.
-  void wire_shipping(Shard& s);
-
   FleetConfig cfg_;
   sim::VirtualClock clock_;
   sim::Scheduler sched_;

@@ -1,22 +1,16 @@
 #include "fleet/fleet_experiment.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <map>
-#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "fleet/fleet_driver.hpp"
 #include "tpcc/consistency.hpp"
-#include "tpcc/schema.hpp"
 
 namespace vdb::fleet {
 
 namespace {
-
-constexpr double kMoneyEps = 0.02;
-bool money_eq(double a, double b) { return std::fabs(a - b) < kMoneyEps; }
 
 /// Appends `from`'s rows into `into` with every name prefixed — the
 /// per-shard V$SYSSTAT view inside one fleet snapshot.
@@ -252,40 +246,18 @@ Result<FleetExperimentResult> FleetExperiment::run() {
           "W-history check skipped: cross-shard transactions wiped by "
           "accounted redo loss on promotion");
     } else {
-      result.integrity_checks += 1;
-      std::map<std::uint32_t, double> history_sum;
-      std::map<std::uint32_t, double> w_ytd;
+      std::vector<tpcc::TpccDb*> shards;
       for (std::uint32_t i = 0; i < fleet.size(); ++i) {
-        tpcc::TpccDb& tdb = fleet.tdb(i);
-        VDB_RETURN_IF_ERROR(tdb.db().scan(
-            tdb.table(tpcc::Tbl::kHistory),
-            [&](RowId, std::span<const std::uint8_t> bytes) {
-              auto row = tpcc::from_bytes<tpcc::HistoryRow>(bytes);
-              history_sum[row.h_w_id] += row.h_amount;
-              return true;
-            }));
-        VDB_RETURN_IF_ERROR(tdb.db().scan(
-            tdb.table(tpcc::Tbl::kWarehouse),
-            [&](RowId, std::span<const std::uint8_t> bytes) {
-              auto row = tpcc::from_bytes<tpcc::WarehouseRow>(bytes);
-              w_ytd[row.w_id] = row.w_ytd;
-              return true;
-            }));
+        shards.push_back(&fleet.tdb(i));
       }
-      const double initial_hist =
-          10.0 * fleet.scale().districts_per_warehouse *
-          fleet.scale().customers_per_district;
-      for (const auto& [w, ytd] : w_ytd) {
-        const double expected = 300000.0 + history_sum[w] - initial_hist;
-        if (!money_eq(ytd, expected)) {
-          result.integrity_violations += 1;
-          char buf[160];
-          std::snprintf(buf, sizeof(buf),
-                        "fleet W-history: warehouse %u ytd=%.2f, expected "
-                        "%.2f (fleet-wide history)",
-                        w, ytd, expected);
-          result.integrity_messages.emplace_back(buf);
-        }
+      tpcc::ConsistencyReport report;
+      VDB_RETURN_IF_ERROR(
+          tpcc::ConsistencyChecker::check_warehouse_history_across(shards,
+                                                                   &report));
+      result.integrity_checks += report.checks_run;
+      result.integrity_violations += report.violations;
+      for (std::string& message : report.messages) {
+        result.integrity_messages.push_back("fleet " + std::move(message));
       }
     }
   }

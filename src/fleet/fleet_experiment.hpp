@@ -40,7 +40,7 @@ struct FleetExperimentOptions {
   /// Cascading scenario: delay between the first and the second kill.
   SimDuration cascade_gap = 20 * kSecond;
   std::uint64_t seed = 12345;
-  /// Per-shard recovery configuration (fleet.shards/scale are overridden).
+  /// Fleet scale (fleet.shards and fleet.seed are overridden).
   FleetConfig fleet{};
   OrchestratorConfig orchestrator{};
 };

@@ -285,34 +285,42 @@ Status ConsistencyChecker::check_customer_balance(ConsistencyReport* report) {
 }
 
 Status ConsistencyChecker::check_warehouse_history(ConsistencyReport* report) {
+  return check_warehouse_history_across({db_}, report);
+}
+
+Status ConsistencyChecker::check_warehouse_history_across(
+    const std::vector<TpccDb*>& dbs, ConsistencyReport* report) {
   report->checks_run += 1;
   std::map<std::uint32_t, double> history_sum;
-  VDB_RETURN_IF_ERROR(db_->db().scan(
-      db_->table(Tbl::kHistory),
-      [&](RowId, std::span<const std::uint8_t> bytes) {
-        auto row = from_bytes<HistoryRow>(bytes);
-        history_sum[row.h_w_id] += row.h_amount;
-        return true;
-      }));
+  for (TpccDb* db : dbs) {
+    VDB_RETURN_IF_ERROR(db->db().scan(
+        db->table(Tbl::kHistory),
+        [&](RowId, std::span<const std::uint8_t> bytes) {
+          auto row = from_bytes<HistoryRow>(bytes);
+          history_sum[row.h_w_id] += row.h_amount;
+          return true;
+        }));
+  }
 
-  const double initial_hist =
-      10.0 * db_->scale().districts_per_warehouse *
-      db_->scale().customers_per_district;
-  VDB_RETURN_IF_ERROR(db_->db().scan(
-      db_->table(Tbl::kWarehouse),
-      [&](RowId, std::span<const std::uint8_t> bytes) {
-        auto row = from_bytes<WarehouseRow>(bytes);
-        const double expected =
-            300000.0 + history_sum[row.w_id] - initial_hist;
-        if (!money_eq(row.w_ytd, expected)) {
-          char buf[160];
-          std::snprintf(buf, sizeof(buf),
-                        "W-history: warehouse %u ytd=%.2f, expected %.2f",
-                        row.w_id, row.w_ytd, expected);
-          violation(report, buf);
-        }
-        return true;
-      }));
+  for (TpccDb* db : dbs) {
+    const double initial_hist = 10.0 * db->scale().districts_per_warehouse *
+                                db->scale().customers_per_district;
+    VDB_RETURN_IF_ERROR(db->db().scan(
+        db->table(Tbl::kWarehouse),
+        [&](RowId, std::span<const std::uint8_t> bytes) {
+          auto row = from_bytes<WarehouseRow>(bytes);
+          const double expected =
+              300000.0 + history_sum[row.w_id] - initial_hist;
+          if (!money_eq(row.w_ytd, expected)) {
+            char buf[160];
+            std::snprintf(buf, sizeof(buf),
+                          "W-history: warehouse %u ytd=%.2f, expected %.2f",
+                          row.w_id, row.w_ytd, expected);
+            violation(report, buf);
+          }
+          return true;
+        }));
+  }
   return Status::ok();
 }
 

@@ -40,8 +40,14 @@ class ConsistencyChecker {
   Status check_customer_balance(ConsistencyReport* report);   // money flow
   Status check_warehouse_history(ConsistencyReport* report);  // money flow
 
+  /// The warehouse-history condition over databases that between them hold
+  /// every warehouse and its whole payment history (a fleet's shards): each
+  /// W_YTD against the history rows of all of them.
+  static Status check_warehouse_history_across(
+      const std::vector<TpccDb*>& dbs, ConsistencyReport* report);
+
  private:
-  void violation(ConsistencyReport* report, std::string message);
+  static void violation(ConsistencyReport* report, std::string message);
 
   TpccDb* db_;
 };

@@ -174,6 +174,27 @@ TEST(FleetTest, ParticipantCrashMidPrepareAbortsEverywhere) {
   EXPECT_EQ(fleet.registry().atomicity_violations(), 0u);
 }
 
+TEST(FleetTest, RestartedShardKeepsItsAccessPaths) {
+  Fleet fleet(small_cfg());
+  ASSERT_TRUE(fleet.setup().is_ok());
+  obs::Observability obs;
+  FleetDriver driver(&fleet, &obs, FleetDriverConfig{});
+  ASSERT_TRUE(driver.run_until(fleet.clock().now() + 1 * kMinute).is_ok());
+  const size_t entries = fleet.tdb(0).index_entries();
+  ASSERT_GT(entries, 0u);
+
+  // The restarted incarnation's rebuild scan refills the access paths from
+  // the recovered rows.
+  ASSERT_TRUE(fleet.kill_shard(0).is_ok());
+  ASSERT_TRUE(fleet.restart_shard(0).is_ok());
+  EXPECT_EQ(fleet.tdb(0).index_entries(), entries);
+
+  const std::uint64_t committed = driver.stats().committed;
+  Status resumed = driver.run_until(fleet.clock().now() + 1 * kMinute);
+  EXPECT_TRUE(resumed.is_ok()) << resumed.to_string();
+  EXPECT_GT(driver.stats().committed, committed);
+}
+
 TEST(FleetTest, UndecidedCoordinatorCrashPresumesAbortOnPromotion) {
   Fleet fleet(small_cfg());
   ASSERT_TRUE(fleet.setup().is_ok());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,28 @@ TEST(RedoAnalysis, ContractCases) {
       EXPECT_EQ(got.coord_shard, want.coord_shard);
     }
   }
+}
+
+TEST(RedoAnalysis, CheckpointBoundsTheEndedSet) {
+  RedoAnalysis analysis;
+  constexpr std::uint64_t kTxns = 40000;
+  for (std::uint64_t t = 1; t <= kTxns; ++t) {
+    analysis.note(dml(t, t));
+    analysis.note(end(LogRecordType::kCommit, t));
+  }
+  // The snapshot was taken while the last transaction's commit record was
+  // in flight, so it still lists that transaction.
+  analysis.note(checkpoint({snap(kTxns, {kTxns})}));
+  EXPECT_EQ(analysis.ended, (std::set<std::uint64_t>{kTxns}));
+  EXPECT_TRUE(analysis.live.empty());
+
+  // Another listing cannot revive it; once a snapshot leaves it out, the
+  // entry goes.
+  analysis.note(checkpoint({snap(kTxns, {kTxns})}));
+  EXPECT_TRUE(analysis.live.empty());
+  analysis.note(checkpoint({}));
+  EXPECT_TRUE(analysis.ended.empty());
+  EXPECT_EQ(analysis.max_txn, kTxns);
 }
 
 }  // namespace
