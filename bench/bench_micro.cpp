@@ -14,7 +14,6 @@
 #include "tests/test_env.hpp"
 #include "tpcc/schema.hpp"
 #include "tpcc/tpcc_db.hpp"
-#include "tpcc/tpcc_loader.hpp"
 #include "tpcc/tpcc_txns.hpp"
 #include "wal/log_record.hpp"
 
@@ -371,6 +370,8 @@ void BM_OnDemandPageRecover(benchmark::State& state) {
 BENCHMARK(BM_OnDemandPageRecover);
 
 void BM_CustomerRowCodec(benchmark::State& state) {
+  // The widest row: eleven InlineString fields, c_data near its 500 bytes.
+  // Only the encoded byte vector touches the heap.
   tpcc::CustomerRow row;
   row.c_first = "FIRSTNAMEFIRSTNA";
   row.c_last = "BARBARBAR";
@@ -395,37 +396,36 @@ void BM_EngineInsertCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineInsertCommit);
 
-void BM_TpccNewOrder(benchmark::State& state) {
+/// One TPC-C interaction of `type` per iteration, on warehouse 1 of a
+/// loaded one-warehouse database whose working set the cache holds.
+void run_tpcc_profile(benchmark::State& state, tpcc::TxnType type) {
   testing::SimEnv env;
-  engine::DatabaseConfig cfg = testing::small_db_config();
-  cfg.redo.file_size_bytes = 16 * 1024 * 1024;
-  cfg.storage.cache_pages = 2048;
-  auto db = std::make_unique<engine::Database>(&env.host, &env.sched, cfg);
-  VDB_CHECK(db->create().is_ok());
-  VDB_CHECK(db->create_tablespace("TPCC", {{"/data/t1.dbf", 512},
-                                           {"/data/t2.dbf", 512}})
-                .is_ok());
-  auto user = db->create_user("TPCC", false);
-  tpcc::TpccScale scale;
-  scale.warehouses = 1;
-  scale.customers_per_district = 100;
-  scale.items = 1000;
-  scale.initial_orders_per_district = 100;
-  tpcc::TpccDb tdb(scale);
-  VDB_CHECK(tdb.create_schema(*db, "TPCC", user.value()).is_ok());
-  VDB_CHECK(tdb.attach(db.get()).is_ok());
-  tpcc::Loader loader(&tdb, 7);
-  VDB_CHECK(loader.load().is_ok());
-  tpcc::TpccRandom random(Rng{3}, scale);
-  tpcc::TpccTxns txns(&tdb, &random);
-
+  testing::SmallTpcc rig(env);
+  tpcc::TpccRandom random(Rng{3}, rig.tdb->scale());
+  tpcc::TpccTxns txns(rig.tdb.get(), &random);
   for (auto _ : state) {
-    auto outcome = txns.new_order(1);
+    auto outcome = txns.run(type, 1);
     VDB_CHECK(outcome.is_ok());
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_TpccNewOrder(benchmark::State& state) {
+  run_tpcc_profile(state, tpcc::TxnType::kNewOrder);
+}
 BENCHMARK(BM_TpccNewOrder);
+
+void BM_TpccPayment(benchmark::State& state) {
+  run_tpcc_profile(state, tpcc::TxnType::kPayment);
+}
+BENCHMARK(BM_TpccPayment);
+
+/// Reads ~200 ORDER-LINE rows and the STOCK quantity of every distinct
+/// item on them: the read path at its widest.
+void BM_TpccStockLevel(benchmark::State& state) {
+  run_tpcc_profile(state, tpcc::TxnType::kStockLevel);
+}
+BENCHMARK(BM_TpccStockLevel);
 
 }  // namespace
 

@@ -733,6 +733,18 @@ Lsn Database::pseudo_lsn() const {
   return next == 0 ? 0 : next - 1;
 }
 
+Lsn Database::log_dml(TxnId txn, wal::LogRecordType type, bool logging,
+                      wal::DmlChange* change) {
+  if (!logging) return pseudo_lsn();
+  wal::LogRecord rec;
+  rec.type = type;
+  rec.txn = txn;
+  rec.dml = std::move(*change);
+  const Lsn lsn = redo_->append(rec);
+  *change = std::move(rec.dml);
+  return lsn;
+}
+
 storage::TableHeap* Database::heap(TableId table) {
   auto it = heaps_.find(table.value);
   return it == heaps_.end() ? nullptr : it->second.get();
@@ -794,20 +806,10 @@ Result<RowId> Database::insert(TxnId txn, TableId table,
   change.table = table;
   change.rid = rid;
   change.after.assign(row.begin(), row.end());
-
-  Lsn lsn;
-  if (logging) {
-    wal::LogRecord rec;
-    rec.type = wal::LogRecordType::kInsert;
-    rec.txn = txn;
-    rec.dml = change;
-    lsn = redo_->append(rec);
-  } else {
-    lsn = pseudo_lsn();
-  }
-
-  VDB_RETURN_IF_ERROR(txns_.record_op(
-      txn, wal::UndoOp{lsn, wal::LogRecordType::kInsert, change}));
+  const Lsn lsn = log_dml(txn, wal::LogRecordType::kInsert, logging, &change);
+  auto undo = txns_.record_op(
+      txn, wal::UndoOp{lsn, wal::LogRecordType::kInsert, std::move(change)});
+  if (!undo.is_ok()) return undo.status();
   VDB_RETURN_IF_ERROR(h->apply_insert(rid, row, lsn));
   notify(RowChange{RowChange::Kind::kInsert, table, rid, {}, row});
   return rid;
@@ -839,30 +841,20 @@ Status Database::update(TxnId txn, TableId table, RowId rid,
     VDB_RETURN_IF_ERROR(restart_->check_access(rid.page));
   }
 
-  auto before = h->read(rid);
-  if (!before.is_ok()) return before.status();
-
   wal::DmlChange change;
   change.table = table;
   change.rid = rid;
-  change.before = before.value();
+  VDB_RETURN_IF_ERROR(h->read(rid, &change.before));
   change.after.assign(row.begin(), row.end());
-
-  Lsn lsn;
-  if (def.value()->logging) {
-    wal::LogRecord rec;
-    rec.type = wal::LogRecordType::kUpdate;
-    rec.txn = txn;
-    rec.dml = change;
-    lsn = redo_->append(rec);
-  } else {
-    lsn = pseudo_lsn();
-  }
-
-  VDB_RETURN_IF_ERROR(txns_.record_op(
-      txn, wal::UndoOp{lsn, wal::LogRecordType::kUpdate, change}));
+  const Lsn lsn = log_dml(txn, wal::LogRecordType::kUpdate,
+                          def.value()->logging, &change);
+  VDB_ASSIGN_OR_RETURN(
+      const wal::UndoOp* undo,
+      txns_.record_op(txn, wal::UndoOp{lsn, wal::LogRecordType::kUpdate,
+                                       std::move(change)}));
   VDB_RETURN_IF_ERROR(h->apply_update(rid, row, lsn));
-  notify(RowChange{RowChange::Kind::kUpdate, table, rid, change.before, row});
+  notify(RowChange{RowChange::Kind::kUpdate, table, rid, undo->change.before,
+                   row});
   return Status::ok();
 }
 
@@ -883,34 +875,24 @@ Status Database::erase(TxnId txn, TableId table, RowId rid) {
     VDB_RETURN_IF_ERROR(restart_->check_access(rid.page));
   }
 
-  auto before = h->read(rid);
-  if (!before.is_ok()) return before.status();
-
   wal::DmlChange change;
   change.table = table;
   change.rid = rid;
-  change.before = before.value();
-
-  Lsn lsn;
-  if (def.value()->logging) {
-    wal::LogRecord rec;
-    rec.type = wal::LogRecordType::kDelete;
-    rec.txn = txn;
-    rec.dml = change;
-    lsn = redo_->append(rec);
-  } else {
-    lsn = pseudo_lsn();
-  }
-
-  VDB_RETURN_IF_ERROR(txns_.record_op(
-      txn, wal::UndoOp{lsn, wal::LogRecordType::kDelete, change}));
+  VDB_RETURN_IF_ERROR(h->read(rid, &change.before));
+  const Lsn lsn = log_dml(txn, wal::LogRecordType::kDelete,
+                          def.value()->logging, &change);
+  VDB_ASSIGN_OR_RETURN(
+      const wal::UndoOp* undo,
+      txns_.record_op(txn, wal::UndoOp{lsn, wal::LogRecordType::kDelete,
+                                       std::move(change)}));
   VDB_RETURN_IF_ERROR(h->apply_delete(rid, lsn));
-  notify(RowChange{RowChange::Kind::kDelete, table, rid, change.before, {}});
+  notify(RowChange{RowChange::Kind::kDelete, table, rid, undo->change.before,
+                   {}});
   return Status::ok();
 }
 
-Result<std::vector<std::uint8_t>> Database::read(TxnId txn, TableId table,
-                                                 RowId rid) {
+Status Database::read(TxnId txn, TableId table, RowId rid,
+                      std::vector<std::uint8_t>* out) {
   VDB_RETURN_IF_ERROR(cc_->mediate(txn, txn::LockTarget::for_row(table, rid),
                                    txn::AccessMode::kRead, concurrent_));
   auto guard = coord_guard();
@@ -923,7 +905,7 @@ Result<std::vector<std::uint8_t>> Database::read(TxnId txn, TableId table,
   if (restart_ != nullptr) {
     VDB_RETURN_IF_ERROR(restart_->check_access(rid.page));
   }
-  return h->read(rid);
+  return h->read(rid, out);
 }
 
 Status Database::scan(

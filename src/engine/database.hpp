@@ -184,7 +184,10 @@ class Database {
   Status update(TxnId txn, TableId table, RowId rid,
                 std::span<const std::uint8_t> row);
   Status erase(TxnId txn, TableId table, RowId rid);
-  Result<std::vector<std::uint8_t>> read(TxnId txn, TableId table, RowId rid);
+  /// Reads one row into `out`, reusing its capacity: a caller that keeps
+  /// its buffer reads without allocating.
+  Status read(TxnId txn, TableId table, RowId rid,
+              std::vector<std::uint8_t>* out);
 
   /// Unlocked scan (loader, consistency checker, rebuild).
   Status scan(TableId table,
@@ -354,6 +357,11 @@ class Database {
   void restart_sweep_tick(std::uint32_t batch);
 
   Lsn pseudo_lsn() const;  // for NOLOGGING changes: below any future record
+  /// Logs one DML change (when the table logs) and returns its LSN. The
+  /// images move into the redo record and back, so `change` comes back
+  /// intact without a copy.
+  Lsn log_dml(TxnId txn, wal::LogRecordType type, bool logging,
+              wal::DmlChange* change);
   void notify(const RowChange& change);
   Status apply_undo_op(TxnId txn, const wal::UndoOp& op, bool log_clr);
   /// Rolls back one incomplete transaction (a recovery loser or an aborted

@@ -10,22 +10,6 @@
 
 namespace vdb::storage {
 
-PageRef& PageRef::operator=(PageRef&& other) noexcept {
-  if (this != &other) {
-    if (cache_ != nullptr) cache_->unpin(id_);
-    cache_ = other.cache_;
-    id_ = other.id_;
-    page_ = other.page_;
-    other.cache_ = nullptr;
-    other.page_ = nullptr;
-  }
-  return *this;
-}
-
-PageRef::~PageRef() {
-  if (cache_ != nullptr) cache_->unpin(id_);
-}
-
 BufferCache::BufferCache(PageStore* store, std::uint32_t capacity,
                          std::function<void(Lsn)> wal_flush)
     : store_(store), capacity_(capacity), wal_flush_(std::move(wal_flush)) {
@@ -55,7 +39,7 @@ Result<PageRef> BufferCache::fetch(PageId id) {
     hits_counter_->inc();
     last_frame_->pins += 1;
     lru_touch(last_frame_);
-    return PageRef{this, id, &last_frame_->page};
+    return PageRef{last_frame_};
   }
 
   auto it = frames_.find(id);
@@ -66,7 +50,7 @@ Result<PageRef> BufferCache::fetch(PageId id) {
     lru_touch(&f);
     last_id_ = id;
     last_frame_ = &f;
-    return PageRef{this, id, &f.page};
+    return PageRef{&f};
   }
 
   while (frames_.size() >= capacity_) {
@@ -88,7 +72,7 @@ Result<PageRef> BufferCache::fetch(PageId id) {
   lru_append(raw);
   last_id_ = id;
   last_frame_ = raw;
-  return PageRef{this, id, &raw->page};
+  return PageRef{raw};
 }
 
 void BufferCache::mark_dirty(PageId id, SimTime now, Lsn first_change_lsn) {
@@ -169,13 +153,6 @@ Lsn BufferCache::min_dirty_rec_lsn() const {
   scan(dirty_sorted_);
   scan(dirty_fresh_);
   return min_lsn;
-}
-
-void BufferCache::unpin(PageId id) {
-  auto it = frames_.find(id);
-  if (it == frames_.end()) return;  // frame discarded while pinned-ref lived
-  VDB_CHECK(it->second->pins > 0);
-  it->second->pins -= 1;
 }
 
 void BufferCache::lru_unlink(Frame* f) {

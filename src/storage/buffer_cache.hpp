@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -39,32 +40,52 @@ class PageStore {
                             bool batched) = 0;
 };
 
-class BufferCache;
+/// One cached page and its bookkeeping.
+struct BufferFrame {
+  Page page;
+  PageId id{PageId::invalid()};
+  bool dirty = false;
+  std::uint32_t pins = 0;
+  SimTime dirty_since = 0;     // first-dirty instant
+  Lsn rec_lsn = kInvalidLsn;   // LSN of the record that first dirtied it
+  BufferFrame* lru_prev = nullptr;  // toward the least recently used
+  BufferFrame* lru_next = nullptr;  // toward the most recently used
+};
 
 /// RAII pin on a cached page. While alive, the frame cannot be evicted and
-/// the Page pointer stays valid.
+/// the Page pointer stays valid; release unpins through the frame itself.
 class PageRef {
  public:
   PageRef() = default;
-  PageRef(PageRef&& other) noexcept { *this = std::move(other); }
-  PageRef& operator=(PageRef&& other) noexcept;
+  PageRef(PageRef&& other) noexcept
+      : frame_(std::exchange(other.frame_, nullptr)) {}
+  PageRef& operator=(PageRef&& other) noexcept {
+    if (this != &other) {
+      release();
+      frame_ = std::exchange(other.frame_, nullptr);
+    }
+    return *this;
+  }
   PageRef(const PageRef&) = delete;
   PageRef& operator=(const PageRef&) = delete;
-  ~PageRef();
+  ~PageRef() { release(); }
 
-  Page* page() const { return page_; }
-  Page* operator->() const { return page_; }
-  PageId id() const { return id_; }
-  bool valid() const { return page_ != nullptr; }
+  Page* page() const { return frame_ != nullptr ? &frame_->page : nullptr; }
+  Page* operator->() const { return &frame_->page; }
+  bool valid() const { return frame_ != nullptr; }
 
  private:
   friend class BufferCache;
-  PageRef(BufferCache* cache, PageId id, Page* page)
-      : cache_(cache), id_(id), page_(page) {}
+  explicit PageRef(BufferFrame* frame) : frame_(frame) {}
 
-  BufferCache* cache_ = nullptr;
-  PageId id_{PageId::invalid()};
-  Page* page_ = nullptr;
+  void release() {
+    if (frame_ == nullptr) return;
+    VDB_CHECK(frame_->pins > 0);
+    frame_->pins -= 1;
+    frame_ = nullptr;
+  }
+
+  BufferFrame* frame_ = nullptr;
 };
 
 struct CheckpointResult {
@@ -144,20 +165,8 @@ class BufferCache {
                          const sim::VirtualClock* clock);
 
  private:
-  friend class PageRef;
+  using Frame = BufferFrame;
 
-  struct Frame {
-    Page page;
-    PageId id{PageId::invalid()};
-    bool dirty = false;
-    std::uint32_t pins = 0;
-    SimTime dirty_since = 0;   // first-dirty instant
-    Lsn rec_lsn = kInvalidLsn; // LSN of the record that first dirtied it
-    Frame* lru_prev = nullptr;  // toward the least recently used
-    Frame* lru_next = nullptr;  // toward the most recently used
-  };
-
-  void unpin(PageId id);
   void lru_unlink(Frame* f);
   void lru_append(Frame* f);
   /// Moves a hit frame to the most-recently-used end.

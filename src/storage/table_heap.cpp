@@ -59,7 +59,7 @@ Status TableHeap::apply_delete(RowId rid, Lsn lsn) {
   return Status::ok();
 }
 
-Result<std::vector<std::uint8_t>> TableHeap::read(RowId rid) const {
+Status TableHeap::read(RowId rid, std::vector<std::uint8_t>* out) const {
   VDB_ASSIGN_OR_RETURN(PageRef ref, sm_->fetch(rid.page));
   auto slot = ref->read_slot(rid.slot);
   if (!slot.is_ok()) {
@@ -68,7 +68,8 @@ Result<std::vector<std::uint8_t>> TableHeap::read(RowId rid) const {
                           std::to_string(id_.value) + ": " +
                           slot.status().message());
   }
-  return std::vector<std::uint8_t>(slot.value().begin(), slot.value().end());
+  out->assign(slot.value().begin(), slot.value().end());
+  return Status::ok();
 }
 
 Status TableHeap::scan(

@@ -43,7 +43,8 @@ class TableHeap {
   Status apply_update(RowId rid, std::span<const std::uint8_t> row, Lsn lsn);
   Status apply_delete(RowId rid, Lsn lsn);
 
-  Result<std::vector<std::uint8_t>> read(RowId rid) const;
+  /// Copies the row at `rid` into `out`, reusing its capacity.
+  Status read(RowId rid, std::vector<std::uint8_t>* out) const;
 
   /// Visits every live row. Return false from `fn` to stop early.
   Status scan(const std::function<bool(RowId, std::span<const std::uint8_t>)>&

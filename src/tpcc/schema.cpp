@@ -4,13 +4,8 @@ namespace vdb::tpcc {
 
 namespace {
 
-/// Pulls a string field or fails the whole decode.
-#define GET_STR(field)                         \
-  do {                                         \
-    auto _s = dec.get_string();                \
-    if (!_s.is_ok()) return _s.status();       \
-    row.field = std::move(_s).value();         \
-  } while (0)
+/// Pulls a string field into the row or fails the whole decode.
+#define GET_STR(field) VDB_RETURN_IF_ERROR(row.field.decode(dec))
 
 #define GET_NUM(field, getter)                 \
   do {                                         \
@@ -249,21 +244,28 @@ void StockRow::encode(Encoder& enc) const {
 }
 
 Result<StockRow> StockRow::decode(Decoder& dec) {
+  // The prefix is StockQuantity's by construction: Stock-Level reads it
+  // alone.
+  VDB_ASSIGN_OR_RETURN(StockQuantity head, StockQuantity::decode(dec));
   StockRow row;
+  row.s_i_id = head.s_i_id;
+  row.s_w_id = head.s_w_id;
+  row.s_quantity = head.s_quantity;
+  for (auto& dist : row.s_dist) VDB_RETURN_IF_ERROR(dist.decode(dec));
+  GET_NUM(s_ytd, get_double);
+  GET_NUM(s_order_cnt, get_u32);
+  GET_NUM(s_remote_cnt, get_u32);
+  GET_STR(s_data);
+  return row;
+}
+
+Result<StockQuantity> StockQuantity::decode(Decoder& dec) {
+  StockQuantity row;
   GET_NUM(s_i_id, get_u32);
   GET_NUM(s_w_id, get_u32);
   auto qty = dec.get_i64();
   if (!qty.is_ok()) return qty.status();
   row.s_quantity = static_cast<std::int32_t>(qty.value());
-  for (auto& dist : row.s_dist) {
-    auto s = dec.get_string();
-    if (!s.is_ok()) return s.status();
-    dist = std::move(s).value();
-  }
-  GET_NUM(s_ytd, get_double);
-  GET_NUM(s_order_cnt, get_u32);
-  GET_NUM(s_remote_cnt, get_u32);
-  GET_STR(s_data);
   return row;
 }
 

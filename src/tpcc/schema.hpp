@@ -3,28 +3,30 @@
 //
 // Rows are stored in fixed slots sized to each table's maximum serialized
 // row; codecs are deterministic so recovery replay reproduces rows
-// byte-for-byte (asserted by the integration tests).
+// byte-for-byte (asserted by the integration tests). String fields are
+// InlineStrings sized to the spec's column widths, so decoding, copying and
+// encoding a row never touches the heap.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/codec.hpp"
 #include "common/status.hpp"
+#include "tpcc/inline_string.hpp"
 
 namespace vdb::tpcc {
 
 struct WarehouseRow {
   std::uint32_t w_id = 0;
-  std::string w_name;      // <= 10
-  std::string w_street_1;  // <= 20
-  std::string w_street_2;  // <= 20
-  std::string w_city;      // <= 20
-  std::string w_state;     // 2
-  std::string w_zip;       // 9
+  InlineString<10> w_name;
+  InlineString<20> w_street_1;
+  InlineString<20> w_street_2;
+  InlineString<20> w_city;
+  InlineString<2> w_state;
+  InlineString<9> w_zip;
   double w_tax = 0;
   double w_ytd = 0;
 
@@ -36,12 +38,12 @@ struct WarehouseRow {
 struct DistrictRow {
   std::uint32_t d_id = 0;
   std::uint32_t d_w_id = 0;
-  std::string d_name;      // <= 10
-  std::string d_street_1;  // <= 20
-  std::string d_street_2;  // <= 20
-  std::string d_city;      // <= 20
-  std::string d_state;     // 2
-  std::string d_zip;       // 9
+  InlineString<10> d_name;
+  InlineString<20> d_street_1;
+  InlineString<20> d_street_2;
+  InlineString<20> d_city;
+  InlineString<2> d_state;
+  InlineString<9> d_zip;
   double d_tax = 0;
   double d_ytd = 0;
   std::uint32_t d_next_o_id = 1;
@@ -55,24 +57,24 @@ struct CustomerRow {
   std::uint32_t c_id = 0;
   std::uint32_t c_d_id = 0;
   std::uint32_t c_w_id = 0;
-  std::string c_first;     // <= 16
-  std::string c_middle;    // 2
-  std::string c_last;      // <= 16
-  std::string c_street_1;  // <= 20
-  std::string c_street_2;  // <= 20
-  std::string c_city;      // <= 20
-  std::string c_state;     // 2
-  std::string c_zip;       // 9
-  std::string c_phone;     // 16
+  InlineString<16> c_first;
+  InlineString<2> c_middle;
+  InlineString<16> c_last;
+  InlineString<20> c_street_1;
+  InlineString<20> c_street_2;
+  InlineString<20> c_city;
+  InlineString<2> c_state;
+  InlineString<9> c_zip;
+  InlineString<16> c_phone;
   std::uint64_t c_since = 0;
-  std::string c_credit;  // 2: "GC" or "BC"
+  InlineString<2> c_credit;  // "GC" or "BC"
   double c_credit_lim = 0;
   double c_discount = 0;
   double c_balance = 0;
   double c_ytd_payment = 0;
   std::uint32_t c_payment_cnt = 0;
   std::uint32_t c_delivery_cnt = 0;
-  std::string c_data;  // <= 500
+  InlineString<500> c_data;
 
   void encode(Encoder& enc) const;
   static Result<CustomerRow> decode(Decoder& dec);
@@ -87,7 +89,7 @@ struct HistoryRow {
   std::uint32_t h_w_id = 0;
   std::uint64_t h_date = 0;
   double h_amount = 0;
-  std::string h_data;  // <= 24
+  InlineString<24> h_data;
 
   void encode(Encoder& enc) const;
   static Result<HistoryRow> decode(Decoder& dec);
@@ -129,7 +131,7 @@ struct OrderLineRow {
   std::uint64_t ol_delivery_d = 0;  // 0 = not delivered
   std::uint8_t ol_quantity = 0;
   double ol_amount = 0;
-  std::string ol_dist_info;  // 24
+  InlineString<24> ol_dist_info;
 
   void encode(Encoder& enc) const;
   static Result<OrderLineRow> decode(Decoder& dec);
@@ -139,9 +141,9 @@ struct OrderLineRow {
 struct ItemRow {
   std::uint32_t i_id = 0;
   std::uint32_t i_im_id = 0;
-  std::string i_name;  // <= 24
+  InlineString<24> i_name;
   double i_price = 0;
-  std::string i_data;  // <= 50
+  InlineString<50> i_data;
 
   void encode(Encoder& enc) const;
   static Result<ItemRow> decode(Decoder& dec);
@@ -152,16 +154,29 @@ struct StockRow {
   std::uint32_t s_i_id = 0;
   std::uint32_t s_w_id = 0;
   std::int32_t s_quantity = 0;
-  std::array<std::string, 10> s_dist;  // 24 each
+  std::array<InlineString<24>, 10> s_dist;
   double s_ytd = 0;
   std::uint32_t s_order_cnt = 0;
   std::uint32_t s_remote_cnt = 0;
-  std::string s_data;  // <= 50
+  InlineString<50> s_data;
 
   void encode(Encoder& enc) const;
   static Result<StockRow> decode(Decoder& dec);
   static constexpr std::uint16_t kSlotSize = 384;
 };
+
+/// The leading key and quantity fields of a STOCK row: what Stock-Level
+/// reads. Decodes a prefix of StockRow's encoding and skips the rest.
+struct StockQuantity {
+  std::uint32_t s_i_id = 0;
+  std::uint32_t s_w_id = 0;
+  std::int32_t s_quantity = 0;
+
+  static Result<StockQuantity> decode(Decoder& dec);
+};
+
+/// Most lines one order can have (clause 2.4.1.3: ol_cnt in [5, 15]).
+inline constexpr std::uint32_t kMaxOrderLines = 15;
 
 /// Canonical table names (owned by the TPCC user in the TPCC tablespace).
 inline constexpr const char* kWarehouseTable = "warehouse";
@@ -174,11 +189,13 @@ inline constexpr const char* kOrderLineTable = "order_line";
 inline constexpr const char* kItemTable = "item";
 inline constexpr const char* kStockTable = "stock";
 
-/// Serializes any row type to bytes.
+/// Serializes any row type to bytes, in one allocation: no row encodes
+/// past its slot.
 template <typename Row>
 std::vector<std::uint8_t> to_bytes(const Row& row) {
   std::vector<std::uint8_t> out;
   Encoder enc(&out);
+  enc.reserve(Row::kSlotSize);
   row.encode(enc);
   return out;
 }

@@ -20,7 +20,7 @@ const char* table_name(Tbl t) {
   return "?";
 }
 
-NameArr to_name_arr(const std::string& s) {
+NameArr to_name_arr(std::string_view s) {
   NameArr arr{};
   std::memcpy(arr.data(), s.data(), std::min(s.size(), arr.size()));
   return arr;
@@ -80,6 +80,11 @@ Status TpccDb::attach(engine::Database* db) {
         }
       });
   return Status::ok();
+}
+
+std::vector<std::uint8_t>& TpccDb::row_buffer() {
+  thread_local std::vector<std::uint8_t> buffer;
+  return buffer;
 }
 
 std::optional<Tbl> TpccDb::tbl_of(TableId id) const {
@@ -237,7 +242,7 @@ std::optional<RowId> TpccDb::customer_rid(std::uint32_t w, std::uint32_t d,
 }
 
 std::vector<std::pair<std::uint32_t, RowId>> TpccDb::customers_by_name(
-    std::uint32_t w, std::uint32_t d, const std::string& last) const {
+    std::uint32_t w, std::uint32_t d, std::string_view last) const {
   std::shared_lock lock(index_mu_);
   std::vector<std::pair<std::uint32_t, RowId>> out;
   const NameArr name = to_name_arr(last);
@@ -312,6 +317,7 @@ std::vector<RowId> TpccDb::order_lines(std::uint32_t w, std::uint32_t d,
                                        std::uint32_t o) const {
   std::shared_lock lock(index_mu_);
   std::vector<RowId> out;
+  out.reserve(kMaxOrderLines);
   order_line_idx_.scan_range(
       {w, d, o, 0}, {w, d, o, ~0u},
       [&](const auto&, const RowId& rid) {
@@ -327,6 +333,7 @@ std::vector<RowId> TpccDb::order_lines_range(std::uint32_t w, std::uint32_t d,
   std::shared_lock lock(index_mu_);
   std::vector<RowId> out;
   if (o1 >= o2) return out;
+  out.reserve(static_cast<size_t>(o2 - o1) * kMaxOrderLines);
   order_line_idx_.scan_range(
       {w, d, o1, 0}, {w, d, o2 - 1, ~0u},
       [&](const auto&, const RowId& rid) {

@@ -14,6 +14,7 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -40,7 +41,7 @@ const char* table_name(Tbl t);
 
 /// Fixed-width last-name key segment.
 using NameArr = std::array<char, 16>;
-NameArr to_name_arr(const std::string& s);
+NameArr to_name_arr(std::string_view s);
 
 class TpccDb {
  public:
@@ -72,7 +73,7 @@ class TpccDb {
   /// Customers with the given last name, ordered by c_id (clause 2.5.2.2
   /// approximated: selection by id order rather than first-name order).
   std::vector<std::pair<std::uint32_t, RowId>> customers_by_name(
-      std::uint32_t w, std::uint32_t d, const std::string& last) const;
+      std::uint32_t w, std::uint32_t d, std::string_view last) const;
   std::optional<RowId> item_rid(std::uint32_t i) const;
   std::optional<RowId> stock_rid(std::uint32_t w, std::uint32_t i) const;
   std::optional<RowId> order_rid(std::uint32_t w, std::uint32_t d,
@@ -95,11 +96,15 @@ class TpccDb {
 
   // --- typed row I/O ---------------------------------------------------------
 
+  /// Reads and decodes one row. `Row` may also be a prefix view of the
+  /// table's row type (StockQuantity). The bytes pass through a buffer
+  /// owned by the calling thread, so a read allocates nothing once the
+  /// buffer has grown to the widest slot.
   template <typename Row>
   Result<Row> read_row(TxnId txn, Tbl t, RowId rid) {
-    auto bytes = db_->read(txn, table(t), rid);
-    if (!bytes.is_ok()) return bytes.status();
-    return from_bytes<Row>(bytes.value());
+    std::vector<std::uint8_t>& bytes = row_buffer();
+    VDB_RETURN_IF_ERROR(db_->read(txn, table(t), rid, &bytes));
+    return from_bytes<Row>(bytes);
   }
 
   template <typename Row>
@@ -116,6 +121,8 @@ class TpccDb {
   void clear_indexes();
 
  private:
+  /// The calling thread's read buffer (coordinator workers share a TpccDb).
+  static std::vector<std::uint8_t>& row_buffer();
   void apply_index_change(Tbl t, const engine::RowChange& change);
   // Callers of the two low-level maintainers must hold index_mu_ exclusive.
   void index_insert(Tbl t, RowId rid, std::span<const std::uint8_t> row);

@@ -1,6 +1,10 @@
 #include "tpcc/tpcc_txns.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
+#include <span>
+#include <string_view>
 
 namespace vdb::tpcc {
 
@@ -83,17 +87,18 @@ Result<TxnOutcome> TpccTxns::new_order(std::uint32_t w) {
   const TxnId txn = txn_r.value();
 
   // Inputs (clause 2.4.1).
-  const auto ol_cnt = static_cast<std::uint8_t>(rng.uniform(5, 15));
+  const auto ol_cnt = static_cast<std::uint8_t>(rng.uniform(5, kMaxOrderLines));
   const bool rollback_last = rng.chance(0.01);
   struct Line {
     std::uint32_t i_id;
     std::uint32_t supply_w;
     std::uint8_t qty;
   };
-  std::vector<Line> lines;
+  std::array<Line, kMaxOrderLines> line_buf;
+  const std::span<Line> lines(line_buf.data(), ol_cnt);
   bool all_local = true;
   for (std::uint8_t i = 0; i < ol_cnt; ++i) {
-    Line line;
+    Line& line = lines[i];
     line.i_id = random_->nurand_item_id();
     if (rollback_last && i + 1 == ol_cnt) line.i_id = 0;  // unused item id
     line.supply_w = w;
@@ -104,7 +109,6 @@ Result<TxnOutcome> TpccTxns::new_order(std::uint32_t w) {
       all_local = false;
     }
     line.qty = static_cast<std::uint8_t>(rng.uniform(1, 10));
-    lines.push_back(line);
   }
 
   // Warehouse & district (tax, order number).
@@ -264,8 +268,11 @@ Result<TxnOutcome> TpccTxns::payment(std::uint32_t w) {
     char info[64];
     std::snprintf(info, sizeof(info), "%u %u %u %u %u %.2f|",
                   new_cust.c_id, c_d, c_w, d, w, amount);
-    new_cust.c_data = std::string(info) + new_cust.c_data;
-    if (new_cust.c_data.size() > 500) new_cust.c_data.resize(500);
+    // The new entry goes in front; the oldest history falls off the end.
+    const auto& old_data = cust.value().c_data;
+    new_cust.c_data = std::string_view(info);
+    new_cust.c_data.append(std::string_view(old_data).substr(
+        0, new_cust.c_data.capacity() - new_cust.c_data.size()));
   }
   st = cdb.update_row(c_txn.value(), Tbl::kCustomer, c_rid.value(), new_cust);
   if (!st.is_ok()) return fail(st);
@@ -278,7 +285,9 @@ Result<TxnOutcome> TpccTxns::payment(std::uint32_t w) {
   hist.h_w_id = w;
   hist.h_date = now;
   hist.h_amount = amount;
-  hist.h_data = wh.value().w_name + "    " + dist.value().d_name;
+  hist.h_data = wh.value().w_name;
+  hist.h_data.append("    ");
+  hist.h_data.append(dist.value().d_name);
   auto h_ins = cdb.insert_row(c_txn.value(), Tbl::kHistory, hist);
   if (!h_ins.is_ok()) return fail(h_ins.status());
 
@@ -408,8 +417,10 @@ Result<TxnOutcome> TpccTxns::stock_level(std::uint32_t w) {
 
   const std::uint32_t next = dist.value().d_next_o_id;
   const std::uint32_t from = next > 20 ? next - 20 : 1;
+  const std::vector<RowId> line_rids = home.order_lines_range(w, d, from, next);
   std::vector<std::uint32_t> items;
-  for (RowId rid : home.order_lines_range(w, d, from, next)) {
+  items.reserve(line_rids.size());
+  for (RowId rid : line_rids) {
     auto line = home.read_row<OrderLineRow>(txn, Tbl::kOrderLine, rid);
     if (!line.is_ok()) return fail(line.status());
     items.push_back(line.value().ol_i_id);
@@ -421,7 +432,7 @@ Result<TxnOutcome> TpccTxns::stock_level(std::uint32_t w) {
   for (std::uint32_t item : items) {
     auto s_rid = home.stock_rid(w, item);
     if (!s_rid.has_value()) continue;
-    auto stock = home.read_row<StockRow>(txn, Tbl::kStock, *s_rid);
+    auto stock = home.read_row<StockQuantity>(txn, Tbl::kStock, *s_rid);
     if (!stock.is_ok()) return fail(stock.status());
     if (stock.value().s_quantity < threshold) low += 1;
   }

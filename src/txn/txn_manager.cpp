@@ -32,7 +32,7 @@ Result<TxnId> TxnManager::begin() {
   return id;
 }
 
-Status TxnManager::record_op(TxnId id, wal::UndoOp op) {
+Result<const wal::UndoOp*> TxnManager::record_op(TxnId id, wal::UndoOp op) {
   VDB_ASSIGN_OR_RETURN(Transaction * txn, get(id));
   const std::uint64_t bytes =
       op.change.before.size() + op.change.after.size() + 64;
@@ -46,7 +46,7 @@ Status TxnManager::record_op(TxnId id, wal::UndoOp op) {
   txn->undo_bytes += bytes;
   if (txn->first_lsn == kInvalidLsn) txn->first_lsn = op.lsn;
   txn->undo.push_back(std::move(op));
-  return Status::ok();
+  return &txn->undo.back();
 }
 
 Status TxnManager::mark_committed(TxnId id, Lsn commit_lsn) {

@@ -69,10 +69,11 @@ class TxnManager {
   /// segment. Fails when no rollback segment is online.
   Result<TxnId> begin();
 
-  /// Registers one executed operation for potential rollback. Fails with
-  /// kOutOfSpace when the bound rollback segment is exhausted (the caller
-  /// must abort the transaction).
-  Status record_op(TxnId txn, wal::UndoOp op);
+  /// Registers one executed operation for potential rollback and returns
+  /// the stored op (valid until the transaction records its next op or
+  /// ends). Fails with kOutOfSpace when the bound rollback segment is
+  /// exhausted (the caller must abort the transaction).
+  Result<const wal::UndoOp*> record_op(TxnId txn, wal::UndoOp op);
 
   /// Marks committed and frees undo space/locks bookkeeping. The engine
   /// writes the commit record; `commit_lsn` is stored for diagnostics.

@@ -1,0 +1,131 @@
+// Heap allocations per TPC-C interaction, counted by a replaced global
+// operator new.
+//
+// This is its own executable because replacing operator new is
+// process-wide. Counting is per thread and only inside an AllocScope, so
+// gtest's own bookkeeping stays out of the numbers. Sanitizer builds skip
+// the tests: their allocators replace operator new themselves.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "tests/test_env.hpp"
+#include "tpcc/tpcc_random.hpp"
+#include "tpcc/tpcc_txns.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define VDB_ALLOC_COUNTING 0
+#else
+#define VDB_ALLOC_COUNTING 1
+#endif
+
+namespace {
+
+thread_local bool t_counting = false;
+thread_local std::uint64_t t_allocations = 0;
+
+}  // namespace
+
+#if VDB_ALLOC_COUNTING
+void* operator new(std::size_t n) {
+  if (t_counting) ++t_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#endif
+
+namespace vdb::tpcc {
+namespace {
+
+/// Counts this thread's operator-new calls while alive.
+class AllocScope {
+ public:
+  AllocScope() {
+    t_allocations = 0;
+    t_counting = true;
+  }
+  ~AllocScope() { t_counting = false; }
+  AllocScope(const AllocScope&) = delete;
+  AllocScope& operator=(const AllocScope&) = delete;
+
+  std::uint64_t count() const { return t_allocations; }
+};
+
+/// A loaded database and a terminal's transaction runner over it.
+struct Terminal {
+  testing::SimEnv env;
+  testing::SmallTpcc rig;
+  TpccRandom random;
+  TpccTxns txns;
+
+  explicit Terminal(std::uint32_t orders_per_district)
+      : rig(env, orders_per_district),
+        random(Rng{3}, rig.tdb->scale()),
+        txns(rig.tdb.get(), &random) {}
+
+  /// Allocations of the most expensive of `runs` interactions of `type`,
+  /// after `warmup` uncounted ones.
+  std::uint64_t max_allocations(TxnType type, int warmup, int runs) {
+    for (int i = 0; i < warmup; ++i) VDB_CHECK(txns.run(type, 1).is_ok());
+    std::uint64_t worst = 0;
+    for (int i = 0; i < runs; ++i) {
+      AllocScope scope;
+      VDB_CHECK(txns.run(type, 1).is_ok());
+      worst = std::max(worst, scope.count());
+    }
+    return worst;
+  }
+};
+
+TEST(AllocBudget, CountingSeesAllocations) {
+  if (!VDB_ALLOC_COUNTING) GTEST_SKIP() << "the sanitizer owns operator new";
+  AllocScope scope;
+  auto* p = new std::uint64_t(1);
+  delete p;
+  EXPECT_EQ(scope.count(), 1u);
+}
+
+// Stock-Level reads the order lines of a district's last 20 orders and the
+// stock row of every distinct item on them. With 3 orders per district it
+// reads a few dozen rows; with 40, a few hundred. Once warm, its
+// allocations are a constant of the interaction, not of the rows read.
+TEST(AllocBudget, StockLevelAllocationsDoNotGrowWithRowsRead) {
+  if (!VDB_ALLOC_COUNTING) GTEST_SKIP() << "the sanitizer owns operator new";
+  Terminal few(/*orders_per_district=*/3);
+  Terminal many(/*orders_per_district=*/40);
+  ASSERT_LT(few.rig.tdb->order_lines_range(1, 1, 1, 4).size(), 50u);
+  ASSERT_GT(many.rig.tdb->order_lines_range(1, 1, 21, 41).size(), 150u);
+
+  const std::uint64_t few_allocs =
+      few.max_allocations(TxnType::kStockLevel, 40, 20);
+  const std::uint64_t many_allocs =
+      many.max_allocations(TxnType::kStockLevel, 40, 20);
+  EXPECT_LE(many_allocs, few_allocs);
+  // Begin's transaction-table node plus the two scratch vectors.
+  EXPECT_LE(few_allocs, 4u);
+}
+
+// New-Order: 5-15 lines, each an ITEM read, a STOCK read-modify-write and
+// an ORDER-LINE insert. Each write still allocates its row encoding and
+// the undo images it keeps; everything else is reused.
+TEST(AllocBudget, NewOrderStaysUnderBudget) {
+  if (!VDB_ALLOC_COUNTING) GTEST_SKIP() << "the sanitizer owns operator new";
+  Terminal t(/*orders_per_district=*/100);
+  for (int i = 0; i < 50; ++i) VDB_CHECK(t.txns.new_order(1).is_ok());
+  constexpr int kRuns = 200;
+  AllocScope scope;
+  for (int i = 0; i < kRuns; ++i) VDB_CHECK(t.txns.new_order(1).is_ok());
+  const double per_txn = static_cast<double>(scope.count()) / kRuns;
+  EXPECT_LE(per_txn, 100.0);
+}
+
+}  // namespace
+}  // namespace vdb::tpcc

@@ -332,6 +332,43 @@ TEST(LockManager, ReleaseFreesOnlyOwnLocks) {
                     {2, 'X'}});       // now sole holder: upgrades
 }
 
+// Drained entries and ended contexts are recycled through spare lists. A
+// reused entry must start unlocked: a leftover exclusive mode would refuse
+// T3's shared read, and a leftover holder would refuse T4's write and keep
+// the table from draining. The third round locks another row, so its entry
+// is a node recycled from the first row.
+TEST(LockManager, RecycledEntriesStartUnlocked) {
+  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl, nullptr);
+  std::uint64_t next = 1;
+  for (const std::uint32_t row : {1u, 1u, 2u}) {
+    const TxnId t1 = tid(next++);
+    const TxnId t2 = tid(next++);
+    const TxnId t3 = tid(next++);
+    const TxnId t4 = tid(next++);
+    ASSERT_TRUE(
+        cc->mediate(t1, target(row), txn::AccessMode::kWrite, false).is_ok());
+    cc->end(t1, true);
+    EXPECT_EQ(cc->locked_count(), 0u);
+
+    EXPECT_TRUE(
+        cc->mediate(t2, target(row), txn::AccessMode::kRead, false).is_ok())
+        << "row " << row;
+    EXPECT_TRUE(
+        cc->mediate(t3, target(row), txn::AccessMode::kRead, false).is_ok())
+        << "row " << row;
+    cc->end(t2, true);
+    EXPECT_EQ(cc->locked_count(), 1u);
+    cc->end(t3, true);
+    EXPECT_EQ(cc->locked_count(), 0u);
+
+    EXPECT_TRUE(
+        cc->mediate(t4, target(row), txn::AccessMode::kWrite, false).is_ok())
+        << "row " << row;
+    cc->end(t4, false);
+    EXPECT_EQ(cc->locked_count(), 0u);
+  }
+}
+
 /// Model check of the serial grant rule: grants must agree with a simple
 /// reference model of 2PL compatibility (S/S compatible, anything with X
 /// conflicts, re-entrant by holder, sole-holder upgrades), and the table

@@ -21,6 +21,7 @@ using testing::SimEnv;
 using testing::SmallDb;
 using testing::all_rows;
 using testing::put_row;
+using testing::read_str;
 using testing::row;
 using testing::row_str;
 using testing::small_db_config;
@@ -88,7 +89,7 @@ TEST_F(CorruptionTest, ChecksumMismatchDetectedOnFetchMiss) {
 
   auto txn = db().begin();
   ASSERT_TRUE(txn.is_ok());
-  auto read = db().read(txn.value(), table(), rid);
+  auto read = read_str(db(), txn.value(), table(), rid);
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.code(), ErrorCode::kCorruption);
   EXPECT_NE(read.status().message().find("checksum mismatch"),
@@ -141,9 +142,9 @@ std::vector<std::uint8_t> recovered_block_bytes(unsigned replay_jobs) {
   // intact, including the one on the repaired block.
   auto txn = small.db->begin();
   VDB_CHECK(txn.is_ok());
-  auto back = small.db->read(txn.value(), small.table, mid);
+  auto back = read_str(*small.db, txn.value(), small.table, mid);
   VDB_CHECK_MSG(back.is_ok(), back.status().to_string());
-  VDB_CHECK(row_str(back.value()) == "r150");
+  VDB_CHECK(back.value() == "r150");
   VDB_CHECK(small.db->commit(txn.value()).is_ok());
 
   auto bytes = env.host.fs().read(
@@ -197,9 +198,9 @@ TEST_F(CorruptionTest, TornWriteAtCrashRepairedDuringStartup) {
 
   auto txn2 = fresh->begin();
   ASSERT_TRUE(txn2.is_ok());
-  auto back = fresh->read(txn2.value(), table(), rids[20]);
+  auto back = read_str(*fresh, txn2.value(), table(), rids[20]);
   ASSERT_TRUE(back.is_ok()) << back.status().to_string();
-  EXPECT_EQ(row_str(back.value()), "updated");
+  EXPECT_EQ(back.value(), "updated");
   ASSERT_TRUE(fresh->commit(txn2.value()).is_ok());
   EXPECT_EQ(all_rows(*fresh, table()).size(), 30u);
 
@@ -222,9 +223,9 @@ TEST_F(CorruptionTest, TransientErrorAbsorbedByRetry) {
   fs().inject_transient_errors("/data/users01.dbf",
                                env_.clock.now() + 1 * kMillisecond,
                                /*probability=*/1.0, /*seed=*/11);
-  auto read = db().read(txn.value(), table(), rid);
+  auto read = read_str(db(), txn.value(), table(), rid);
   ASSERT_TRUE(read.is_ok()) << read.status().to_string();
-  EXPECT_EQ(row_str(read.value()), "steady");
+  EXPECT_EQ(read.value(), "steady");
   ASSERT_TRUE(db().commit(txn.value()).is_ok());
 
   EXPECT_EQ(count("io retries"), 1u);
@@ -244,7 +245,7 @@ TEST_F(CorruptionTest, TransientRetryExhaustionSurfacesCleanly) {
   fs().inject_transient_errors("/data/users01.dbf",
                                env_.clock.now() + 60 * kMinute,
                                /*probability=*/1.0, /*seed=*/11);
-  auto read = db().read(txn.value(), table(), rid);
+  auto read = read_str(db(), txn.value(), table(), rid);
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.code(), ErrorCode::kTransientIo);
   EXPECT_NE(read.status().message().find("retries exhausted"),
@@ -258,9 +259,9 @@ TEST_F(CorruptionTest, TransientRetryExhaustionSurfacesCleanly) {
   fs().clear_transient_errors();
   auto txn2 = db().begin();
   ASSERT_TRUE(txn2.is_ok());
-  auto again = db().read(txn2.value(), table(), rid);
+  auto again = read_str(db(), txn2.value(), table(), rid);
   ASSERT_TRUE(again.is_ok()) << again.status().to_string();
-  EXPECT_EQ(row_str(again.value()), "steady");
+  EXPECT_EQ(again.value(), "steady");
   ASSERT_TRUE(db().commit(txn2.value()).is_ok());
   EXPECT_TRUE(db().storage().corrupt_blocks().empty());
 }

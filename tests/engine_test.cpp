@@ -13,6 +13,7 @@ using testing::SimEnv;
 using testing::SmallDb;
 using testing::all_rows;
 using testing::put_row;
+using testing::read_str;
 using testing::row;
 using testing::row_str;
 using testing::small_db_config;
@@ -30,9 +31,9 @@ TEST(Engine, InsertReadCommit) {
   const RowId rid = put_row(*db.db, db.table, "hello");
   auto txn = db.db->begin();
   ASSERT_TRUE(txn.is_ok());
-  auto back = db.db->read(txn.value(), db.table, rid);
+  auto back = read_str(*db.db, txn.value(), db.table, rid);
   ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(row_str(back.value()), "hello");
+  EXPECT_EQ(back.value(), "hello");
   ASSERT_TRUE(db.db->commit(txn.value()).is_ok());
 }
 
@@ -55,7 +56,7 @@ TEST(Engine, ReadOnlyCommitHasNoLsn) {
   SmallDb db(env);
   const RowId rid = put_row(*db.db, db.table, "x");
   auto txn = db.db->begin();
-  ASSERT_TRUE(db.db->read(txn.value(), db.table, rid).is_ok());
+  ASSERT_TRUE(read_str(*db.db, txn.value(), db.table, rid).is_ok());
   auto lsn = db.db->commit(txn.value());
   ASSERT_TRUE(lsn.is_ok());
   EXPECT_EQ(lsn.value(), 0u);
@@ -101,7 +102,7 @@ TEST(Engine, SerialConflictDiesAtOnceWithoutTrace) {
   // Older requester to the younger one's row: a coordinator worker would
   // wait; the serial thread dies at once instead.
   ASSERT_TRUE(db.db->update(younger, db.table, b, row("b1")).is_ok());
-  EXPECT_EQ(db.db->read(older, db.table, b).code(), ErrorCode::kDeadlock);
+  EXPECT_EQ(read_str(*db.db, older, db.table, b).code(), ErrorCode::kDeadlock);
 
   // The holder commits: the row is granted.
   ASSERT_TRUE(db.db->commit(older).is_ok());
@@ -154,12 +155,12 @@ TEST(Engine, TablespaceOfflineBlocksDml) {
   const RowId rid = put_row(*db.db, db.table, "x");
   ASSERT_TRUE(db.db->alter_tablespace_offline("USERS").is_ok());
   auto txn = db.db->begin();
-  EXPECT_FALSE(db.db->read(txn.value(), db.table, rid).is_ok());
+  EXPECT_FALSE(read_str(*db.db, txn.value(), db.table, rid).is_ok());
   ASSERT_TRUE(db.db->rollback(txn.value()).is_ok());
   // OFFLINE NORMAL: comes back without recovery.
   ASSERT_TRUE(db.db->alter_tablespace_online("USERS").is_ok());
   auto txn2 = db.db->begin();
-  EXPECT_TRUE(db.db->read(txn2.value(), db.table, rid).is_ok());
+  EXPECT_TRUE(read_str(*db.db, txn2.value(), db.table, rid).is_ok());
   ASSERT_TRUE(db.db->commit(txn2.value()).is_ok());
 }
 

@@ -65,7 +65,7 @@ TEST_F(RecoveryTest, MediaRecoveryAfterDeletedDatafile) {
   auto txn = db().begin();
   ASSERT_TRUE(txn.is_ok());
   RowId any{PageId{FileId{0}, 0}, 0};
-  EXPECT_FALSE(db().read(txn.value(), table(), any).is_ok());
+  EXPECT_FALSE(testing::read_str(db(), txn.value(), table(), any).is_ok());
   ASSERT_TRUE(db().rollback(txn.value()).is_ok());
 
   auto report = rm_->recover_datafile(db(), FileId{0});
@@ -109,9 +109,9 @@ TEST_F(RecoveryTest, OfflineDatafileRollForward) {
   auto report = rm_->recover_datafile_online(db(), FileId{0});
   ASSERT_TRUE(report.is_ok()) << report.status().to_string();
   auto txn = db().begin();
-  auto back = db().read(txn.value(), table(), rid);
+  auto back = testing::read_str(db(), txn.value(), table(), rid);
   ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(testing::row_str(back.value()), "will-survive");
+  EXPECT_EQ(back.value(), "will-survive");
   ASSERT_TRUE(db().commit(txn.value()).is_ok());
 }
 
@@ -249,9 +249,9 @@ TEST_F(RecoveryTest, InDoubtTransactionResolvedAfterMediaRecovery) {
   EXPECT_EQ(db().txns().active_count(), 0u);  // resolved
 
   auto check = db().begin();
-  auto back = db().read(check.value(), table(), victim);
+  auto back = testing::read_str(db(), check.value(), table(), victim);
   ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(testing::row_str(back.value()), "original");  // rolled back
+  EXPECT_EQ(back.value(), "original");  // rolled back
   ASSERT_TRUE(db().commit(check.value()).is_ok());
 }
 

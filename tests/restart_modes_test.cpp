@@ -25,6 +25,7 @@ using testing::SimEnv;
 using testing::SmallDb;
 using testing::all_rows;
 using testing::put_row;
+using testing::read_str;
 using testing::row;
 using testing::row_str;
 using testing::small_db_config;
@@ -202,7 +203,7 @@ TEST(RestartModesTest, M2RejectsUserDmlOnPendingPages) {
 
   auto txn = rig.db->begin();
   ASSERT_TRUE(txn.is_ok());
-  auto read = rig.db->read(txn.value(), table, rid);
+  auto read = read_str(*rig.db, txn.value(), table, rid);
   EXPECT_EQ(read.code(), ErrorCode::kRecoveryRequired);
   auto update = rig.db->update(txn.value(), table, rid, row("new"));
   EXPECT_EQ(update.code(), ErrorCode::kRecoveryRequired);
@@ -212,7 +213,7 @@ TEST(RestartModesTest, M2RejectsUserDmlOnPendingPages) {
   ASSERT_TRUE(rig.db->complete_restart_recovery().is_ok());
   auto txn2 = rig.db->begin();
   ASSERT_TRUE(txn2.is_ok());
-  EXPECT_TRUE(rig.db->read(txn2.value(), table, rid).is_ok());
+  EXPECT_TRUE(read_str(*rig.db, txn2.value(), table, rid).is_ok());
   ASSERT_TRUE(rig.db->commit(txn2.value()).is_ok());
 }
 
@@ -223,7 +224,7 @@ TEST(RestartModesTest, M2StallRecoversThePageInline) {
 
   auto txn = rig.db->begin();
   ASSERT_TRUE(txn.is_ok());
-  auto read = rig.db->read(txn.value(), table, rid);
+  auto read = read_str(*rig.db, txn.value(), table, rid);
   ASSERT_TRUE(read.is_ok()) << read.status().to_string();
   ASSERT_TRUE(rig.db->commit(txn.value()).is_ok());
 
@@ -247,7 +248,7 @@ TEST(RestartModesTest, M3RecoversOnFetchAndTricklesInBackground) {
   // rejects) and the row comes back with its committed contents.
   auto txn = rig.db->begin();
   ASSERT_TRUE(txn.is_ok());
-  auto read = rig.db->read(txn.value(), table, rid);
+  auto read = read_str(*rig.db, txn.value(), table, rid);
   ASSERT_TRUE(read.is_ok()) << read.status().to_string();
   ASSERT_TRUE(rig.db->commit(txn.value()).is_ok());
   EXPECT_GE(rig.db->restart_coordinator()->recovered_on_demand(), 1u);
@@ -272,7 +273,7 @@ TEST(RestartModesTest, SecondCrashDuringEarlyOpenRestartIsRecoverable) {
   const auto [table, rid] = rig.pending_row();
   auto txn = rig.db->begin();
   ASSERT_TRUE(txn.is_ok());
-  ASSERT_TRUE(rig.db->read(txn.value(), table, rid).is_ok());
+  ASSERT_TRUE(read_str(*rig.db, txn.value(), table, rid).is_ok());
   ASSERT_TRUE(rig.db->commit(txn.value()).is_ok());
   ASSERT_TRUE(rig.db->restart_coordinator()->has_pending());
   ASSERT_TRUE(rig.db->shutdown_abort().is_ok());
@@ -300,7 +301,7 @@ TEST(RestartModesTest, TraceSpansKeepTilingWithOnDemandPhase) {
   const auto [table, rid] = rig.pending_row();
   auto txn = rig.db->begin();
   ASSERT_TRUE(txn.is_ok());
-  ASSERT_TRUE(rig.db->read(txn.value(), table, rid).is_ok());
+  ASSERT_TRUE(read_str(*rig.db, txn.value(), table, rid).is_ok());
   ASSERT_TRUE(rig.db->commit(txn.value()).is_ok());
   ASSERT_TRUE(rig.db->complete_restart_recovery().is_ok());
 

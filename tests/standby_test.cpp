@@ -14,6 +14,7 @@ using testing::SimEnv;
 using testing::SmallDb;
 using testing::all_rows;
 using testing::put_row;
+using testing::read_str;
 using testing::row;
 using testing::small_db_config;
 
@@ -163,7 +164,7 @@ TEST_F(StandbyTest, ActivatedStandbyAcceptsNewWork) {
   ASSERT_TRUE(table.is_ok());
   const RowId rid = put_row(standby_->db(), table.value(), "after-failover");
   auto txn = standby_->db().begin();
-  EXPECT_TRUE(standby_->db().read(txn.value(), table.value(), rid).is_ok());
+  EXPECT_TRUE(read_str(standby_->db(), txn.value(), table.value(), rid).is_ok());
   ASSERT_TRUE(standby_->db().commit(txn.value()).is_ok());
 }
 

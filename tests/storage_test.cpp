@@ -254,16 +254,18 @@ class TableHeapTest : public StorageManagerTest {
 
 TEST_F(TableHeapTest, InsertReadUpdateDelete) {
   const RowId rid = insert("hello", 1);
-  auto read = heap_->read(rid);
-  ASSERT_TRUE(read.is_ok());
-  EXPECT_EQ(std::string(read.value().begin(), read.value().end()), "hello");
+  std::vector<std::uint8_t> read;
+  ASSERT_TRUE(heap_->read(rid, &read).is_ok());
+  EXPECT_EQ(std::string(read.begin(), read.end()), "hello");
 
+  // The buffer is overwritten, not appended to.
   std::vector<std::uint8_t> updated{'b', 'y', 'e'};
   ASSERT_TRUE(heap_->apply_update(rid, updated, 2).is_ok());
-  EXPECT_EQ(heap_->read(rid).value(), updated);
+  ASSERT_TRUE(heap_->read(rid, &read).is_ok());
+  EXPECT_EQ(read, updated);
 
   ASSERT_TRUE(heap_->apply_delete(rid, 3).is_ok());
-  EXPECT_EQ(heap_->read(rid).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(heap_->read(rid, &read).code(), ErrorCode::kNotFound);
   EXPECT_EQ(heap_->row_count(), 0u);
 }
 

@@ -8,6 +8,8 @@
 #include "engine/database.hpp"
 #include "sim/host.hpp"
 #include "sim/scheduler.hpp"
+#include "tpcc/tpcc_db.hpp"
+#include "tpcc/tpcc_loader.hpp"
 
 namespace vdb::testing {
 
@@ -64,6 +66,14 @@ inline std::string row_str(std::span<const std::uint8_t> bytes) {
   return {bytes.begin(), bytes.end()};
 }
 
+/// One row read through transaction `txn`, as a string.
+inline Result<std::string> read_str(engine::Database& db, TxnId txn,
+                                    TableId table, RowId rid) {
+  std::vector<std::uint8_t> bytes;
+  VDB_RETURN_IF_ERROR(db.read(txn, table, rid, &bytes));
+  return row_str(bytes);
+}
+
 /// Inserts a row in its own committed transaction; returns its RowId.
 inline RowId put_row(engine::Database& db, TableId table,
                      const std::string& value) {
@@ -84,5 +94,40 @@ inline std::vector<std::string> all_rows(engine::Database& db, TableId table) {
               }).is_ok());
   return out;
 }
+
+/// A loaded one-warehouse TPC-C database (100 customers per district,
+/// 1000 items) with a cache that holds all of it: the rig the TPC-C
+/// micro-benchmarks and the allocation-budget tests drive.
+struct SmallTpcc {
+  std::unique_ptr<engine::Database> db;
+  std::unique_ptr<tpcc::TpccDb> tdb;
+
+  explicit SmallTpcc(SimEnv& env, std::uint32_t orders_per_district = 100) {
+    engine::DatabaseConfig cfg = small_db_config();
+    cfg.redo.file_size_bytes = 16 * 1024 * 1024;
+    cfg.storage.cache_pages = 2048;
+    db = std::make_unique<engine::Database>(&env.host, &env.sched, cfg);
+    VDB_CHECK(db->create().is_ok());
+    VDB_CHECK(db->create_tablespace("TPCC", {{"/data/t1.dbf", 512},
+                                             {"/data/t2.dbf", 512}})
+                  .is_ok());
+    auto user = db->create_user("TPCC", false);
+    VDB_CHECK(user.is_ok());
+    tdb = std::make_unique<tpcc::TpccDb>(scale(orders_per_district));
+    VDB_CHECK(tdb->create_schema(*db, "TPCC", user.value()).is_ok());
+    VDB_CHECK(tdb->attach(db.get()).is_ok());
+    tpcc::Loader loader(tdb.get(), 7);
+    VDB_CHECK(loader.load().is_ok());
+  }
+
+  static tpcc::TpccScale scale(std::uint32_t orders_per_district) {
+    tpcc::TpccScale s;
+    s.warehouses = 1;
+    s.customers_per_district = 100;
+    s.items = 1000;
+    s.initial_orders_per_district = orders_per_district;
+    return s;
+  }
+};
 
 }  // namespace vdb::testing
