@@ -15,6 +15,7 @@
 #include "tpcc/schema.hpp"
 #include "tpcc/tpcc_db.hpp"
 #include "tpcc/tpcc_txns.hpp"
+#include "txn/coordinator.hpp"
 #include "wal/log_record.hpp"
 
 namespace {
@@ -395,6 +396,62 @@ void BM_EngineInsertCommit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EngineInsertCommit);
+
+/// One interaction's pass through the serial 2PL table on a warm table:
+/// `rows` row locks, a third of them exclusive, then the end that releases
+/// them. 8 rows is a Payment, 55 the mix's mean, 400 a Stock-Level. Each
+/// iteration locks a different set of rows.
+void BM_LockMediateEnd(benchmark::State& state) {
+  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl, nullptr);
+  const auto rows = static_cast<std::uint32_t>(state.range(0));
+  std::uint64_t next = 1;
+  std::uint32_t base = 0;
+  for (auto _ : state) {
+    const TxnId txn{next++};
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      const auto target = txn::LockTarget::for_row(
+          TableId{1 + r % 9},
+          RowId{PageId{FileId{1}, base + r * 37},
+                static_cast<std::uint16_t>(r % 50)});
+      const auto mode =
+          r % 3 == 0 ? txn::AccessMode::kWrite : txn::AccessMode::kRead;
+      VDB_CHECK(cc->mediate(txn, target, mode, false).is_ok());
+    }
+    cc->end(txn, true);
+    base = (base + 7919) % 100000;
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_LockMediateEnd)->Arg(8)->Arg(55)->Arg(400);
+
+/// The key-to-row lookups New-Order and Payment make most: one stock_rid
+/// and one customer_rid per iteration, over 4096 pre-drawn keys of the
+/// one-warehouse rig below.
+void BM_TpccAccessPath(benchmark::State& state) {
+  testing::SimEnv env;
+  testing::SmallTpcc rig(env);
+  const tpcc::TpccScale& scale = rig.tdb->scale();
+  struct Keys {
+    std::uint32_t item, district, customer;
+  };
+  Rng rng(5);
+  std::vector<Keys> keys(4096);
+  for (Keys& k : keys) {
+    k.item = static_cast<std::uint32_t>(rng.uniform(1, scale.items));
+    k.district = static_cast<std::uint32_t>(
+        rng.uniform(1, scale.districts_per_warehouse));
+    k.customer = static_cast<std::uint32_t>(
+        rng.uniform(1, scale.customers_per_district));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const Keys& k = keys[i++ % keys.size()];
+    benchmark::DoNotOptimize(rig.tdb->stock_rid(1, k.item));
+    benchmark::DoNotOptimize(rig.tdb->customer_rid(1, k.district, k.customer));
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_TpccAccessPath);
 
 /// One TPC-C interaction of `type` per iteration, on warehouse 1 of a
 /// loaded one-warehouse database whose working set the cache holds.

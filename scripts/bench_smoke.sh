@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
 # Smoke-runs every bench binary in quick mode on a 2-worker pool and checks
 # that each one exits cleanly AND drops its machine-readable JSON into
-# results/, then validates the drops with scripts/check_results.py. Wired
-# as a ctest entry so tier-1 catches runner regressions (pool wedges,
-# collection-order bugs, missing JSON) and column/counter drift.
+# results/, then validates the drops with scripts/check_results.py and holds
+# the simulated outputs to the record in tests/golden/ with
+# scripts/check_golden.py. Wired as a ctest entry so tier-1 catches runner
+# regressions (pool wedges, collection-order bugs, missing JSON),
+# column/counter drift, and any moved table value.
 #
 # Usage: bench_smoke.sh [bench-binary-dir] [results-out-dir]
 #   bench-binary-dir defaults to ./build/bench relative to the repo root.
-#   When results-out-dir is given, the results/*.json drops are copied
-#   there before the scratch dir is removed (CI uploads them as artifacts),
-#   together with each bench's printed tables as tables/bench_<name>.txt,
-#   cut at the "--- wall clock ---" footer. The tables hold simulated
-#   outputs only, so comparing two builds' tables is one `diff -r` of their
-#   tables/ directories (bench_cc's multi-worker rows vary run to run).
+#   Each bench's printed tables, cut at the "--- wall clock ---" footer,
+#   are the simulated outputs; they must equal tests/golden/tables/ byte for
+#   byte (bench_cc's 2- and 4-worker rows, which vary run to run, are
+#   masked), and results/bench_fleet.json must equal
+#   tests/golden/bench_fleet.json apart from wall times. A difference fails
+#   the smoke with a unified diff. When results-out-dir is given, the
+#   results/*.json drops are copied there before the scratch dir is removed
+#   (CI uploads them as artifacts), together with the tables as
+#   tables/bench_<name>.txt.
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -118,17 +123,28 @@ else
   failed=1
 fi
 
+# Hold the simulated outputs to the record.
+mkdir -p tables
+for out in bench_*.out; do
+  [ "$out" = bench_micro.out ] && continue  # timings, not tables
+  sed '/^--- wall clock ---$/,$d' "$out" > "tables/${out%.out}.txt"
+done
+echo "bench_smoke: running check_golden.py ..."
+if python3 "$repo_root/scripts/check_golden.py" tables \
+    results/bench_fleet.json; then
+  echo "bench_smoke: OK   check_golden.py"
+else
+  echo "bench_smoke: FAIL check_golden.py"
+  failed=1
+fi
+
 if [ -n "$results_out" ] && [ -d results ]; then
   cp results/bench_*.json "$results_out"/ 2>/dev/null || true
   echo "bench_smoke: results copied to $results_out"
 fi
 if [ -n "$results_out" ]; then
   mkdir -p "$results_out/tables"
-  for out in bench_*.out; do
-    [ "$out" = bench_micro.out ] && continue  # timings, not tables
-    sed '/^--- wall clock ---$/,$d' "$out" \
-      > "$results_out/tables/${out%.out}.txt"
-  done
+  cp tables/bench_*.txt "$results_out/tables/"
   echo "bench_smoke: tables copied to $results_out/tables"
 fi
 

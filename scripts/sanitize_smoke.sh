@@ -2,8 +2,10 @@
 # Builds the tree under a sanitizer (-DVDB_SANITIZE=...) in a throwaway
 # build dir and runs the unit-test suite under it. The redo pipeline's
 # arena reuse and the parallel replay workers are exactly the code most
-# worth running under ASan/TSan, so this is the quick gate to run after
-# touching src/wal or src/engine/replay_plan.*.
+# worth running under ASan/TSan, and so are the 2PL table's entry slab
+# and flat index (parked waiters hold entry references while it grows)
+# and the buffer cache's frame pool. Run it after touching src/wal,
+# src/engine/replay_plan.*, src/txn or src/storage.
 #
 # Usage: sanitize_smoke.sh [address|thread] [extra ctest args...]
 #   Default sanitizer: address. Build dir: ./build-san-<sanitizer>.

@@ -66,26 +66,40 @@ std::int64_t Rng::nurand(std::int64_t a, std::int64_t x, std::int64_t y,
   return (((uniform(0, a) | uniform(x, y)) + c) % (y - x + 1)) + x;
 }
 
-std::string Rng::alnum_string(int min_len, int max_len) {
-  static constexpr char kChars[] =
-      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
-  const auto len = uniform(min_len, max_len);
-  std::string out;
-  out.reserve(static_cast<size_t>(len));
-  for (std::int64_t i = 0; i < len; ++i) {
-    out.push_back(kChars[uniform(0, 61)]);
+namespace {
+
+/// Draws a length uniform in [min_len, max_len], then that many characters
+/// of `alphabet`, each uniform(0, N - 2) as an index: the same draws and
+/// rejections as one Rng::uniform call per character, with the range and
+/// its rejection limit fixed at compile time.
+template <std::size_t N>
+std::size_t fill_string(Rng& rng, const char (&alphabet)[N],
+                        std::span<char> out, int min_len, int max_len) {
+  constexpr std::uint64_t kRange = N - 1;  // without the terminating NUL
+  constexpr std::uint64_t kLimit =
+      ~std::uint64_t{0} - (~std::uint64_t{0} % kRange);
+  const auto len = static_cast<std::size_t>(rng.uniform(min_len, max_len));
+  VDB_CHECK_MSG(len <= out.size(), "string longer than its buffer");
+  for (std::size_t i = 0; i < len; ++i) {
+    std::uint64_t v;
+    do {
+      v = rng.next();
+    } while (v >= kLimit);
+    out[i] = alphabet[v % kRange];
   }
-  return out;
+  return len;
 }
 
-std::string Rng::digit_string(int min_len, int max_len) {
-  const auto len = uniform(min_len, max_len);
-  std::string out;
-  out.reserve(static_cast<size_t>(len));
-  for (std::int64_t i = 0; i < len; ++i) {
-    out.push_back(static_cast<char>('0' + uniform(0, 9)));
-  }
-  return out;
+}  // namespace
+
+std::size_t Rng::alnum_string(std::span<char> out, int min_len, int max_len) {
+  return fill_string(
+      *this, "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+      out, min_len, max_len);
+}
+
+std::size_t Rng::digit_string(std::span<char> out, int min_len, int max_len) {
+  return fill_string(*this, "0123456789", out, min_len, max_len);
 }
 
 Rng Rng::split() { return Rng{next()}; }

@@ -6,8 +6,9 @@
 // precisely to make runs reproducible).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <span>
 
 #include "common/status.hpp"
 
@@ -36,11 +37,13 @@ class Rng {
   std::int64_t nurand(std::int64_t a, std::int64_t x, std::int64_t y,
                       std::int64_t c);
 
-  /// Random alphanumeric string with length uniform in [min_len, max_len].
-  std::string alnum_string(int min_len, int max_len);
+  /// Writes a random alphanumeric string, its length uniform in
+  /// [min_len, max_len], to the front of `out` (at least max_len chars)
+  /// and returns the length.
+  std::size_t alnum_string(std::span<char> out, int min_len, int max_len);
 
-  /// Random numeric string with length uniform in [min_len, max_len].
-  std::string digit_string(int min_len, int max_len);
+  /// Same for a random numeric string.
+  std::size_t digit_string(std::span<char> out, int min_len, int max_len);
 
   /// Splits off an independent stream (for per-terminal generators).
   Rng split();

@@ -1,6 +1,7 @@
 #include "recovery/backup.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/codec.hpp"
 
@@ -89,10 +90,9 @@ Result<Lsn> BackupManager::restore_block(engine::Database& db, PageId pid) {
       if (offset < backup_size) {
         const std::uint64_t n =
             std::min<std::uint64_t>(storage::Page::kSize, backup_size - offset);
-        VDB_ASSIGN_OR_RETURN(
-            std::vector<std::uint8_t> bytes,
-            fs_->read(entry.backup_path, offset, n, sim::IoMode::kForeground));
-        std::copy(bytes.begin(), bytes.end(), image.begin());
+        VDB_RETURN_IF_ERROR(fs_->read(entry.backup_path, offset,
+                                      std::span(image).first(n),
+                                      sim::IoMode::kForeground));
       }
       // else: the block did not exist at backup time — a virgin image lets
       // redo replay re-format it.

@@ -212,10 +212,9 @@ Result<std::uint64_t> SimFs::charged_size(const std::string& path) const {
   return file.value()->charged;
 }
 
-Result<std::vector<std::uint8_t>> SimFs::read(const std::string& path,
-                                              std::uint64_t offset,
-                                              std::uint64_t len, IoMode mode,
-                                              bool sequential) {
+Status SimFs::read(const std::string& path, std::uint64_t offset,
+                   std::span<std::uint8_t> out, IoMode mode,
+                   bool sequential) {
   auto file = find(path);
   if (!file.is_ok()) return file.status();
   File& f = *file.value();
@@ -223,6 +222,7 @@ Result<std::vector<std::uint8_t>> SimFs::read(const std::string& path,
     return make_error(ErrorCode::kTransientIo,
                       "transient read error on " + path);
   }
+  const std::uint64_t len = out.size();
   if (const CorruptRange* r = overlap(f, offset, len)) {
     return make_error(ErrorCode::kCorruption,
                       "corrupted file: " + path + " at offset " +
@@ -235,11 +235,9 @@ Result<std::vector<std::uint8_t>> SimFs::read(const std::string& path,
     return make_error(ErrorCode::kInvalidArgument,
                       "read past end of " + path);
   }
-  std::vector<std::uint8_t> out(
-      f.data.begin() + static_cast<long>(offset),
-      f.data.begin() + static_cast<long>(offset + len));
+  std::copy_n(f.data.begin() + static_cast<long>(offset), len, out.begin());
   charge(f.disk, len, mode, sequential);
-  return out;
+  return Status::ok();
 }
 
 Result<std::vector<std::uint8_t>> SimFs::read_all(const std::string& path,

@@ -92,10 +92,12 @@ class SimFs {
   /// Size used for I/O charging (>= physical size when pads were declared).
   Result<std::uint64_t> charged_size(const std::string& path) const;
 
-  Result<std::vector<std::uint8_t>> read(const std::string& path,
-                                         std::uint64_t offset,
-                                         std::uint64_t len, IoMode mode,
-                                         bool sequential = false);
+  /// Reads out.size() bytes at `offset` into `out`, which the caller owns
+  /// (a buffer-cache frame's page, a stack header). `out` is untouched on
+  /// failure.
+  Status read(const std::string& path, std::uint64_t offset,
+              std::span<std::uint8_t> out, IoMode mode,
+              bool sequential = false);
 
   Result<std::vector<std::uint8_t>> read_all(const std::string& path,
                                              IoMode mode);

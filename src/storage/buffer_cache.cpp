@@ -14,9 +14,6 @@ BufferCache::BufferCache(PageStore* store, std::uint32_t capacity,
                          std::function<void(Lsn)> wal_flush)
     : store_(store), capacity_(capacity), wal_flush_(std::move(wal_flush)) {
   VDB_CHECK(capacity_ > 0);
-  // The frame table never outgrows the configured capacity; sizing it up
-  // front removes every rehash from the fetch path.
-  frames_.reserve(capacity_);
   // Instruments are always wired (default statistics area until the engine
   // re-wires them) so the hot paths never test for null counters.
   set_observability(nullptr, nullptr);
@@ -42,44 +39,69 @@ Result<PageRef> BufferCache::fetch(PageId id) {
     return PageRef{last_frame_};
   }
 
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
+  if (Frame* f = resident(id)) {
     hits_counter_->inc();
-    Frame& f = *it->second;
-    f.pins += 1;
-    lru_touch(&f);
+    f->pins += 1;
+    lru_touch(f);
     last_id_ = id;
-    last_frame_ = &f;
-    return PageRef{&f};
+    last_frame_ = f;
+    return PageRef{f};
   }
 
-  while (frames_.size() >= capacity_) {
-    VDB_RETURN_IF_ERROR(evict_one());
-  }
-
-  auto frame = std::make_unique<Frame>();
-  frame->id = id;
+  VDB_ASSIGN_OR_RETURN(Frame * frame, take_frame());
   Status st;
   {
     obs::WaitScope wait(waits_, clock_, obs::WaitEvent::kDbFileSequentialRead);
     st = store_->load_page(id, &frame->page, io_mode_);
   }
-  if (!st.is_ok()) return st;
+  if (!st.is_ok()) {
+    free_.push_back(frame->slot);
+    return st;
+  }
   reads_counter_->inc();
+  frame->id = id;
   frame->pins = 1;
-  Frame* raw = frame.get();
-  frames_[id] = std::move(frame);
-  lru_append(raw);
+  table_.insert(id, frame->slot);
+  lru_append(frame);
   last_id_ = id;
-  last_frame_ = raw;
-  return PageRef{raw};
+  last_frame_ = frame;
+  return PageRef{frame};
+}
+
+Result<BufferFrame*> BufferCache::take_frame() {
+  if (free_.empty() && pool_.size() < capacity_) {
+    free_.push_back(static_cast<std::uint32_t>(pool_.size()));
+    pool_.emplace_back();  // an empty slot, filled below
+  }
+  if (free_.empty()) return evict_one();
+  const std::uint32_t slot = free_.back();
+  free_.pop_back();
+  if (pool_[slot] == nullptr) {
+    pool_[slot] = std::make_unique<Frame>();
+    pool_[slot]->slot = slot;
+  }
+  return pool_[slot].get();
+}
+
+void BufferCache::release_frame(Frame* f) {
+  if (f == last_frame_) {
+    last_frame_ = nullptr;
+    last_id_ = PageId::invalid();
+  }
+  lru_unlink(f);
+  table_.erase(f->id);
+  f->id = PageId::invalid();
+  f->dirty = false;
+  f->pins = 0;
+  f->dirty_since = 0;
+  f->rec_lsn = kInvalidLsn;
 }
 
 void BufferCache::mark_dirty(PageId id, SimTime now, Lsn first_change_lsn) {
-  auto it = frames_.find(id);
-  VDB_CHECK_MSG(it != frames_.end(), "mark_dirty on non-resident page");
-  VDB_CHECK_MSG(it->second->pins > 0, "mark_dirty on unpinned page");
-  Frame& frame = *it->second;
+  Frame* f = resident(id);
+  VDB_CHECK_MSG(f != nullptr, "mark_dirty on non-resident page");
+  VDB_CHECK_MSG(f->pins > 0, "mark_dirty on unpinned page");
+  Frame& frame = *f;
   if (!frame.dirty) {
     frame.dirty = true;
     frame.dirty_since = now;
@@ -106,8 +128,8 @@ void BufferCache::merge_dirty_runs() {
   PageId prev = PageId::invalid();
   for (PageId id : dirty_sorted_) {
     if (id == prev) continue;
-    auto it = frames_.find(id);
-    if (it == frames_.end() || !it->second->dirty) continue;
+    const Frame* f = resident(id);
+    if (f == nullptr || !f->dirty) continue;
     dirty_sorted_[out++] = id;
     prev = id;
   }
@@ -119,7 +141,7 @@ CheckpointResult BufferCache::flush_aged(SimTime older_than) {
   merge_dirty_runs();
   std::size_t still_dirty = 0;
   for (PageId id : dirty_sorted_) {
-    Frame& frame = *frames_.find(id)->second;
+    Frame& frame = *resident(id);
     if (frame.dirty_since > older_than) {
       dirty_sorted_[still_dirty++] = id;
       continue;
@@ -144,10 +166,8 @@ Lsn BufferCache::min_dirty_rec_lsn() const {
   Lsn min_lsn = kInvalidLsn;
   auto scan = [&](const std::vector<PageId>& run) {
     for (PageId id : run) {
-      auto it = frames_.find(id);
-      if (it != frames_.end() && it->second->dirty) {
-        min_lsn = std::min(min_lsn, it->second->rec_lsn);
-      }
+      const Frame* f = resident(id);
+      if (f != nullptr && f->dirty) min_lsn = std::min(min_lsn, f->rec_lsn);
     }
   };
   scan(dirty_sorted_);
@@ -173,7 +193,7 @@ void BufferCache::lru_touch(Frame* f) {
   lru_append(f);
 }
 
-Status BufferCache::evict_one() {
+Result<BufferFrame*> BufferCache::evict_one() {
   Frame* victim = lru_head_;
   while (victim != nullptr && victim->pins > 0) victim = victim->lru_next;
   if (victim == nullptr) {
@@ -189,13 +209,8 @@ Status BufferCache::evict_one() {
     // recovery, exactly as in the modelled DBMS.
     if (st.is_ok()) dirty_writes_counter_->inc();
   }
-  if (victim == last_frame_) {
-    last_frame_ = nullptr;
-    last_id_ = PageId::invalid();
-  }
-  lru_unlink(victim);
-  frames_.erase(victim->id);
-  return Status::ok();
+  release_frame(victim);
+  return victim;
 }
 
 CheckpointResult BufferCache::checkpoint() {
@@ -205,13 +220,13 @@ CheckpointResult BufferCache::checkpoint() {
   // Flush the log once past the newest dirty page.
   Lsn max_lsn = 0;
   for (PageId id : dirty_sorted_) {
-    max_lsn = std::max(max_lsn, frames_.find(id)->second->page.lsn());
+    max_lsn = std::max(max_lsn, resident(id)->page.lsn());
   }
   if (max_lsn > 0) wal_flush_(max_lsn);
 
   std::size_t still_dirty = 0;
   for (PageId id : dirty_sorted_) {
-    Frame& frame = *frames_.find(id)->second;
+    Frame& frame = *resident(id);
     Status st = store_->store_page(id, frame.page, sim::IoMode::kBackground,
                                    /*batched=*/true);
     if (st.is_ok()) {
@@ -233,7 +248,7 @@ CheckpointResult BufferCache::flush_file(FileId file) {
   merge_dirty_runs();
   std::size_t still_dirty = 0;
   for (PageId id : dirty_sorted_) {
-    Frame& frame = *frames_.find(id)->second;
+    Frame& frame = *resident(id);
     if (id.file != file) {
       dirty_sorted_[still_dirty++] = id;
       continue;
@@ -254,14 +269,18 @@ CheckpointResult BufferCache::flush_file(FileId file) {
   return result;
 }
 
+void BufferCache::drop_frame(Frame* f) {
+  VDB_CHECK_MSG(f->pins == 0, "discarding pinned page");
+  release_frame(f);
+  const std::uint32_t slot = f->slot;
+  pool_[slot].reset();
+  free_.push_back(slot);
+}
+
 void BufferCache::discard_file(FileId file) {
-  for (auto it = frames_.begin(); it != frames_.end();) {
-    if (it->first.file == file) {
-      VDB_CHECK_MSG(it->second->pins == 0, "discarding pinned page");
-      lru_unlink(it->second.get());
-      it = frames_.erase(it);
-    } else {
-      ++it;
+  for (const auto& f : pool_) {
+    if (f != nullptr && f->id.valid() && f->id.file == file) {
+      drop_frame(f.get());
     }
   }
   last_frame_ = nullptr;
@@ -269,24 +288,22 @@ void BufferCache::discard_file(FileId file) {
 }
 
 void BufferCache::discard_page(PageId id) {
-  auto it = frames_.find(id);
-  if (it == frames_.end()) return;
-  VDB_CHECK_MSG(it->second->pins == 0, "discarding pinned page");
-  if (it->second.get() == last_frame_) {
-    last_frame_ = nullptr;
-    last_id_ = PageId::invalid();
-  }
-  lru_unlink(it->second.get());
-  frames_.erase(it);
+  Frame* f = resident(id);
+  if (f == nullptr) return;
+  drop_frame(f);
   // A stale id may linger in the dirty runs; the sweep helpers already skip
   // entries whose frame is gone or clean.
 }
 
 void BufferCache::discard_all() {
-  for (auto& [id, frame] : frames_) {
-    VDB_CHECK_MSG(frame->pins == 0, "discarding pinned page");
+  for (const auto& f : pool_) {
+    VDB_CHECK_MSG(f == nullptr || f->pins == 0, "discarding pinned page");
   }
-  frames_.clear();
+  // The instance is gone: its frames go back to the allocator, and a cache
+  // that serves again creates them anew.
+  pool_.clear();
+  free_.clear();
+  table_.clear();
   lru_head_ = nullptr;
   lru_tail_ = nullptr;
   last_frame_ = nullptr;
@@ -297,8 +314,8 @@ void BufferCache::discard_all() {
 
 std::uint64_t BufferCache::dirty_count() const {
   std::uint64_t n = 0;
-  for (const auto& [id, frame] : frames_) {
-    if (frame->dirty) ++n;
+  for (const auto& f : pool_) {
+    if (f != nullptr && f->id.valid() && f->dirty) ++n;
   }
   return n;
 }

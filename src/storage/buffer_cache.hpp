@@ -1,10 +1,14 @@
 // Database buffer cache (Oracle: the buffer cache component of the SGA).
 //
 // Fixed number of page frames with LRU replacement, pin counts, and dirty
-// tracking. Frames sit on an intrusive recency list (least recently used
-// at the head): a hit relinks its frame in O(1), and an eviction walks from
-// the head past pinned frames only. Enforces the WAL rule: before a dirty
-// page reaches disk, the log must be flushed past that page's LSN
+// tracking. Frames are pooled: each is created on the first miss that finds
+// the pool short of `capacity`, and from then on an eviction reuses its
+// victim in place, so a warm cache allocates nothing and a cache that never
+// fills never grows. A flat page table (FlatIndex) maps each resident page
+// to its frame. Frames sit on an intrusive recency list (least recently
+// used at the head): a hit relinks its frame in O(1), and an eviction walks
+// from the head past pinned frames only. Enforces the WAL rule: before a
+// dirty page reaches disk, the log must be flushed past that page's LSN
 // (wal_flush hook).
 //
 // Checkpoints write every dirty frame as *background* I/O on the data
@@ -16,10 +20,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "obs/observability.hpp"
@@ -43,7 +47,8 @@ class PageStore {
 /// One cached page and its bookkeeping.
 struct BufferFrame {
   Page page;
-  PageId id{PageId::invalid()};
+  PageId id{PageId::invalid()};  // invalid while the frame holds no page
+  std::uint32_t slot = 0;        // index in the cache's frame pool
   bool dirty = false;
   std::uint32_t pins = 0;
   SimTime dirty_since = 0;     // first-dirty instant
@@ -167,13 +172,28 @@ class BufferCache {
  private:
   using Frame = BufferFrame;
 
+  /// The frame holding `id`, or nullptr when the page is not resident.
+  Frame* resident(PageId id) const {
+    const std::uint32_t slot = table_.find(id);
+    return slot == FlatIndex<PageId>::kNone ? nullptr : pool_[slot].get();
+  }
+  /// A frame to load a missed page into: a free one, a new one while the
+  /// pool is short of capacity, else the evicted LRU victim.
+  Result<Frame*> take_frame();
+  /// Takes a resident frame off the page table and the recency list and
+  /// resets its bookkeeping; it keeps its page bytes until reused.
+  void release_frame(Frame* f);
+  /// Discards an unpinned resident frame and frees it: a discarded file's
+  /// frames go back to the allocator (a cache whose instance is being
+  /// replaced may never miss again), and the slot is refilled on demand.
+  void drop_frame(Frame* f);
   void lru_unlink(Frame* f);
   void lru_append(Frame* f);
   /// Moves a hit frame to the most-recently-used end.
   void lru_touch(Frame* f);
   /// Frees the least recently used unpinned frame, writing it out first if
-  /// dirty. Fails if everything is pinned.
-  Status evict_one();
+  /// dirty, and returns it. Fails if everything is pinned.
+  Result<Frame*> evict_one();
   /// Folds pages dirtied since the last sweep into `dirty_sorted_` and
   /// drops stale entries, leaving the exact dirty set in PageId order.
   void merge_dirty_runs();
@@ -182,7 +202,14 @@ class BufferCache {
   std::uint32_t capacity_;
   sim::IoMode io_mode_ = sim::IoMode::kForeground;
   std::function<void(Lsn)> wal_flush_;
-  std::unordered_map<PageId, std::unique_ptr<Frame>> frames_;
+  /// The frames, at stable addresses: at most capacity_ slots, each
+  /// created on the first miss that needs it. A discard frees its frame
+  /// and leaves the slot empty.
+  std::vector<std::unique_ptr<Frame>> pool_;
+  /// Slots holding no page: empty (discarded) or a failed load's frame.
+  std::vector<std::uint32_t> free_;
+  /// Resident page -> pool slot.
+  FlatIndex<PageId> table_;
   /// Recency list over every resident frame: head is the least recently
   /// fetched, tail the most recent.
   Frame* lru_head_ = nullptr;

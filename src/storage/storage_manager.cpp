@@ -278,19 +278,19 @@ Status StorageManager::apply_format(PageId pid, TableId owner,
   return Status::ok();
 }
 
-Result<std::vector<std::uint8_t>> StorageManager::read_with_retry(
-    const std::string& path, std::uint64_t offset, std::uint64_t len,
-    sim::IoMode mode, bool sequential) {
+Status StorageManager::read_with_retry(const std::string& path,
+                                       std::uint64_t offset,
+                                       std::span<std::uint8_t> out,
+                                       sim::IoMode mode, bool sequential) {
   const IoRetryPolicy& policy = params_.retry;
   SimDuration backoff = policy.initial_backoff;
   for (std::uint32_t attempt = 1;; ++attempt) {
-    auto bytes = fs_->read(path, offset, len, mode, sequential);
-    if (bytes.is_ok() || bytes.code() != ErrorCode::kTransientIo) return bytes;
+    Status st = fs_->read(path, offset, out, mode, sequential);
+    if (st.is_ok() || st.code() != ErrorCode::kTransientIo) return st;
     if (attempt >= policy.max_attempts) {
       retries_exhausted_counter_->inc();
       return make_error(ErrorCode::kTransientIo,
-                        bytes.status().message() + " (" +
-                            std::to_string(attempt - 1) +
+                        st.message() + " (" + std::to_string(attempt - 1) +
                             " retries exhausted)");
     }
     retries_counter_->inc();
@@ -340,18 +340,19 @@ Status StorageManager::load_page(PageId id, Page* out, sim::IoMode mode) {
   }
   const std::uint64_t offset =
       static_cast<std::uint64_t>(id.block) * Page::kSize;
-  auto bytes = read_with_retry(f.path, offset, Page::kSize, mode,
-                               /*sequential=*/false);
-  if (!bytes.is_ok()) {
-    if (bytes.code() == ErrorCode::kNotFound) {
+  // The block lands straight in the caller's page (a cache frame) and is
+  // verified there.
+  Status st = read_with_retry(f.path, offset, {out->raw(), Page::kSize}, mode,
+                              /*sequential=*/false);
+  if (!st.is_ok()) {
+    if (st.code() == ErrorCode::kNotFound) {
       f.status = FileStatus::kMissing;
       return make_error(ErrorCode::kMediaFailure,
                         "datafile missing: " + f.path);
     }
-    if (bytes.code() == ErrorCode::kCorruption) note_corrupt(id);
-    return bytes.status();
+    if (st.code() == ErrorCode::kCorruption) note_corrupt(id);
+    return st;
   }
-  std::copy(bytes.value().begin(), bytes.value().end(), out->raw());
   if (!out->verify_checksum()) {
     note_corrupt(id);
     char detail[64];
@@ -404,18 +405,16 @@ Result<VerifyReport> StorageManager::verify_file(FileId id) {
     const std::uint64_t offset =
         static_cast<std::uint64_t>(block) * Page::kSize;
     ++report.blocks_scanned;
-    auto bytes = read_with_retry(file->path, offset, Page::kSize,
-                                 sim::IoMode::kForeground,
-                                 /*sequential=*/true);
-    if (!bytes.is_ok()) {
+    Status st = read_with_retry(file->path, offset, {page.raw(), Page::kSize},
+                                sim::IoMode::kForeground,
+                                /*sequential=*/true);
+    if (!st.is_ok()) {
       // Unreadable (loud corruption, exhausted retries): the block is bad,
       // but the scan keeps going — DBVERIFY reports all damage in one pass.
       note_corrupt(pid);
-      report.bad.push_back(
-          BadBlock{pid, file->path, offset, 0, 0, bytes.status()});
+      report.bad.push_back(BadBlock{pid, file->path, offset, 0, 0, st});
       continue;
     }
-    std::copy(bytes.value().begin(), bytes.value().end(), page.raw());
     if (!page.verify_checksum()) {
       note_corrupt(pid);
       char detail[96];

@@ -231,11 +231,9 @@ class StorageManager final : public PageStore {
 
   /// fs_->read / fs_->write wrapped in the bounded-backoff retry loop;
   /// kTransientIo exhaustion is surfaced with the retry count appended.
-  Result<std::vector<std::uint8_t>> read_with_retry(const std::string& path,
-                                                    std::uint64_t offset,
-                                                    std::uint64_t len,
-                                                    sim::IoMode mode,
-                                                    bool sequential);
+  Status read_with_retry(const std::string& path, std::uint64_t offset,
+                         std::span<std::uint8_t> out, sim::IoMode mode,
+                         bool sequential);
   Status write_with_retry(const std::string& path, std::uint64_t offset,
                           std::span<const std::uint8_t> data,
                           sim::IoMode mode, bool sequential);

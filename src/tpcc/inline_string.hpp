@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -37,6 +38,15 @@ class InlineString {
     VDB_CHECK_MSG(s.size() <= N, "string exceeds its field's capacity");
     size_ = static_cast<std::uint16_t>(s.size());
     if (!s.empty()) std::memcpy(data_, s.data(), s.size());
+  }
+
+  /// Sets the value in place: `write` stores it at the front of the span
+  /// of all N characters and returns its length.
+  template <typename Write>
+  void fill(Write&& write) {
+    const std::size_t n = write(std::span<char>(data_, N));
+    VDB_CHECK_MSG(n <= N, "string exceeds its field's capacity");
+    size_ = static_cast<std::uint16_t>(n);
   }
 
   /// Appends `s`, which must fit the remaining capacity.

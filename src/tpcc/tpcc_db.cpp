@@ -20,6 +20,30 @@ const char* table_name(Tbl t) {
   return "?";
 }
 
+void DenseIndex::insert(std::size_t pos, RowId rid) {
+  if (pos == kNoPos) return;
+  if (pos >= rids_.size()) rids_.resize(pos + 1, RowId::invalid());
+  if (rids_[pos].valid()) return;
+  rids_[pos] = rid;
+  size_ += 1;
+}
+
+void DenseIndex::erase(std::size_t pos, RowId rid) {
+  if (pos >= rids_.size() || rids_[pos] != rid) return;
+  rids_[pos] = RowId::invalid();
+  size_ -= 1;
+}
+
+std::optional<RowId> DenseIndex::find(std::size_t pos) const {
+  if (pos >= rids_.size() || !rids_[pos].valid()) return std::nullopt;
+  return rids_[pos];
+}
+
+void DenseIndex::clear() {
+  rids_.clear();
+  size_ = 0;
+}
+
 NameArr to_name_arr(std::string_view s) {
   NameArr arr{};
   std::memcpy(arr.data(), s.data(), std::min(s.size(), arr.size()));
@@ -87,6 +111,44 @@ std::vector<std::uint8_t>& TpccDb::row_buffer() {
   return buffer;
 }
 
+std::size_t TpccDb::warehouse_pos(std::uint32_t w) const {
+  if (w < 1 || w > scale_.warehouses) return DenseIndex::kNoPos;
+  return w - 1;
+}
+
+std::size_t TpccDb::district_pos(std::uint32_t w, std::uint32_t d) const {
+  const std::size_t wp = warehouse_pos(w);
+  if (wp == DenseIndex::kNoPos || d < 1 ||
+      d > scale_.districts_per_warehouse) {
+    return DenseIndex::kNoPos;
+  }
+  return wp * scale_.districts_per_warehouse + (d - 1);
+}
+
+std::size_t TpccDb::customer_pos(std::uint32_t w, std::uint32_t d,
+                                 std::uint32_t c) const {
+  const std::size_t dp = district_pos(w, d);
+  if (dp == DenseIndex::kNoPos || c < 1 ||
+      c > scale_.customers_per_district) {
+    return DenseIndex::kNoPos;
+  }
+  return dp * scale_.customers_per_district + (c - 1);
+}
+
+std::size_t TpccDb::item_pos(std::uint32_t i) const {
+  if (i < 1 || i > scale_.items) return DenseIndex::kNoPos;
+  return i - 1;
+}
+
+std::size_t TpccDb::stock_pos(std::uint32_t w, std::uint32_t i) const {
+  const std::size_t wp = warehouse_pos(w);
+  const std::size_t ip = item_pos(i);
+  if (wp == DenseIndex::kNoPos || ip == DenseIndex::kNoPos) {
+    return DenseIndex::kNoPos;
+  }
+  return wp * scale_.items + ip;
+}
+
 std::optional<Tbl> TpccDb::tbl_of(TableId id) const {
   for (size_t i = 0; i < kTableCount; ++i) {
     if (tables_[i] == id) return static_cast<Tbl>(i);
@@ -114,17 +176,17 @@ void TpccDb::index_insert(Tbl t, RowId rid,
   switch (t) {
     case Tbl::kWarehouse: {
       auto r = from_bytes<WarehouseRow>(row);
-      warehouse_idx_.insert(r.w_id, rid);
+      warehouse_idx_.insert(warehouse_pos(r.w_id), rid);
       break;
     }
     case Tbl::kDistrict: {
       auto r = from_bytes<DistrictRow>(row);
-      district_idx_.insert({r.d_w_id, r.d_id}, rid);
+      district_idx_.insert(district_pos(r.d_w_id, r.d_id), rid);
       break;
     }
     case Tbl::kCustomer: {
       auto r = from_bytes<CustomerRow>(row);
-      customer_idx_.insert({r.c_w_id, r.c_d_id, r.c_id}, rid);
+      customer_idx_.insert(customer_pos(r.c_w_id, r.c_d_id, r.c_id), rid);
       name_idx_.insert({r.c_w_id, r.c_d_id, to_name_arr(r.c_last), r.c_id},
                        rid);
       break;
@@ -150,12 +212,12 @@ void TpccDb::index_insert(Tbl t, RowId rid,
     }
     case Tbl::kItem: {
       auto r = from_bytes<ItemRow>(row);
-      item_idx_.insert(r.i_id, rid);
+      item_idx_.insert(item_pos(r.i_id), rid);
       break;
     }
     case Tbl::kStock: {
       auto r = from_bytes<StockRow>(row);
-      stock_idx_.insert({r.s_w_id, r.s_i_id}, rid);
+      stock_idx_.insert(stock_pos(r.s_w_id, r.s_i_id), rid);
       break;
     }
   }
@@ -165,7 +227,8 @@ void TpccDb::index_erase(Tbl t, RowId rid, std::span<const std::uint8_t> row) {
   // Erase only if the index still maps the business key to *this* row. A
   // concurrent transaction that aborted a duplicate-key insert delivers a
   // delete notification for a key another (committed) row legitimately
-  // owns; an unconditional erase would strip the survivor's entry.
+  // owns; an unconditional erase would strip the survivor's entry. The
+  // dense paths apply the same rule in DenseIndex::erase.
   auto erase_match = [rid](auto& idx, const auto& key) {
     const RowId* cur = idx.find(key);
     if (cur != nullptr && *cur == rid) idx.erase(key);
@@ -173,17 +236,17 @@ void TpccDb::index_erase(Tbl t, RowId rid, std::span<const std::uint8_t> row) {
   switch (t) {
     case Tbl::kWarehouse: {
       auto r = from_bytes<WarehouseRow>(row);
-      erase_match(warehouse_idx_, r.w_id);
+      warehouse_idx_.erase(warehouse_pos(r.w_id), rid);
       break;
     }
     case Tbl::kDistrict: {
       auto r = from_bytes<DistrictRow>(row);
-      erase_match(district_idx_, std::tuple{r.d_w_id, r.d_id});
+      district_idx_.erase(district_pos(r.d_w_id, r.d_id), rid);
       break;
     }
     case Tbl::kCustomer: {
       auto r = from_bytes<CustomerRow>(row);
-      erase_match(customer_idx_, std::tuple{r.c_w_id, r.c_d_id, r.c_id});
+      customer_idx_.erase(customer_pos(r.c_w_id, r.c_d_id, r.c_id), rid);
       erase_match(name_idx_, std::tuple{r.c_w_id, r.c_d_id,
                                         to_name_arr(r.c_last), r.c_id});
       break;
@@ -210,12 +273,12 @@ void TpccDb::index_erase(Tbl t, RowId rid, std::span<const std::uint8_t> row) {
     }
     case Tbl::kItem: {
       auto r = from_bytes<ItemRow>(row);
-      erase_match(item_idx_, r.i_id);
+      item_idx_.erase(item_pos(r.i_id), rid);
       break;
     }
     case Tbl::kStock: {
       auto r = from_bytes<StockRow>(row);
-      erase_match(stock_idx_, std::tuple{r.s_w_id, r.s_i_id});
+      stock_idx_.erase(stock_pos(r.s_w_id, r.s_i_id), rid);
       break;
     }
   }
@@ -223,22 +286,19 @@ void TpccDb::index_erase(Tbl t, RowId rid, std::span<const std::uint8_t> row) {
 
 std::optional<RowId> TpccDb::warehouse_rid(std::uint32_t w) const {
   std::shared_lock lock(index_mu_);
-  const RowId* rid = warehouse_idx_.find(w);
-  return rid ? std::optional<RowId>(*rid) : std::nullopt;
+  return warehouse_idx_.find(warehouse_pos(w));
 }
 
 std::optional<RowId> TpccDb::district_rid(std::uint32_t w,
                                           std::uint32_t d) const {
   std::shared_lock lock(index_mu_);
-  const RowId* rid = district_idx_.find({w, d});
-  return rid ? std::optional<RowId>(*rid) : std::nullopt;
+  return district_idx_.find(district_pos(w, d));
 }
 
 std::optional<RowId> TpccDb::customer_rid(std::uint32_t w, std::uint32_t d,
                                           std::uint32_t c) const {
   std::shared_lock lock(index_mu_);
-  const RowId* rid = customer_idx_.find({w, d, c});
-  return rid ? std::optional<RowId>(*rid) : std::nullopt;
+  return customer_idx_.find(customer_pos(w, d, c));
 }
 
 std::vector<std::pair<std::uint32_t, RowId>> TpccDb::customers_by_name(
@@ -259,15 +319,13 @@ std::vector<std::pair<std::uint32_t, RowId>> TpccDb::customers_by_name(
 
 std::optional<RowId> TpccDb::item_rid(std::uint32_t i) const {
   std::shared_lock lock(index_mu_);
-  const RowId* rid = item_idx_.find(i);
-  return rid ? std::optional<RowId>(*rid) : std::nullopt;
+  return item_idx_.find(item_pos(i));
 }
 
 std::optional<RowId> TpccDb::stock_rid(std::uint32_t w,
                                        std::uint32_t i) const {
   std::shared_lock lock(index_mu_);
-  const RowId* rid = stock_idx_.find({w, i});
-  return rid ? std::optional<RowId>(*rid) : std::nullopt;
+  return stock_idx_.find(stock_pos(w, i));
 }
 
 std::optional<RowId> TpccDb::order_rid(std::uint32_t w, std::uint32_t d,

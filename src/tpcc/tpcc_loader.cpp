@@ -9,6 +9,28 @@ namespace {
 /// Commit-batch size: bounds per-transaction undo so bulk load never
 /// exhausts a rollback segment.
 constexpr std::uint32_t kBatchRows = 2000;
+
+// Random values drawn straight into a row's field.
+template <std::size_t N>
+void alnum(Rng& rng, InlineString<N>& field, int min_len, int max_len) {
+  field.fill([&](std::span<char> buf) {
+    return rng.alnum_string(buf, min_len, max_len);
+  });
+}
+
+template <std::size_t N>
+void digits(Rng& rng, InlineString<N>& field, int min_len, int max_len) {
+  field.fill([&](std::span<char> buf) {
+    return rng.digit_string(buf, min_len, max_len);
+  });
+}
+
+/// I_DATA / S_DATA (clause 4.3.3.1).
+template <std::size_t N>
+void item_data(TpccRandom& tr, InlineString<N>& field) {
+  field.fill([&](std::span<char> buf) { return tr.data_string(buf, 26, 50); });
+}
+
 }  // namespace
 
 Result<LoadStats> Loader::load() {
@@ -66,7 +88,10 @@ Result<LoadStats> Loader::load_warehouses(
   return stats_;
 }
 
-std::string Loader::zip() { return rng_.digit_string(4, 4) + "11111"; }
+void Loader::zip(InlineString<9>& field) {
+  digits(rng_, field, 4, 4);
+  field.append("11111");
+}
 
 Status Loader::load_items(TxnId* txn) {
   engine::Database& db = db_->db();
@@ -77,9 +102,9 @@ Status Loader::load_items(TxnId* txn) {
     ItemRow row;
     row.i_id = i;
     row.i_im_id = static_cast<std::uint32_t>(rng_.uniform(1, 10000));
-    row.i_name = rng_.alnum_string(14, 24);
+    alnum(rng_, row.i_name, 14, 24);
     row.i_price = static_cast<double>(rng_.uniform(100, 10000)) / 100.0;
-    row.i_data = tr.data_string(26, 50);
+    item_data(tr, row.i_data);
     auto rid = db_->insert_row(cur, Tbl::kItem, row);
     if (!rid.is_ok()) return rid.status();
     stats_.rows += 1;
@@ -98,12 +123,12 @@ Status Loader::load_items(TxnId* txn) {
 Status Loader::load_warehouse(TxnId txn, std::uint32_t w) {
   WarehouseRow row;
   row.w_id = w;
-  row.w_name = rng_.alnum_string(6, 10);
-  row.w_street_1 = rng_.alnum_string(10, 20);
-  row.w_street_2 = rng_.alnum_string(10, 20);
-  row.w_city = rng_.alnum_string(10, 20);
-  row.w_state = rng_.alnum_string(2, 2);
-  row.w_zip = zip();
+  alnum(rng_, row.w_name, 6, 10);
+  alnum(rng_, row.w_street_1, 10, 20);
+  alnum(rng_, row.w_street_2, 10, 20);
+  alnum(rng_, row.w_city, 10, 20);
+  alnum(rng_, row.w_state, 2, 2);
+  zip(row.w_zip);
   row.w_tax = static_cast<double>(rng_.uniform(0, 2000)) / 10000.0;
   row.w_ytd = 300000.0;
   auto rid = db_->insert_row(txn, Tbl::kWarehouse, row);
@@ -122,11 +147,11 @@ Status Loader::load_stock(TxnId* txn, std::uint32_t w) {
     row.s_i_id = i;
     row.s_w_id = w;
     row.s_quantity = static_cast<std::int32_t>(rng_.uniform(10, 100));
-    for (auto& dist : row.s_dist) dist = rng_.alnum_string(24, 24);
+    for (auto& dist : row.s_dist) alnum(rng_, dist, 24, 24);
     row.s_ytd = 0;
     row.s_order_cnt = 0;
     row.s_remote_cnt = 0;
-    row.s_data = tr.data_string(26, 50);
+    item_data(tr, row.s_data);
     auto rid = db_->insert_row(cur, Tbl::kStock, row);
     if (!rid.is_ok()) return rid.status();
     stats_.rows += 1;
@@ -146,12 +171,12 @@ Status Loader::load_district(TxnId txn, std::uint32_t w, std::uint32_t d) {
   DistrictRow row;
   row.d_id = d;
   row.d_w_id = w;
-  row.d_name = rng_.alnum_string(6, 10);
-  row.d_street_1 = rng_.alnum_string(10, 20);
-  row.d_street_2 = rng_.alnum_string(10, 20);
-  row.d_city = rng_.alnum_string(10, 20);
-  row.d_state = rng_.alnum_string(2, 2);
-  row.d_zip = zip();
+  alnum(rng_, row.d_name, 6, 10);
+  alnum(rng_, row.d_street_1, 10, 20);
+  alnum(rng_, row.d_street_2, 10, 20);
+  alnum(rng_, row.d_city, 10, 20);
+  alnum(rng_, row.d_state, 2, 2);
+  zip(row.d_zip);
   row.d_tax = static_cast<double>(rng_.uniform(0, 2000)) / 10000.0;
   row.d_ytd = 30000.0;
   row.d_next_o_id = db_->scale().initial_orders_per_district + 1;
@@ -169,17 +194,17 @@ Status Loader::load_customers(TxnId txn, std::uint32_t w, std::uint32_t d) {
     row.c_id = c;
     row.c_d_id = d;
     row.c_w_id = w;
-    row.c_first = rng_.alnum_string(8, 16);
+    alnum(rng_, row.c_first, 8, 16);
     row.c_middle = "OE";
     // NURand last names for every customer (scaled population keeps the
     // spec's skew so by-name lookups hit several matches).
     row.c_last = tr.nurand_last_name();
-    row.c_street_1 = rng_.alnum_string(10, 20);
-    row.c_street_2 = rng_.alnum_string(10, 20);
-    row.c_city = rng_.alnum_string(10, 20);
-    row.c_state = rng_.alnum_string(2, 2);
-    row.c_zip = zip();
-    row.c_phone = rng_.digit_string(16, 16);
+    alnum(rng_, row.c_street_1, 10, 20);
+    alnum(rng_, row.c_street_2, 10, 20);
+    alnum(rng_, row.c_city, 10, 20);
+    alnum(rng_, row.c_state, 2, 2);
+    zip(row.c_zip);
+    digits(rng_, row.c_phone, 16, 16);
     row.c_since = now;
     row.c_credit = rng_.chance(0.10) ? "BC" : "GC";
     row.c_credit_lim = 50000.0;
@@ -188,7 +213,7 @@ Status Loader::load_customers(TxnId txn, std::uint32_t w, std::uint32_t d) {
     row.c_ytd_payment = 10.0;
     row.c_payment_cnt = 1;
     row.c_delivery_cnt = 0;
-    row.c_data = rng_.alnum_string(300, 500);
+    alnum(rng_, row.c_data, 300, 500);
     auto rid = db_->insert_row(txn, Tbl::kCustomer, row);
     if (!rid.is_ok()) return rid.status();
     stats_.rows += 1;
@@ -201,7 +226,7 @@ Status Loader::load_customers(TxnId txn, std::uint32_t w, std::uint32_t d) {
     hist.h_w_id = w;
     hist.h_date = now;
     hist.h_amount = 10.0;
-    hist.h_data = rng_.alnum_string(12, 24);
+    alnum(rng_, hist.h_data, 12, 24);
     auto hrid = db_->insert_row(txn, Tbl::kHistory, hist);
     if (!hrid.is_ok()) return hrid.status();
     stats_.rows += 1;
@@ -255,7 +280,7 @@ Status Loader::load_orders(TxnId txn, std::uint32_t w, std::uint32_t d) {
       ol.ol_amount = delivered ? 0.0
                                : static_cast<double>(rng_.uniform(1, 999999)) /
                                      100.0;
-      ol.ol_dist_info = rng_.alnum_string(24, 24);
+      alnum(rng_, ol.ol_dist_info, 24, 24);
       auto lrid = db_->insert_row(txn, Tbl::kOrderLine, ol);
       if (!lrid.is_ok()) return lrid.status();
       stats_.rows += 1;

@@ -40,7 +40,8 @@ class Loader {
   Status load_customers(TxnId txn, std::uint32_t w, std::uint32_t d);
   Status load_orders(TxnId txn, std::uint32_t w, std::uint32_t d);
 
-  std::string zip();
+  /// A zip code (clause 4.3.2.7): four random digits, then "11111".
+  void zip(InlineString<9>& field);
 
   TpccDb* db_;
   Rng rng_;

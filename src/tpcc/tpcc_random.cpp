@@ -1,5 +1,7 @@
 #include "tpcc/tpcc_random.hpp"
 
+#include <cstring>
+
 namespace vdb::tpcc {
 
 namespace {
@@ -34,14 +36,15 @@ std::string TpccRandom::nurand_last_name() {
   return last_name(rng_.nurand(255, 0, 999, c_last_));
 }
 
-std::string TpccRandom::data_string(int min_len, int max_len) {
-  std::string data = rng_.alnum_string(min_len, max_len);
-  if (rng_.chance(0.10) && data.size() >= 8) {
+std::size_t TpccRandom::data_string(std::span<char> out, int min_len,
+                                     int max_len) {
+  const std::size_t len = rng_.alnum_string(out, min_len, max_len);
+  if (rng_.chance(0.10) && len >= 8) {
     const auto pos = static_cast<size_t>(
-        rng_.uniform(0, static_cast<std::int64_t>(data.size()) - 8));
-    data.replace(pos, 8, "ORIGINAL");
+        rng_.uniform(0, static_cast<std::int64_t>(len) - 8));
+    std::memcpy(out.data() + pos, "ORIGINAL", 8);
   }
-  return data;
+  return len;
 }
 
 }  // namespace vdb::tpcc

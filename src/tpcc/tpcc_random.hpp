@@ -5,7 +5,9 @@
 // skew constants are unchanged).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/rng.hpp"
@@ -49,8 +51,10 @@ class TpccRandom {
   Rng& rng() { return rng_; }
   const TpccScale& scale() const { return scale_; }
 
-  /// "ORIGINAL" marker appears in 10% of i_data / s_data (clause 4.3.3.1).
-  std::string data_string(int min_len, int max_len);
+  /// Writes an i_data / s_data value to the front of `out` and returns its
+  /// length: alphanumeric, with the "ORIGINAL" marker in 10% of them
+  /// (clause 4.3.3.1).
+  std::size_t data_string(std::span<char> out, int min_len, int max_len);
 
  private:
   Rng rng_;

@@ -1,10 +1,11 @@
 #include "txn/coordinator.hpp"
 
 #include <algorithm>
-#include <iterator>
+#include <deque>
 #include <map>
-#include <unordered_map>
+#include <memory>
 
+#include "common/flat_index.hpp"
 #include "obs/observability.hpp"
 #include "sim/virtual_clock.hpp"
 
@@ -22,10 +23,13 @@ namespace {
 ///
 /// The table holds an entry only while the row has a holder or a parked
 /// waiter, and a transaction is listed in an entry's holders exactly when
-/// the row is in its context's `held` list. Drained entries and ended
-/// contexts are not freed: their map nodes go to bounded spare lists, reset,
-/// and come back as the next row locked or transaction begun. Once warm,
-/// mediating a row allocates nothing.
+/// the entry is in its context's `held` list. Entries live in a slab at
+/// stable addresses (parked waiters keep their `Entry&`); a FlatIndex maps
+/// each locked target to its slab slot, and drained slots go on a free
+/// list with their holders' capacity. Contexts are slots of a short list
+/// (one per running transaction: the workers plus whatever a failure
+/// stranded), reused the same way. Once warm, mediating a row allocates
+/// nothing.
 ///
 /// Virtual-time coupling: workers run on frozen-clock private timelines
 /// (VirtualClock local sinks), so a real-thread block has no simulated
@@ -53,10 +57,9 @@ class CcBase : public ConcurrencyControl {
 
   void end(TxnId txn, bool committed) override {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = ctx_.find(txn);
-    if (it == ctx_.end()) return;
-    release_locked(it->second, committed);
-    drop_ctx_locked(it);
+    Ctx* ctx = find_ctx_locked(txn);
+    if (ctx == nullptr) return;
+    release_locked(*ctx, committed);
     waiters_.notify_all();
   }
 
@@ -64,25 +67,23 @@ class CcBase : public ConcurrencyControl {
     std::lock_guard<std::mutex> lk(mu_);
     const std::thread::id self = std::this_thread::get_id();
     bool released = false;
-    for (auto it = ctx_.begin(); it != ctx_.end();) {
-      auto next = std::next(it);
-      if (it->second.owner == self) {
-        release_locked(it->second, /*committed=*/false);
-        drop_ctx_locked(it);
+    for (Ctx& ctx : contexts_) {
+      if (ctx.active && ctx.owner == self) {
+        release_locked(ctx, /*committed=*/false);
         released = true;
       }
-      it = next;
     }
     if (released) waiters_.notify_all();
   }
 
   size_t locked_count() const override {
     std::lock_guard<std::mutex> lk(mu_);
-    return table_.size();
+    return index_.size();
   }
 
  protected:
   struct Entry {
+    LockTarget target;
     bool exclusive = false;
     std::vector<TxnId> holders;
     /// Requests parked on this entry: it outlives its last holder while
@@ -94,13 +95,16 @@ class CcBase : public ConcurrencyControl {
   };
 
   struct Ctx {
+    bool active = false;
     TxnId id{};
     std::thread::id owner;
     SimDuration begin_offset = 0;  // sink offset at first mediation
-    std::vector<LockTarget> held;
+    std::vector<std::uint32_t> held;  // slab slots of the entries it holds
     /// OCC read set: target -> version observed at first read.
     std::map<LockTarget, std::uint64_t> read_versions;
   };
+
+  static constexpr std::uint32_t kNoEntry = FlatIndex<LockTarget>::kNone;
 
   static void bump(obs::Counter* c) {
     if (c != nullptr) c->inc();
@@ -111,28 +115,29 @@ class CcBase : public ConcurrencyControl {
            e.holders.end();
   }
 
-  using Table = std::map<LockTarget, Entry>;
-  using Contexts = std::unordered_map<TxnId, Ctx>;
-
-  /// Most drained entries and ended contexts kept for reuse. One
-  /// Stock-Level holds a few hundred row locks, so a warm table serves it
-  /// from spares; the bounds cap what one unusually wide transaction
-  /// leaves behind.
-  static constexpr size_t kSpareEntries = 1024;
-  static constexpr size_t kSpareContexts = 64;
-
-  Ctx& ensure_ctx_locked(TxnId txn) {
-    auto it = ctx_.find(txn);
-    if (it != ctx_.end()) return it->second;
-    if (spare_ctx_.empty()) {
-      it = ctx_.try_emplace(txn).first;
-    } else {
-      Contexts::node_type node = std::move(spare_ctx_.back());
-      spare_ctx_.pop_back();
-      node.key() = txn;
-      it = ctx_.insert(std::move(node)).position;
+  Ctx* find_ctx_locked(TxnId txn) {
+    if (last_ctx_ != nullptr && last_ctx_->active && last_ctx_->id == txn) {
+      return last_ctx_;
     }
-    Ctx& ctx = it->second;
+    for (Ctx& ctx : contexts_) {
+      if (ctx.active && ctx.id == txn) return last_ctx_ = &ctx;
+    }
+    return nullptr;
+  }
+
+  /// The context of `txn`, begun in a free slot on its first mediation.
+  Ctx& ensure_ctx_locked(TxnId txn) {
+    if (Ctx* ctx = find_ctx_locked(txn)) return *ctx;
+    Ctx* free_slot = nullptr;
+    for (Ctx& ctx : contexts_) {
+      if (!ctx.active) {
+        free_slot = &ctx;
+        break;
+      }
+    }
+    Ctx& ctx = free_slot != nullptr ? *free_slot : contexts_.emplace_back();
+    last_ctx_ = &ctx;
+    ctx.active = true;
     ctx.id = txn;
     ctx.owner = std::this_thread::get_id();
     ctx.begin_offset = sim::VirtualClock::local_elapsed();
@@ -140,53 +145,49 @@ class CcBase : public ConcurrencyControl {
     return ctx;
   }
 
-  /// Removes an ended context, keeping its node (and its held list's
-  /// capacity) for the next transaction. Its locks are already released.
-  /// A list wider than the entry bound (a bulk load's) is freed: no
-  /// interaction needs it.
-  void drop_ctx_locked(Contexts::iterator it) {
-    Contexts::node_type node = ctx_.extract(it);
-    if (spare_ctx_.size() >= kSpareContexts) return;
-    Ctx& ctx = node.mapped();
-    if (ctx.held.capacity() > kSpareEntries) {
-      ctx.held = {};
+  Entry& entry_at(std::uint32_t slot) {
+    return slab_[slot / kSlabChunk][slot % kSlabChunk];
+  }
+  const Entry& entry_at(std::uint32_t slot) const {
+    return slab_[slot / kSlabChunk][slot % kSlabChunk];
+  }
+
+  /// Slab slot of the entry for `target`, taking a free slot when the row
+  /// has none.
+  std::uint32_t entry_locked(const LockTarget& target) {
+    const std::uint32_t spare = free_entries_.empty()
+                                    ? slab_size_
+                                    : free_entries_.back();
+    bool inserted = false;
+    const std::uint32_t slot = index_.find_or_insert(target, spare, &inserted);
+    if (!inserted) return slot;
+    if (free_entries_.empty()) {
+      if (slab_size_ % kSlabChunk == 0) {
+        slab_.push_back(std::make_unique<Entry[]>(kSlabChunk));
+      }
+      slab_size_ += 1;
     } else {
-      ctx.held.clear();
+      free_entries_.pop_back();
     }
-    ctx.read_versions.clear();
-    spare_ctx_.push_back(std::move(node));
+    entry_at(slot).target = target;
+    return slot;
   }
 
-  /// The entry for `target`, built from a spare node when the row has none.
-  /// Parked waiters keep theirs alive (std::map references are stable).
-  Entry& entry_locked(const LockTarget& target) {
-    auto it = table_.lower_bound(target);
-    if (it != table_.end() && it->first == target) return it->second;
-    if (spare_entries_.empty()) {
-      return table_.emplace_hint(it, target, Entry{})->second;
-    }
-    Table::node_type node = std::move(spare_entries_.back());
-    spare_entries_.pop_back();
-    node.key() = target;
-    return table_.insert(it, std::move(node))->second;
-  }
-
-  /// Removes a drained entry (no holder, no waiter), resetting it into the
-  /// spare list: a reused entry must not inherit the last tenure's mode.
-  void drop_entry_locked(Table::iterator it) {
-    Table::node_type node = table_.extract(it);
-    if (spare_entries_.size() >= kSpareEntries) return;
-    Entry& e = node.mapped();
+  /// Unmaps a drained entry (no holder, no waiter) and resets its slot for
+  /// reuse: a reused entry must not inherit the last tenure's mode.
+  void drop_entry_locked(std::uint32_t slot) {
+    Entry& e = entry_at(slot);
+    index_.erase(e.target);
     e.exclusive = false;
     e.holders.clear();
     e.waiters = 0;
     e.release_offset = 0;
-    spare_entries_.push_back(std::move(node));
+    free_entries_.push_back(slot);
   }
 
   bool holds_locked(TxnId txn, const LockTarget& t) const {
-    auto it = table_.find(t);
-    return it != table_.end() && listed(it->second, txn);
+    const std::uint32_t slot = index_.find(t);
+    return slot != kNoEntry && listed(entry_at(slot), txn);
   }
 
   /// True if `txn` may take the lock now (including re-grant / upgrade by
@@ -233,8 +234,9 @@ class CcBase : public ConcurrencyControl {
                         bool may_wait) {
     // A fresh entry is grantable at once, so a refusal never leaves an
     // empty one behind.
-    Entry& e = entry_locked(target);
-    const SimDuration entered_at = sim::VirtualClock::local_elapsed();
+    const std::uint32_t slot = entry_locked(target);
+    Entry& e = entry_at(slot);
+    SimDuration entered_at = 0;
     bool blocked = false;
     while (!can_grant(e, ctx.id, exclusive)) {
       if (!may_wait || !older_than_all(e, ctx.id)) {
@@ -243,6 +245,7 @@ class CcBase : public ConcurrencyControl {
                           "wait-die: conflicting lock held by an older or "
                           "non-waitable request");
       }
+      if (!blocked) entered_at = sim::VirtualClock::local_elapsed();
       blocked = true;
       park_locked(lk, e);
     }
@@ -251,33 +254,47 @@ class CcBase : public ConcurrencyControl {
     // release, and T's upgrade would wait on itself.
     if (!listed(e, ctx.id)) {
       e.holders.push_back(ctx.id);
-      ctx.held.push_back(target);
+      ctx.held.push_back(slot);
     }
     e.exclusive = e.exclusive || exclusive;
     if (blocked) charge_wait_locked(e, entered_at);
     return Status::ok();
   }
 
-  /// Releases everything `ctx` holds; `mu_` must be held. The releaser's
-  /// sink offset is stamped on each entry for its waiters; an entry with
-  /// neither holders nor waiters left is erased.
+  /// Releases everything `ctx` holds and frees its slot; `mu_` must be
+  /// held. The releaser's sink offset is stamped on each entry for its
+  /// waiters; an entry with neither holders nor waiters left is dropped.
   void release_locked(Ctx& ctx, bool committed) {
     const SimDuration at = sim::VirtualClock::local_elapsed();
-    for (const LockTarget& t : ctx.held) {
-      auto it = table_.find(t);
-      Entry& e = it->second;
+    for (const std::uint32_t slot : ctx.held) {
+      Entry& e = entry_at(slot);
       e.holders.erase(std::find(e.holders.begin(), e.holders.end(), ctx.id));
       if (e.holders.empty()) {
         if (e.waiters == 0) {
-          drop_entry_locked(it);
+          drop_entry_locked(slot);
           continue;
         }
         e.exclusive = false;
       }
       e.release_offset = at;
     }
-    ctx.held.clear();
+    ctx.read_versions.clear();
+    ctx.active = false;
     bump(committed ? txns_committed_ : txns_aborted_);
+    // A bulk load's transaction locks thousands of rows, far more than any
+    // interaction. Once the table drains after one, its storage goes back
+    // to the allocator instead of staying reserved for the instance's life.
+    if (ctx.held.size() > kBulkLocks) {
+      ctx.held = {};
+      if (index_.size() == 0) {
+        slab_.clear();
+        slab_size_ = 0;
+        free_entries_ = {};
+        index_ = {};
+      }
+    } else {
+      ctx.held.clear();
+    }
   }
 
   void charge_occ_fail_locked(const Ctx& ctx) {
@@ -291,10 +308,18 @@ class CcBase : public ConcurrencyControl {
 
   mutable std::mutex mu_;
   std::condition_variable waiters_;
-  Table table_;
-  Contexts ctx_;
-  std::vector<Table::node_type> spare_entries_;
-  std::vector<Contexts::node_type> spare_ctx_;
+  /// A transaction holding more row locks than this is a bulk load's: a
+  /// TPC-C interaction holds at most a few hundred (Stock-Level).
+  static constexpr size_t kBulkLocks = 1024;
+  /// Lock entries by slab slot, in chunks that never move, so a parked
+  /// waiter's Entry& stays valid while the slab grows.
+  static constexpr std::uint32_t kSlabChunk = 256;
+  std::vector<std::unique_ptr<Entry[]>> slab_;
+  std::uint32_t slab_size_ = 0;
+  std::vector<std::uint32_t> free_entries_;
+  FlatIndex<LockTarget> index_;  // locked target -> slab slot
+  std::deque<Ctx> contexts_;
+  Ctx* last_ctx_ = nullptr;  // the context found last (serial runs: the one)
 
   obs::WaitEventTable* waits_ = nullptr;
   obs::Counter* wait_die_aborts_ = nullptr;
@@ -352,9 +377,9 @@ class OccCc final : public CcBase {
       // Wait out (or die to) a concurrent writer: with in-place updates
       // the row's bytes are dirty until the writer resolves. Reads take
       // no lock, so the entry's holders are writers other than `txn`.
-      auto it = table_.find(target);
-      if (it != table_.end()) {
-        Entry& e = it->second;
+      const std::uint32_t slot = index_.find(target);
+      if (slot != kNoEntry) {
+        Entry& e = entry_at(slot);
         const SimDuration entered_at = sim::VirtualClock::local_elapsed();
         bool blocked = false;
         while (!e.holders.empty()) {
@@ -367,7 +392,7 @@ class OccCc final : public CcBase {
           park_locked(lk, e);
         }
         if (blocked) charge_wait_locked(e, entered_at);
-        if (e.waiters == 0) drop_entry_locked(it);
+        if (e.waiters == 0) drop_entry_locked(slot);
       }
       ctx.read_versions.try_emplace(target, version_of(target));
       return Status::ok();
@@ -395,9 +420,9 @@ class OccCc final : public CcBase {
 
   Status validate(TxnId txn) override {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = ctx_.find(txn);
-    if (it == ctx_.end()) return Status::ok();  // read-nothing transaction
-    Ctx& ctx = it->second;
+    Ctx* found = find_ctx_locked(txn);
+    if (found == nullptr) return Status::ok();  // read-nothing transaction
+    Ctx& ctx = *found;
     for (const auto& [target, version] : ctx.read_versions) {
       // Targets this transaction write-locked are stable (only the lock
       // holder can publish); unlocked read-set entries must still be at

@@ -165,3 +165,11 @@ class TxnCoordinator {
 };
 
 }  // namespace vdb::txn
+
+/// Hash of a lock target, for the 2PL table's FlatIndex.
+template <>
+struct std::hash<vdb::txn::LockTarget> {
+  size_t operator()(const vdb::txn::LockTarget& t) const noexcept {
+    return std::hash<vdb::RowId>{}(t.rid) * 31 + t.table.value;
+  }
+};

@@ -1,6 +1,7 @@
 #include "wal/redo_log.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/codec.hpp"
 
@@ -21,9 +22,9 @@ Result<LogFileHeader> parse_log_header(std::span<const std::uint8_t> image) {
 }
 
 Result<LogFileHeader> read_log_header(sim::SimFs& fs, const std::string& path) {
-  auto bytes = fs.read(path, 0, kGroupHeaderSize, sim::IoMode::kForeground);
-  if (!bytes.is_ok()) return bytes.status();
-  return parse_log_header(bytes.value());
+  std::array<std::uint8_t, kGroupHeaderSize> header;
+  VDB_RETURN_IF_ERROR(fs.read(path, 0, header, sim::IoMode::kForeground));
+  return parse_log_header(header);
 }
 
 Status parse_log_records(std::span<const std::uint8_t> image,

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "storage/storage_manager.hpp"
 #include "tests/test_env.hpp"
 #include "tpcc/tpcc_random.hpp"
 #include "tpcc/tpcc_txns.hpp"
@@ -125,6 +126,45 @@ TEST(AllocBudget, NewOrderStaysUnderBudget) {
   for (int i = 0; i < kRuns; ++i) VDB_CHECK(t.txns.new_order(1).is_ok());
   const double per_txn = static_cast<double>(scope.count()) / kRuns;
   EXPECT_LE(per_txn, 100.0);
+}
+
+// Once every frame of the pool exists, a miss reuses its victim's frame in
+// place and reads the block straight into it: evicting a dirty victim
+// (write-back through the WAL hook) and loading the missed page allocate
+// nothing.
+TEST(AllocBudget, WarmCacheMissAllocatesNothing) {
+  if (!VDB_ALLOC_COUNTING) GTEST_SKIP() << "the sanitizer owns operator new";
+  sim::VirtualClock clock;
+  sim::Host host{"h", &clock};
+  host.add_disk("/data");
+  storage::StorageParams params;
+  params.cache_pages = 4;
+  Lsn flushed = 0;
+  storage::StorageManager sm(&host.fs(), params,
+                             [&flushed](Lsn lsn) { flushed = lsn; });
+  auto ts = sm.create_tablespace("TS");
+  ASSERT_TRUE(ts.is_ok());
+  auto file = sm.add_datafile(ts.value(), "/data/f1.dbf", 16);
+  ASSERT_TRUE(file.is_ok());
+  const auto page = [&](std::uint32_t block) {
+    return PageId{file.value(), block};
+  };
+  // Fill the pool with dirty pages, then dirty every page it will evict.
+  for (std::uint32_t block = 0; block < 12; ++block) {
+    ASSERT_TRUE(sm.apply_format(page(block), TableId{1}, 64, block + 1)
+                    .is_ok());
+  }
+  ASSERT_GT(sm.cache().dirty_count(), 0u);
+
+  std::uint64_t worst = 0;
+  for (std::uint32_t block = 0; block < 12; ++block) {
+    AllocScope scope;
+    auto ref = sm.fetch(page(block));
+    ASSERT_TRUE(ref.is_ok());
+    worst = std::max(worst, scope.count());
+  }
+  EXPECT_EQ(worst, 0u);
+  EXPECT_GT(flushed, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstddef>
 #include <map>
 #include <set>
@@ -160,13 +161,19 @@ TEST(Rng, NurandIsSkewed) {
 
 TEST(Rng, StringHelpers) {
   Rng rng(23);
+  char buf[10];
   for (int i = 0; i < 100; ++i) {
-    const std::string a = rng.alnum_string(5, 10);
-    EXPECT_GE(a.size(), 5u);
-    EXPECT_LE(a.size(), 10u);
-    const std::string d = rng.digit_string(4, 4);
-    EXPECT_EQ(d.size(), 4u);
-    for (char c : d) EXPECT_TRUE(c >= '0' && c <= '9');
+    const std::size_t a = rng.alnum_string(buf, 5, 10);
+    EXPECT_GE(a, 5u);
+    EXPECT_LE(a, 10u);
+    for (std::size_t k = 0; k < a; ++k) {
+      EXPECT_TRUE(std::isalnum(static_cast<unsigned char>(buf[k])));
+    }
+    const std::size_t d = rng.digit_string(buf, 4, 4);
+    EXPECT_EQ(d, 4u);
+    for (std::size_t k = 0; k < d; ++k) {
+      EXPECT_TRUE(buf[k] >= '0' && buf[k] <= '9');
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "benchmark/experiment.hpp"
+#include "common/flat_index.hpp"
 #include "common/rng.hpp"
 #include "obs/observability.hpp"
 #include "txn/coordinator.hpp"
@@ -332,11 +333,11 @@ TEST(LockManager, ReleaseFreesOnlyOwnLocks) {
                     {2, 'X'}});       // now sole holder: upgrades
 }
 
-// Drained entries and ended contexts are recycled through spare lists. A
+// Drained entries and ended contexts are recycled through free lists. A
 // reused entry must start unlocked: a leftover exclusive mode would refuse
 // T3's shared read, and a leftover holder would refuse T4's write and keep
 // the table from draining. The third round locks another row, so its entry
-// is a node recycled from the first row.
+// is a slot recycled from the first row.
 TEST(LockManager, RecycledEntriesStartUnlocked) {
   auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl, nullptr);
   std::uint64_t next = 1;
@@ -369,11 +370,30 @@ TEST(LockManager, RecycledEntriesStartUnlocked) {
   }
 }
 
+/// `n` row targets whose FlatIndex hash ends in 16 bits at or above
+/// 0x10000 - `spread`: the lock table's probe for each starts in its last
+/// `spread` slots whatever its size (up to 65,536 slots), so their chains
+/// run off the end and wrap to slot 0. With spread 1 they share one chain.
+std::vector<txn::LockTarget> targets_homed_at_the_end(size_t n,
+                                                      std::uint32_t spread) {
+  std::vector<txn::LockTarget> out;
+  for (std::uint32_t block = 0; out.size() < n; ++block) {
+    const txn::LockTarget t = target(block);
+    if ((FlatIndex<txn::LockTarget>::hash_of(t) & 0xFFFF) >=
+        0x10000u - spread) {
+      out.push_back(t);
+    }
+  }
+  return out;
+}
+
 /// Model check of the serial grant rule: grants must agree with a simple
 /// reference model of 2PL compatibility (S/S compatible, anything with X
 /// conflicts, re-entrant by holder, sole-holder upgrades), and the table
-/// must hold exactly the rows the model says are locked.
-TEST(LockModelCheck, AgreesWithReferenceModel) {
+/// must hold exactly the rows the model says are locked. Rows are drawn
+/// from `targets`.
+void check_against_reference_model(
+    const std::vector<txn::LockTarget>& targets) {
   Rng rng(31337);
   auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl, nullptr);
 
@@ -391,7 +411,8 @@ TEST(LockModelCheck, AgreesWithReferenceModel) {
 
   for (int op = 0; op < 4000; ++op) {
     const std::uint64_t txn = active[static_cast<size_t>(rng.uniform(0, 4))];
-    const auto r = static_cast<std::uint32_t>(rng.uniform(0, 20));
+    const auto r = static_cast<std::uint32_t>(
+        rng.uniform(0, static_cast<std::int64_t>(targets.size()) - 1));
     if (rng.chance(0.15)) {
       // End the transaction: release everything it holds.
       cc->end(tid(txn), true);
@@ -406,7 +427,7 @@ TEST(LockModelCheck, AgreesWithReferenceModel) {
     }
     const bool exclusive = rng.chance(0.5);
     const Status st = cc->mediate(
-        tid(txn), target(r),
+        tid(txn), targets[r],
         exclusive ? txn::AccessMode::kWrite : txn::AccessMode::kRead, false);
 
     ModelEntry& entry = model[r];
@@ -429,6 +450,88 @@ TEST(LockModelCheck, AgreesWithReferenceModel) {
     }
     ASSERT_EQ(cc->locked_count(), model_locked()) << "op " << op;
   }
+}
+
+TEST(LockModelCheck, AgreesWithReferenceModel) {
+  std::vector<txn::LockTarget> rows;
+  for (std::uint32_t r = 0; r <= 20; ++r) rows.push_back(target(r));
+  check_against_reference_model(rows);
+}
+
+// The same check over rows whose probe chains all start in the table's
+// last four slots, so every insert, lookup and backward-shift erase runs
+// on chains that wrap.
+TEST(LockModelCheck, AgreesWithReferenceModelOnWrappingChains) {
+  check_against_reference_model(targets_homed_at_the_end(21, 4));
+}
+
+// Five rows on one probe chain, each locked by its own transaction, are
+// released in all 120 orders. After every release the rows still locked
+// must still be found: their holder re-locks them without a new entry,
+// and a conflicting request dies.
+TEST(LockManager, OneProbeChainSurvivesEveryDeletionOrder) {
+  const std::vector<txn::LockTarget> rows = targets_homed_at_the_end(5, 1);
+  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl, nullptr);
+  std::vector<size_t> order{0, 1, 2, 3, 4};
+  std::uint64_t next = 100;
+  do {
+    std::vector<TxnId> holder;
+    for (const txn::LockTarget& t : rows) {
+      holder.push_back(tid(next++));
+      ASSERT_TRUE(
+          cc->mediate(holder.back(), t, txn::AccessMode::kWrite, false)
+              .is_ok());
+    }
+    std::vector<bool> released(rows.size(), false);
+    for (size_t k = 0; k < order.size(); ++k) {
+      cc->end(holder[order[k]], true);
+      released[order[k]] = true;
+      const size_t still = rows.size() - (k + 1);
+      ASSERT_EQ(cc->locked_count(), still);
+      const TxnId probe = tid(next++);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (released[i]) continue;
+        EXPECT_TRUE(
+            cc->mediate(holder[i], rows[i], txn::AccessMode::kWrite, false)
+                .is_ok());
+        EXPECT_EQ(
+            cc->mediate(probe, rows[i], txn::AccessMode::kRead, false).code(),
+            kDies)
+            << "row " << i << " lost after releasing " << order[k];
+      }
+      cc->end(probe, false);
+      ASSERT_EQ(cc->locked_count(), still);
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+// A bulk load's transaction locks every row it inserts. Ten thousand rows
+// grow the table far past any interaction's width; releasing them must
+// drain it completely, and the next interaction mediates as usual.
+TEST(LockManager, BulkWidthLockSetDrainsCompletely) {
+  auto cc = txn::make_concurrency_control(txn::CcProtocol::k2pl, nullptr);
+  constexpr std::uint32_t kRows = 10000;
+  for (std::uint32_t r = 0; r < kRows; ++r) {
+    ASSERT_TRUE(
+        cc->mediate(tid(1), target(r), txn::AccessMode::kWrite, false).is_ok());
+  }
+  EXPECT_EQ(cc->locked_count(), kRows);
+  cc->end(tid(1), true);
+  EXPECT_EQ(cc->locked_count(), 0u);
+
+  // A Payment-width interaction over rows the load held.
+  for (std::uint32_t r = 0; r < 8; ++r) {
+    EXPECT_TRUE(cc->mediate(tid(2), target(r * 1000), txn::AccessMode::kWrite,
+                            false)
+                    .is_ok());
+  }
+  EXPECT_EQ(cc->locked_count(), 8u);
+  EXPECT_EQ(cc->mediate(tid(3), target(0), txn::AccessMode::kRead, false)
+                .code(),
+            kDies);
+  cc->end(tid(3), false);
+  cc->end(tid(2), true);
+  EXPECT_EQ(cc->locked_count(), 0u);
 }
 
 // --- wait-die deadlock freedom under stress --------------------------------

@@ -147,12 +147,14 @@ std::vector<std::uint8_t> recovered_block_bytes(unsigned replay_jobs) {
   VDB_CHECK(back.value() == "r150");
   VDB_CHECK(small.db->commit(txn.value()).is_ok());
 
-  auto bytes = env.host.fs().read(
-      path,
-      static_cast<std::uint64_t>(mid.page.block) * storage::Page::kSize,
-      storage::Page::kSize, sim::IoMode::kForeground);
-  VDB_CHECK(bytes.is_ok());
-  return bytes.value();
+  std::vector<std::uint8_t> bytes(storage::Page::kSize);
+  VDB_CHECK(env.host.fs()
+                .read(path,
+                      static_cast<std::uint64_t>(mid.page.block) *
+                          storage::Page::kSize,
+                      bytes, sim::IoMode::kForeground)
+                .is_ok());
+  return bytes;
 }
 
 TEST(BlockRecovery, ByteIdenticalAcrossReplayJobCounts) {

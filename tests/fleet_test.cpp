@@ -174,6 +174,44 @@ TEST(FleetTest, ParticipantCrashMidPrepareAbortsEverywhere) {
   EXPECT_EQ(fleet.registry().atomicity_violations(), 0u);
 }
 
+// A shard loads its own warehouses and the whole (replicated) catalog, so
+// its dense paths hold no stock or warehouse row of another shard's
+// warehouse, whether that id sits below or above its own.
+TEST(FleetTest, ShardHoldsNoRowsOfForeignWarehouses) {
+  Fleet fleet(small_cfg(2));
+  ASSERT_TRUE(fleet.setup().is_ok());
+  const std::uint32_t items = fleet.scale().items;
+  for (std::uint32_t s = 0; s < fleet.size(); ++s) {
+    for (std::uint32_t w = 1; w <= fleet.scale().warehouses; ++w) {
+      const bool own = fleet.shard_of(w) == s;
+      EXPECT_EQ(fleet.tdb(s).warehouse_rid(w).has_value(), own)
+          << "shard " << s << " warehouse " << w;
+      EXPECT_EQ(fleet.tdb(s).stock_rid(w, 1).has_value(), own)
+          << "shard " << s << " warehouse " << w;
+      EXPECT_EQ(fleet.tdb(s).stock_rid(w, items).has_value(), own)
+          << "shard " << s << " warehouse " << w;
+    }
+    EXPECT_TRUE(fleet.tdb(s).item_rid(items).has_value());
+  }
+}
+
+// Testbed::restart attaches the access paths before the rebuild scan, so
+// the new incarnation serves exactly the entries the old one did.
+TEST(FleetTest, TestbedRestartRebuildsEveryIndexEntry) {
+  Fleet fleet(small_cfg(2));
+  ASSERT_TRUE(fleet.setup().is_ok());
+  Shard& shard = fleet.shard(0);
+  const size_t entries = shard.tdb->index_entries();
+  const std::uint32_t w = shard.warehouses.front();
+  const auto stock = shard.tdb->stock_rid(w, 7);
+  ASSERT_TRUE(stock.has_value());
+
+  ASSERT_TRUE(shard.db->shutdown_abort().is_ok());
+  ASSERT_TRUE(shard.restart().is_ok());
+  EXPECT_EQ(shard.tdb->index_entries(), entries);
+  EXPECT_EQ(shard.tdb->stock_rid(w, 7), stock);
+}
+
 TEST(FleetTest, RestartedShardKeepsItsAccessPaths) {
   Fleet fleet(small_cfg());
   ASSERT_TRUE(fleet.setup().is_ok());

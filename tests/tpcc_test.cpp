@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "tests/test_env.hpp"
 #include "tpcc/consistency.hpp"
 #include "tpcc/schema.hpp"
@@ -159,6 +160,74 @@ TEST_F(TpccFixture, LoaderPopulatesSpecCardinalities) {
   EXPECT_EQ(count(Tbl::kOrder), 300u);
   EXPECT_EQ(count(Tbl::kNewOrder), 90u);    // 30% undelivered
   EXPECT_GT(count(Tbl::kOrderLine), 300u * 5);
+}
+
+// The loader's rows are a pure function of its seed. Their CRC32C, table by
+// table in scan order, is pinned: a change to how the loader or the Rng
+// draws its strings that moves any byte of any row fails here. The
+// simulated benches compare row counts and timings, not string contents,
+// so this is the only check on them.
+TEST_F(TpccFixture, LoaderRowsMatchPinnedDigest) {
+  std::uint32_t crc = 0;
+  std::uint64_t rows = 0;
+  for (size_t i = 0; i < kTableCount; ++i) {
+    ASSERT_TRUE(db_->scan(tdb_->table(static_cast<Tbl>(i)),
+                          [&](RowId, std::span<const std::uint8_t> bytes) {
+                            crc = crc32c(bytes, crc);
+                            rows += 1;
+                            return true;
+                          })
+                    .is_ok());
+  }
+  EXPECT_EQ(rows, 4317u);
+  EXPECT_EQ(crc, 2788685549u);
+}
+
+// The dense access paths end at the scale: New-Order's unused item id
+// (items + 1) and keys past any other dimension have no row, and a key past
+// one dimension never aliases the next position's row.
+TEST_F(TpccFixture, DensePathsEndAtTheScale) {
+  EXPECT_TRUE(tdb_->item_rid(scale_.items).has_value());
+  EXPECT_FALSE(tdb_->item_rid(scale_.items + 1).has_value());
+  EXPECT_FALSE(tdb_->item_rid(0).has_value());
+  EXPECT_TRUE(tdb_->stock_rid(1, scale_.items).has_value());
+  EXPECT_FALSE(tdb_->stock_rid(1, scale_.items + 1).has_value());
+  EXPECT_FALSE(tdb_->warehouse_rid(2).has_value());
+  EXPECT_FALSE(tdb_->district_rid(1, 11).has_value());
+  EXPECT_FALSE(tdb_->customer_rid(1, 1, scale_.customers_per_district + 1)
+                   .has_value());
+  EXPECT_FALSE(tdb_->customer_rid(1, 2, 0).has_value());
+}
+
+// A dense path keeps a key's first row, as a unique index does, and a
+// delete notification clears the key only while it still maps to the
+// deleted row: the rollback of a duplicate insert must not strip the
+// original's entry.
+TEST_F(TpccFixture, DensePathErasesOnlyTheMatchingRow) {
+  const RowId original = *tdb_->warehouse_rid(1);
+  const size_t entries = tdb_->index_entries();
+
+  auto txn = db_->begin();
+  ASSERT_TRUE(txn.is_ok());
+  WarehouseRow dup;
+  dup.w_id = 1;
+  dup.w_name = "DUP";
+  ASSERT_TRUE(tdb_->insert_row(txn.value(), Tbl::kWarehouse, dup).is_ok());
+  EXPECT_EQ(tdb_->warehouse_rid(1), original);
+  EXPECT_EQ(tdb_->index_entries(), entries);
+  ASSERT_TRUE(db_->rollback(txn.value()).is_ok());
+  EXPECT_EQ(tdb_->warehouse_rid(1), original);
+  EXPECT_EQ(tdb_->index_entries(), entries);
+
+  txn = db_->begin();
+  ASSERT_TRUE(txn.is_ok());
+  ASSERT_TRUE(
+      db_->erase(txn.value(), tdb_->table(Tbl::kWarehouse), original).is_ok());
+  EXPECT_FALSE(tdb_->warehouse_rid(1).has_value());
+  EXPECT_EQ(tdb_->index_entries(), entries - 1);
+  ASSERT_TRUE(db_->rollback(txn.value()).is_ok());
+  EXPECT_EQ(tdb_->warehouse_rid(1), original);
+  EXPECT_EQ(tdb_->index_entries(), entries);
 }
 
 TEST_F(TpccFixture, IndexesMatchHeapAfterLoad) {
