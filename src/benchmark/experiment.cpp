@@ -385,13 +385,8 @@ Result<ExperimentResult> Experiment::run() {
     result.integrity_messages = report.value().messages;
   }
 
-  const obs::RecoveryTrace* trace = stats_area.tracer().latest();
-  if (trace != nullptr) {
-    for (size_t k = 0; k < obs::kRecoveryPhaseCount; ++k) {
-      const auto phase = static_cast<obs::RecoveryPhase>(k);
-      result.recovery_phases.emplace_back(obs::to_string(phase),
-                                          trace->phase_time(phase));
-    }
+  if (const obs::RecoveryTrace* trace = stats_area.tracer().latest()) {
+    result.recovery_phases = trace->phase_rows();
   }
   result.metrics = stats_area.snapshot();
   return result;

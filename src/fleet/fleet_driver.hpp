@@ -1,85 +1,43 @@
-// Closed-loop TPC-C driver over the whole fleet.
-//
-// Same card deck, input draws and end-user failure detection as
-// tpcc::Driver. Each interaction runs the single-instance TPC-C profiles
-// through FleetTxns, the fleet's route: rows go to the shard that owns
-// their warehouse, and a multi-shard interaction commits by two-phase
-// commit. The driver keeps per-branch durability watermarks so lost
-// transactions can be accounted per shard after a promotion (a committed
-// interaction is lost on shard s iff one of its branches' commit LSNs lies
-// above what s's recovery salvaged).
+// Closed-loop TPC-C driver over the whole fleet: tpcc::Driver over
+// FleetTxns, the fleet's route. Same card deck, input draws, end-user
+// failure detection and commit log as on one instance; rows go to the
+// shard that owns their warehouse, and a multi-shard interaction commits
+// by two-phase commit. A cross-shard commit logs one (shard, commit LSN)
+// per committed branch, so lost transactions can be counted per shard
+// after a promotion (a committed interaction is lost on shard s iff its
+// commit LSN there lies above what s's recovery salvaged).
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <vector>
-
-#include "common/status.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/fleet_txns.hpp"
-#include "obs/metrics.hpp"
-#include "tpcc/card_deck.hpp"
+#include "obs/observability.hpp"
+#include "tpcc/tpcc_driver.hpp"
 
 namespace vdb::fleet {
 
-struct FleetDriverConfig {
-  std::uint64_t seed = 42;
-  SimDuration report_interval = 30 * kSecond;
+// The fleet's former names for the driver's types, kept because
+// vdbbench/main.cpp spells them.
+using FleetDriverConfig = tpcc::DriverConfig;
+using FleetCommitRecord = tpcc::CommitRecord;
+using FleetDriverStats = tpcc::DriverStats;
+
+/// Holds the route in a base of its own, so that it is built before the
+/// driver base that runs over it.
+struct FleetRoute {
+  explicit FleetRoute(Fleet* fleet) : route(fleet) {}
+  FleetTxns route;
 };
 
-struct FleetCommitRecord {
-  tpcc::TxnType type = tpcc::TxnType::kNewOrder;
-  SimTime commit_time = 0;
-  SimDuration response_time = 0;
-  bool cross_shard = false;
-  /// (shard, branch commit LSN) per touched shard; empty branch list means
-  /// read-only work with nothing to lose.
-  std::vector<std::pair<std::uint32_t, Lsn>> branches;
-};
-
-struct FleetDriverStats {
-  std::uint64_t committed = 0;
-  std::array<std::uint64_t, tpcc::kTxnTypes> committed_by_type{};
-  std::uint64_t cross_shard_committed = 0;
-  std::uint64_t intentional_rollbacks = 0;
-  std::uint64_t failed_attempts = 0;
-};
-
-class FleetDriver {
+/// The latency histograms go to `fleet_obs`, the fleet's statistics area.
+class FleetDriver : private FleetRoute, public tpcc::Driver {
  public:
   FleetDriver(Fleet* fleet, obs::Observability* fleet_obs,
-              FleetDriverConfig cfg);
+              FleetDriverConfig cfg)
+      : FleetRoute(fleet),
+        tpcc::Driver(&route, fleet->scale(), &fleet->scheduler(),
+                     obs::resolve(fleet_obs), cfg) {}
 
-  /// Runs the closed loop until `until`; an error return is the end-user
-  /// view of a fault activating (the failure instant is clock.now()).
-  Status run_until(SimTime until);
-
-  FleetTxns& txns() { return txns_; }
-  const FleetDriverStats& stats() const { return stats_; }
-  const std::vector<FleetCommitRecord>& commits() const { return commits_; }
-
-  double tpmc(SimTime from, SimTime to) const;
-  double tpm_total(SimTime from, SimTime to) const;
-  const std::vector<std::uint32_t>& series() const { return series_; }
-  SimDuration series_interval() const { return cfg_.report_interval; }
-
-  /// Committed-before-`before` interactions whose branch on `shard` sits
-  /// above `recovered_to` — the transactions that shard's failover lost.
-  std::uint64_t count_lost(std::uint32_t shard, Lsn recovered_to,
-                           SimTime before) const;
-
- private:
-  Fleet* fleet_;
-  obs::Observability* obs_;
-  FleetDriverConfig cfg_;
-  SimTime series_origin_ = 0;
-  tpcc::TpccRandom random_;
-  FleetTxns txns_;
-  tpcc::CardDeck deck_;
-  FleetDriverStats stats_;
-  std::vector<FleetCommitRecord> commits_;
-  std::vector<std::uint32_t> series_;
-  std::array<obs::Histogram*, tpcc::kTxnTypes> latency_hist_{};
+  FleetTxns& txns() { return route; }
 };
 
 }  // namespace vdb::fleet

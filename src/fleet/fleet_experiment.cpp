@@ -51,7 +51,7 @@ Result<FleetExperimentResult> FleetExperiment::run() {
   sim::VirtualClock& clock = fleet.clock();
 
   obs::Observability fleet_obs;
-  FleetDriverConfig dcfg;
+  tpcc::DriverConfig dcfg;
   dcfg.seed = opts_.seed;
   FleetDriver driver(&fleet, &fleet_obs, dcfg);
   FailoverOrchestrator orchestrator(&fleet, opts_.orchestrator, &fleet_obs);
@@ -137,7 +137,7 @@ Result<FleetExperimentResult> FleetExperiment::run() {
     result.detection_delay =
         procedure_start - events.front().failed_at;
     SimTime first_commit = 0;
-    for (const FleetCommitRecord& record : driver.commits()) {
+    for (const tpcc::CommitRecord& record : driver.commits()) {
       if (record.commit_time >= restored) {
         first_commit = record.commit_time;
         break;
@@ -191,12 +191,7 @@ Result<FleetExperimentResult> FleetExperiment::run() {
     for (std::uint32_t i = 0; i < fleet.size(); ++i) {
       tpcc::ConsistencyChecker checker(&fleet.tdb(i));
       tpcc::ConsistencyReport report;
-      VDB_RETURN_IF_ERROR(checker.check_warehouse_ytd(&report));
-      VDB_RETURN_IF_ERROR(checker.check_order_id_monotony(&report));
-      VDB_RETURN_IF_ERROR(checker.check_new_order_contiguity(&report));
-      VDB_RETURN_IF_ERROR(checker.check_order_line_counts(&report));
-      VDB_RETURN_IF_ERROR(checker.check_delivery_flags(&report));
-      VDB_RETURN_IF_ERROR(checker.check_customer_balance(&report));
+      VDB_RETURN_IF_ERROR(checker.run_local(&report));
       result.integrity_checks += report.checks_run;
       result.integrity_violations += report.violations;
       for (const std::string& message : report.messages) {
@@ -215,7 +210,7 @@ Result<FleetExperimentResult> FleetExperiment::run() {
     for (const FailoverEvent& event : events) {
       promoted[event.shard] = {event.recovered_to, event.failed_at};
     }
-    for (const FleetCommitRecord& record : driver.commits()) {
+    for (const tpcc::CommitRecord& record : driver.commits()) {
       if (record.branches.size() < 2) continue;
       bool lost = false;
       bool kept = false;
@@ -262,13 +257,8 @@ Result<FleetExperimentResult> FleetExperiment::run() {
     }
   }
 
-  const obs::RecoveryTrace* trace = fleet_obs.tracer().latest();
-  if (trace != nullptr) {
-    for (size_t k = 0; k < obs::kRecoveryPhaseCount; ++k) {
-      const auto phase = static_cast<obs::RecoveryPhase>(k);
-      result.recovery_phases.emplace_back(obs::to_string(phase),
-                                          trace->phase_time(phase));
-    }
+  if (const obs::RecoveryTrace* trace = fleet_obs.tracer().latest()) {
+    result.recovery_phases = trace->phase_rows();
   }
   result.metrics = fleet_obs.snapshot();
   for (std::uint32_t i = 0; i < fleet.size(); ++i) {

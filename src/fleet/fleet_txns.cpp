@@ -9,9 +9,6 @@ namespace {
 constexpr std::uint64_t kMessageBytes = 512;
 }  // namespace
 
-FleetTxns::FleetTxns(Fleet* fleet, tpcc::TpccRandom* random)
-    : fleet_(fleet), txns_(this, random) {}
-
 void FleetTxns::arm_crash(CrashPoint point,
                           std::function<void(std::uint32_t)> fire) {
   armed_ = point;
@@ -32,19 +29,6 @@ void FleetTxns::charge_round_trip() {
   const SimTime done =
       fleet_->interconnect().transfer(clock.now(), 2 * kMessageBytes);
   if (done > clock.now()) clock.advance_to(done);
-}
-
-Result<FleetOutcome> FleetTxns::run(tpcc::TxnType type, std::uint32_t w) {
-  auto result = txns_.run(type, w);
-  if (!result.is_ok()) return result.status();
-  FleetOutcome out;
-  out.type = result.value().type;
-  out.committed = result.value().committed;
-  out.intentional_rollback = result.value().intentional_rollback;
-  out.commit_lsn = result.value().commit_lsn;
-  out.cross_shard = out.committed && branches_.size() > 1;
-  out.branches = std::move(committed_);
-  return out;
 }
 
 tpcc::TpccDb& FleetTxns::db(std::uint32_t w) {
@@ -68,11 +52,7 @@ Result<TxnId> FleetTxns::txn(std::uint32_t w) {
 Result<Lsn> FleetTxns::commit() {
   if (branches_.size() > 1) return two_phase_commit();
   auto lsn = fleet_->active_db(home_).commit(branches_.at(home_));
-  if (!lsn.is_ok()) {
-    rollback_all();
-    return lsn.status();
-  }
-  committed_.emplace_back(home_, lsn.value());
+  if (!lsn.is_ok()) rollback_all();
   return lsn;
 }
 

@@ -1,9 +1,9 @@
 // The fleet's transaction route: the single-instance TPC-C profiles
-// (tpcc::TpccTxns) run over it unchanged. Each warehouse routes to its
-// shard. When a remote stock line (clause 2.4.1's ~1%-per-line case) or a
-// remote customer (clause 2.5.1.2's 15% case) lands on a foreign shard, the
-// route opens a branch there, and the interaction then commits by
-// presumed-abort two-phase commit:
+// (tpcc::TpccTxns) and driver (tpcc::Driver) run over it unchanged. Each
+// warehouse routes to its shard. When a remote stock line (clause 2.4.1's
+// ~1%-per-line case) or a remote customer (clause 2.5.1.2's 15% case) lands
+// on a foreign shard, the route opens a branch there, and the interaction
+// then commits by presumed-abort two-phase commit:
 //
 //   1. every branch PREPAREs (redo record + log force),
 //   2. the coordinator (the home shard) force-logs its COMMIT decision,
@@ -22,11 +22,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/status.hpp"
 #include "fleet/fleet.hpp"
-#include "tpcc/tpcc_random.hpp"
 #include "tpcc/tpcc_txns.hpp"
 
 namespace vdb::fleet {
@@ -39,24 +39,9 @@ enum class CrashPoint {
   kAfterDecision,   // coordinator dies with its COMMIT decision durable
 };
 
-struct FleetOutcome {
-  tpcc::TxnType type = tpcc::TxnType::kNewOrder;
-  bool committed = false;
-  bool intentional_rollback = false;
-  /// Home-shard commit LSN (0 for read-only work).
-  Lsn commit_lsn = 0;
-  bool cross_shard = false;
-  /// Durability watermark per touched shard: the branch's commit LSN. A
-  /// committed transaction is lost on shard s iff recovery there later
-  /// stops below its entry.
-  std::vector<std::pair<std::uint32_t, Lsn>> branches;
-};
-
-class FleetTxns final : private tpcc::TxnRoute {
+class FleetTxns final : public tpcc::TxnRoute {
  public:
-  FleetTxns(Fleet* fleet, tpcc::TpccRandom* random);
-
-  Result<FleetOutcome> run(tpcc::TxnType type, std::uint32_t w);
+  explicit FleetTxns(Fleet* fleet) : fleet_(fleet) {}
 
   /// Arms a one-shot crash at the given protocol instant. The hook gets
   /// the victim shard the faultload scenario wants dead (coordinator for
@@ -65,14 +50,18 @@ class FleetTxns final : private tpcc::TxnRoute {
                  std::function<void(std::uint32_t shard)> fire);
   bool crash_armed() const { return armed_ != CrashPoint::kNone; }
 
- private:
   // tpcc::TxnRoute, over the current interaction's branches.
   tpcc::TpccDb& db(std::uint32_t w) override;
   Result<TxnId> begin(std::uint32_t home) override;
   Result<TxnId> txn(std::uint32_t w) override;
   Result<Lsn> commit() override;
   Status rollback() override;
+  std::uint32_t home_shard() const override { return home_; }
+  std::span<const Branch> committed_branches() const override {
+    return committed_;
+  }
 
+ private:
   /// Lazily opens a branch transaction on `shard`.
   Result<TxnId> branch_txn(std::uint32_t shard);
   /// Rolls back every open branch (business rollback / pre-2PC failure).
@@ -91,14 +80,13 @@ class FleetTxns final : private tpcc::TxnRoute {
   void abort_branches(GlobalTxn* g);
 
   Fleet* fleet_;
-  tpcc::TpccTxns txns_;
   CrashPoint armed_ = CrashPoint::kNone;
   std::function<void(std::uint32_t)> fire_;
-  /// The current interaction: home shard, open branch per shard, and the
-  /// (shard, commit LSN) of every branch that committed.
+  /// The current interaction: home shard, open branch per shard, and, once
+  /// a two-phase commit went through, every branch that committed.
   std::uint32_t home_ = 0;
   std::map<std::uint32_t, TxnId> branches_;
-  std::vector<std::pair<std::uint32_t, Lsn>> committed_;
+  std::vector<Branch> committed_;
 };
 
 }  // namespace vdb::fleet

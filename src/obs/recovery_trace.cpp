@@ -35,6 +35,16 @@ SimDuration RecoveryTrace::total() const {
   return total;
 }
 
+std::vector<std::pair<std::string, SimDuration>> RecoveryTrace::phase_rows()
+    const {
+  std::vector<std::pair<std::string, SimDuration>> rows;
+  for (size_t k = 0; k < kRecoveryPhaseCount; ++k) {
+    const auto phase = static_cast<RecoveryPhase>(k);
+    rows.emplace_back(to_string(phase), phase_time(phase));
+  }
+  return rows;
+}
+
 void RecoveryTracer::start(std::string label, SimTime now) {
   if (active_) finish(cursor_);
   current_ = RecoveryTrace{};

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -65,6 +66,9 @@ struct RecoveryTrace {
   SimDuration phase_time(RecoveryPhase p) const;
   /// Sum over every span — equals end - start for a finished trace.
   SimDuration total() const;
+  /// One (phase name, phase_time) row per phase, in phase order: an
+  /// experiment's `recovery_phases`.
+  std::vector<std::pair<std::string, SimDuration>> phase_rows() const;
 };
 
 class RecoveryTracer {

@@ -27,14 +27,18 @@ void ConsistencyChecker::violation(ConsistencyReport* report,
 
 Result<ConsistencyReport> ConsistencyChecker::run_all() {
   ConsistencyReport report;
-  VDB_RETURN_IF_ERROR(check_warehouse_ytd(&report));
-  VDB_RETURN_IF_ERROR(check_order_id_monotony(&report));
-  VDB_RETURN_IF_ERROR(check_new_order_contiguity(&report));
-  VDB_RETURN_IF_ERROR(check_order_line_counts(&report));
-  VDB_RETURN_IF_ERROR(check_delivery_flags(&report));
-  VDB_RETURN_IF_ERROR(check_customer_balance(&report));
+  VDB_RETURN_IF_ERROR(run_local(&report));
   VDB_RETURN_IF_ERROR(check_warehouse_history(&report));
   return report;
+}
+
+Status ConsistencyChecker::run_local(ConsistencyReport* report) {
+  VDB_RETURN_IF_ERROR(check_warehouse_ytd(report));
+  VDB_RETURN_IF_ERROR(check_order_id_monotony(report));
+  VDB_RETURN_IF_ERROR(check_new_order_contiguity(report));
+  VDB_RETURN_IF_ERROR(check_order_line_counts(report));
+  VDB_RETURN_IF_ERROR(check_delivery_flags(report));
+  return check_customer_balance(report);
 }
 
 Status ConsistencyChecker::check_warehouse_ytd(ConsistencyReport* report) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace vdb::tpcc {
 
@@ -19,7 +20,7 @@ struct Driver::WorkerState {
 };
 
 Driver::Driver(TpccDb* db, sim::Scheduler* scheduler, DriverConfig cfg)
-    : db_(db), scheduler_(scheduler), cfg_(cfg),
+    : db_(db), obs_(nullptr), scheduler_(scheduler), cfg_(cfg),
       series_origin_(scheduler->now()),
       random_(Rng{cfg.seed}, db->scale()), txns_(db, &random_),
       deck_(random_.rng()) {
@@ -36,10 +37,21 @@ Driver::Driver(TpccDb* db, sim::Scheduler* scheduler, DriverConfig cfg)
   }
 }
 
+Driver::Driver(TxnRoute* route, const TpccScale& scale,
+               sim::Scheduler* scheduler, obs::Observability* obs,
+               DriverConfig cfg)
+    : db_(nullptr), obs_(obs), scheduler_(scheduler), cfg_(cfg),
+      series_origin_(scheduler->now()), random_(Rng{cfg.seed}, scale),
+      txns_(route, &random_), deck_(random_.rng()) {
+  VDB_CHECK_MSG(cfg_.workers <= 1,
+                "concurrent rounds drive a single instance only");
+}
+
 Driver::~Driver() = default;
 
 Status Driver::run_until(SimTime until) {
-  obs::MetricsRegistry& registry = db_->db().obs().registry();
+  obs::MetricsRegistry& registry =
+      (obs_ != nullptr ? *obs_ : db_->db().obs()).registry();
   for (size_t k = 0; k < kTxnTypes; ++k) {
     latency_hist_[k] = registry.histogram(
         std::string("client response ") + to_string(static_cast<TxnType>(k)));
@@ -78,21 +90,29 @@ Status Driver::run_serial(SimTime until) {
       continue;
     }
     if (outcome.value().committed) {
-      stats_.committed += 1;
-      stats_.committed_by_type[static_cast<size_t>(type)] += 1;
-      CommitRecord record{type, outcome.value().commit_lsn, clock.now(),
-                          clock.now() - begin};
-      commits_.push_back(record);
-      latency_hist_[static_cast<size_t>(type)]->record(record.response_time);
-      if (type == TxnType::kNewOrder) {
-        const size_t bucket = static_cast<size_t>(
-            (clock.now() - series_origin_) / cfg_.report_interval);
-        if (series_.size() <= bucket) series_.resize(bucket + 1, 0);
-        series_[bucket] += 1;
-      }
+      const TxnRoute& route = txns_.route();
+      const auto branches = route.committed_branches();
+      record_commit({type, route.home_shard(), outcome.value().commit_lsn,
+                     clock.now(), clock.now() - begin,
+                     {branches.begin(), branches.end()}});
     }
   }
   return Status::ok();
+}
+
+void Driver::record_commit(CommitRecord record) {
+  const auto k = static_cast<size_t>(record.type);
+  stats_.committed += 1;
+  stats_.committed_by_type[k] += 1;
+  if (!record.branches.empty()) stats_.cross_shard_committed += 1;
+  latency_hist_[k]->record(record.response_time);
+  if (record.type == TxnType::kNewOrder) {
+    const size_t bucket = static_cast<size_t>(
+        (record.commit_time - series_origin_) / cfg_.report_interval);
+    if (series_.size() <= bucket) series_.resize(bucket + 1, 0);
+    series_[bucket] += 1;
+  }
+  commits_.push_back(std::move(record));
 }
 
 Status Driver::run_concurrent(SimTime until) {
@@ -196,17 +216,8 @@ Status Driver::run_concurrent(SimTime until) {
     });
     for (unsigned k : order) {
       const LocalCommit& c = results[k].commit;
-      stats_.committed += 1;
-      stats_.committed_by_type[static_cast<size_t>(c.type)] += 1;
-      CommitRecord record{c.type, c.lsn, round_start + c.offset, c.response};
-      commits_.push_back(record);
-      latency_hist_[static_cast<size_t>(c.type)]->record(record.response_time);
-      if (c.type == TxnType::kNewOrder) {
-        const size_t bucket = static_cast<size_t>(
-            (record.commit_time - series_origin_) / cfg_.report_interval);
-        if (series_.size() <= bucket) series_.resize(bucket + 1, 0);
-        series_[bucket] += 1;
-      }
+      record_commit(
+          {c.type, 0, c.lsn, round_start + c.offset, c.response, {}});
     }
 
     bool backoff = false;
@@ -277,12 +288,22 @@ SimDuration Driver::mean_response(TxnType type) const {
   return count == 0 ? 0 : total / count;
 }
 
-std::uint64_t Driver::count_lost(Lsn recovered_to, SimTime before) const {
+std::uint64_t Driver::count_lost(std::uint32_t shard, Lsn recovered_to,
+                                 SimTime before) const {
+  // Read-only work commits at LSN 0, never above recovered_to: nothing to
+  // lose.
+  auto above = [&](const TxnRoute::Branch& b) {
+    return b.first == shard && b.second > recovered_to;
+  };
   std::uint64_t lost = 0;
   for (const CommitRecord& record : commits_) {
     if (record.commit_time >= before) continue;
-    if (record.commit_lsn == 0) continue;  // read-only: nothing to lose
-    if (record.commit_lsn > recovered_to) lost += 1;
+    const bool is_lost =
+        record.branches.empty()
+            ? above({record.shard, record.commit_lsn})
+            : std::any_of(record.branches.begin(), record.branches.end(),
+                          above);
+    if (is_lost) lost += 1;
   }
   return lost;
 }

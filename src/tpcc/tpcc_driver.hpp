@@ -7,6 +7,11 @@
 // the ground truth for the benchmark's lost-transaction measure: a
 // committed transaction is lost iff recovery ended below its commit LSN —
 // measured from the end-user's point of view, exactly as in the paper.
+//
+// The loop runs over a TxnRoute: the identity route of one instance, or a
+// fleet's (fleet::FleetDriver), whose cross-shard commits leave one
+// (shard, commit LSN) per committed branch in the log so losses can be
+// counted per shard after a promotion.
 #pragma once
 
 #include <array>
@@ -41,14 +46,19 @@ struct DriverConfig {
 
 struct CommitRecord {
   TxnType type;
-  Lsn commit_lsn = 0;  // 0 for read-only transactions
+  std::uint32_t shard = 0;  // home shard; a single instance is shard 0
+  Lsn commit_lsn = 0;       // home commit LSN; 0 for read-only transactions
   SimTime commit_time = 0;
   SimDuration response_time = 0;  // begin -> commit, end-user view
+  /// Cross-shard commits only: every branch that committed. Empty for a
+  /// commit that stayed on its home shard.
+  std::vector<TxnRoute::Branch> branches;
 };
 
 struct DriverStats {
   std::uint64_t committed = 0;
   std::array<std::uint64_t, kTxnTypes> committed_by_type{};
+  std::uint64_t cross_shard_committed = 0;  // commits with branches
   std::uint64_t intentional_rollbacks = 0;
   std::uint64_t failed_attempts = 0;  // attempts refused by a down service
   /// Attempts bounced by the M2 early-open gate (kRecoveryRequired) and
@@ -62,7 +72,15 @@ struct DriverStats {
 
 class Driver {
  public:
+  /// One instance, over the identity route. The latency histograms go to
+  /// the statistics area of the database `db` is attached to at each
+  /// run_until(); `cfg.workers > 1` runs concurrent rounds.
   Driver(TpccDb* db, sim::Scheduler* scheduler, DriverConfig cfg);
+  /// Any route, drawing warehouses from `scale` and recording the latency
+  /// histograms into `obs`. Concurrent rounds drive one instance only, so
+  /// `cfg.workers` must be 1. `route` must outlive the driver.
+  Driver(TxnRoute* route, const TpccScale& scale, sim::Scheduler* scheduler,
+         obs::Observability* obs, DriverConfig cfg);
   ~Driver();  // out of line: WorkerState is complete only in the .cpp
 
   /// Runs the standard mix until the virtual clock reaches `until`, firing
@@ -79,9 +97,13 @@ class Driver {
   /// All transactions committed per minute in [from, to).
   double tpm_total(SimTime from, SimTime to) const;
 
-  /// Committed-then-lost transactions: committed before `before`, with an
-  /// effective commit LSN above what recovery salvaged.
-  std::uint64_t count_lost(Lsn recovered_to, SimTime before) const;
+  /// Committed-then-lost transactions on `shard`: committed before
+  /// `before`, with a commit LSN there above what its recovery salvaged.
+  std::uint64_t count_lost(std::uint32_t shard, Lsn recovered_to,
+                           SimTime before) const;
+  std::uint64_t count_lost(Lsn recovered_to, SimTime before) const {
+    return count_lost(0, recovered_to, before);
+  }
 
   /// New-Order commits per report interval (throughput series).
   const std::vector<std::uint32_t>& series() const { return series_; }
@@ -99,8 +121,12 @@ class Driver {
 
   Status run_serial(SimTime until);
   Status run_concurrent(SimTime until);
+  /// Counts one commit into the stats, the log, its latency histogram and
+  /// the throughput series.
+  void record_commit(CommitRecord record);
 
-  TpccDb* db_;
+  TpccDb* db_;               // the one instance; nullptr on another route
+  obs::Observability* obs_;  // another route's statistics area
   sim::Scheduler* scheduler_;
   DriverConfig cfg_;
   SimTime series_origin_;  // workload start: series buckets are relative
@@ -111,9 +137,9 @@ class Driver {
   std::vector<std::uint32_t> series_;
   DriverStats stats_;
   /// Per-type response-time histograms ("client response NewOrder", ...),
-  /// re-resolved at every run_until() call: a crash-restart cycle swaps in
-  /// a new Database incarnation, and with it possibly a new statistics
-  /// area, so cached pointers must not outlive one call.
+  /// re-resolved at every run_until() call: on one instance a crash-restart
+  /// cycle swaps in a new Database incarnation, and with it possibly a new
+  /// statistics area, so cached pointers must not outlive one call.
   std::array<obs::Histogram*, kTxnTypes> latency_hist_{};
   /// Concurrent mode (cfg_.workers > 1): the worker pool plus one
   /// terminal-emulator state per worker, persistent across run_until()

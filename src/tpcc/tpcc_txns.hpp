@@ -18,6 +18,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 
 #include "common/status.hpp"
 #include "tpcc/tpcc_db.hpp"
@@ -51,6 +53,9 @@ struct TxnOutcome {
 /// w's owner at that instant.
 class TxnRoute {
  public:
+  /// (shard, commit LSN) of one committed branch.
+  using Branch = std::pair<std::uint32_t, Lsn>;
+
   /// The access paths of the instance that owns warehouse `w`.
   virtual TpccDb& db(std::uint32_t w) = 0;
   /// Opens the interaction's transaction on the home warehouse's owner.
@@ -62,6 +67,12 @@ class TxnRoute {
   virtual Result<Lsn> commit() = 0;
   /// Rolls back everything the interaction opened.
   virtual Status rollback() = 0;
+
+  /// The shard the last interaction ran on; a single instance is shard 0.
+  virtual std::uint32_t home_shard() const { return 0; }
+  /// After a commit that spanned shards, every branch that committed.
+  /// Empty after a commit that stayed on its home shard.
+  virtual std::span<const Branch> committed_branches() const { return {}; }
 
  protected:
   // Routes are owned by their concrete type, never through this interface.
@@ -98,6 +109,8 @@ class TpccTxns {
 
   /// Runs one transaction of the given type (inputs drawn per spec).
   Result<TxnOutcome> run(TxnType type, std::uint32_t home_warehouse);
+
+  const TxnRoute& route() const { return *route_; }
 
   Result<TxnOutcome> new_order(std::uint32_t w);
   Result<TxnOutcome> payment(std::uint32_t w);

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "engine/admin_shell.hpp"
 #include "faults/classification.hpp"
@@ -82,7 +86,7 @@ TEST(FleetTest, CoordinatorCrashAfterDecisionCommitsEverywhere) {
   Fleet fleet(small_cfg());
   ASSERT_TRUE(fleet.setup().is_ok());
   obs::Observability obs;
-  FleetDriver driver(&fleet, &obs, FleetDriverConfig{});
+  FleetDriver driver(&fleet, &obs, tpcc::DriverConfig{});
   FailoverOrchestrator orch(&fleet, OrchestratorConfig{}, &obs);
 
   std::optional<std::uint32_t> victim;
@@ -119,7 +123,7 @@ TEST(FleetTest, CoordinatorCrashBeforePrepareAbortsEverywhere) {
   Fleet fleet(small_cfg());
   ASSERT_TRUE(fleet.setup().is_ok());
   obs::Observability obs;
-  FleetDriver driver(&fleet, &obs, FleetDriverConfig{});
+  FleetDriver driver(&fleet, &obs, tpcc::DriverConfig{});
 
   std::optional<std::uint32_t> victim;
   driver.txns().arm_crash(CrashPoint::kBeforePrepare, [&](std::uint32_t s) {
@@ -147,7 +151,7 @@ TEST(FleetTest, ParticipantCrashMidPrepareAbortsEverywhere) {
   Fleet fleet(small_cfg());
   ASSERT_TRUE(fleet.setup().is_ok());
   obs::Observability obs;
-  FleetDriver driver(&fleet, &obs, FleetDriverConfig{});
+  FleetDriver driver(&fleet, &obs, tpcc::DriverConfig{});
 
   std::optional<std::uint32_t> victim;
   driver.txns().arm_crash(CrashPoint::kMidPrepare, [&](std::uint32_t s) {
@@ -216,7 +220,7 @@ TEST(FleetTest, RestartedShardKeepsItsAccessPaths) {
   Fleet fleet(small_cfg());
   ASSERT_TRUE(fleet.setup().is_ok());
   obs::Observability obs;
-  FleetDriver driver(&fleet, &obs, FleetDriverConfig{});
+  FleetDriver driver(&fleet, &obs, tpcc::DriverConfig{});
   ASSERT_TRUE(driver.run_until(fleet.clock().now() + 1 * kMinute).is_ok());
   const size_t entries = fleet.tdb(0).index_entries();
   ASSERT_GT(entries, 0u);
@@ -233,11 +237,89 @@ TEST(FleetTest, RestartedShardKeepsItsAccessPaths) {
   EXPECT_GT(driver.stats().committed, committed);
 }
 
+TEST(FleetTest, CommitLogRecordsBranchesOfCrossShardCommits) {
+  Fleet fleet(small_cfg());
+  ASSERT_TRUE(fleet.setup().is_ok());
+  obs::Observability obs;
+  FleetDriver driver(&fleet, &obs, tpcc::DriverConfig{});
+  ASSERT_TRUE(driver.run_until(fleet.clock().now() + 1 * kMinute).is_ok());
+  const SimTime now = fleet.clock().now();
+
+  // The two-phase registry sees every cross-shard commit independently of
+  // the driver: keyed by (coordinator, coordinator's commit LSN).
+  std::map<std::pair<std::uint32_t, Lsn>, GlobalTxn*> two_phase;
+  for (auto& [id, g] : fleet.registry().txns()) {
+    ASSERT_TRUE(g.finished && g.decision);
+    two_phase.emplace(std::pair{g.coord, g.branch(g.coord)->end_lsn}, &g);
+  }
+  ASSERT_FALSE(two_phase.empty());
+
+  std::uint64_t cross = 0;
+  for (const tpcc::CommitRecord& record : driver.commits()) {
+    ASSERT_LT(record.shard, fleet.size());
+    auto it = record.commit_lsn == 0
+                  ? two_phase.end()
+                  : two_phase.find({record.shard, record.commit_lsn});
+    const bool is_cross = it != two_phase.end();
+    EXPECT_EQ(!record.branches.empty(), is_cross);
+    if (!is_cross) continue;
+    cross += 1;
+    GlobalTxn* g = it->second;
+    ASSERT_EQ(record.branches.size(), g->branches.size());
+    for (const auto& [shard, lsn] : record.branches) {
+      ASSERT_NE(g->branch(shard), nullptr);
+      EXPECT_EQ(lsn, g->branch(shard)->end_lsn);
+    }
+  }
+  EXPECT_EQ(cross, two_phase.size());
+  EXPECT_EQ(driver.stats().cross_shard_committed, cross);
+
+  // Per shard, at the median LSN committed there: a single-shard commit
+  // counts on its home shard, a cross-shard one on every shard where its
+  // branch (read from the registry) lies above.
+  for (std::uint32_t s = 0; s < fleet.size(); ++s) {
+    std::vector<Lsn> lsns;
+    for (const tpcc::CommitRecord& record : driver.commits()) {
+      if (record.branches.empty() && record.shard == s &&
+          record.commit_lsn != 0) {
+        lsns.push_back(record.commit_lsn);
+      }
+    }
+    for (const auto& [key, g] : two_phase) {
+      if (const BranchRecord* b = g->branch(s)) lsns.push_back(b->end_lsn);
+    }
+    ASSERT_FALSE(lsns.empty());
+    std::sort(lsns.begin(), lsns.end());
+    const Lsn mid = lsns[lsns.size() / 2];
+
+    std::uint64_t single = 0;
+    std::uint64_t foreign_home = 0;  // cross-shard, coordinated elsewhere
+    std::uint64_t multi = 0;
+    for (const tpcc::CommitRecord& record : driver.commits()) {
+      if (record.branches.empty()) {
+        if (record.shard == s && record.commit_lsn > mid) single += 1;
+        continue;
+      }
+      const BranchRecord* b =
+          two_phase.at({record.shard, record.commit_lsn})->branch(s);
+      if (b == nullptr || b->end_lsn <= mid) continue;
+      multi += 1;
+      if (record.shard != s) foreign_home += 1;
+    }
+    EXPECT_GT(single, 0u) << "shard " << s;
+    EXPECT_GT(foreign_home, 0u) << "shard " << s;
+    EXPECT_EQ(driver.count_lost(s, mid, now), single + multi) << "shard " << s;
+    EXPECT_EQ(driver.count_lost(s, lsns.back(), now), 0u) << "shard " << s;
+    EXPECT_EQ(driver.count_lost(s, 0, driver.commits().front().commit_time),
+              0u);
+  }
+}
+
 TEST(FleetTest, UndecidedCoordinatorCrashPresumesAbortOnPromotion) {
   Fleet fleet(small_cfg());
   ASSERT_TRUE(fleet.setup().is_ok());
   obs::Observability obs;
-  FleetDriver driver(&fleet, &obs, FleetDriverConfig{});
+  FleetDriver driver(&fleet, &obs, tpcc::DriverConfig{});
   FailoverOrchestrator orch(&fleet, OrchestratorConfig{}, &obs);
 
   std::optional<std::uint32_t> victim;
@@ -273,7 +355,7 @@ TEST(FleetTest, AdminShellShowsAndFailsOverTheFleet) {
   Fleet fleet(small_cfg());
   ASSERT_TRUE(fleet.setup().is_ok());
   obs::Observability obs;
-  FleetDriver driver(&fleet, &obs, FleetDriverConfig{});
+  FleetDriver driver(&fleet, &obs, tpcc::DriverConfig{});
   FailoverOrchestrator orch(&fleet, OrchestratorConfig{}, &obs);
 
   // The operator's console is a shard instance's shell with the fleet
