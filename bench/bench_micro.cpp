@@ -8,7 +8,10 @@
 #include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "index/bplus_tree.hpp"
+#include "recovery/backup.hpp"
 #include "sim/host.hpp"
+#include "sim/network.hpp"
+#include "standby/standby.hpp"
 #include "storage/buffer_cache.hpp"
 #include "storage/page.hpp"
 #include "tests/test_env.hpp"
@@ -452,6 +455,77 @@ void BM_TpccAccessPath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_TpccAccessPath);
+
+/// Restart's access-path rebuild on the one-warehouse rig below: attach
+/// (which clears every path) and one rebuild scan of both datafiles, which
+/// decodes every live row and rebuilds the dense and B+-tree paths.
+void BM_TpccRebuildAccessPaths(benchmark::State& state) {
+  testing::SimEnv env;
+  testing::SmallTpcc rig(env);
+  VDB_CHECK(rig.db->checkpoint_now().is_ok());  // the scan reads the files
+  const size_t entries = rig.tdb->index_entries();
+  for (auto _ : state) {
+    VDB_CHECK(rig.tdb->attach(rig.db.get()).is_ok());
+    VDB_CHECK(rig.db->rebuild_object_state().is_ok());
+  }
+  VDB_CHECK(rig.tdb->index_entries() == entries);
+  state.counters["entries"] = static_cast<double>(entries);
+}
+BENCHMARK(BM_TpccRebuildAccessPaths)->Unit(benchmark::kMillisecond);
+
+constexpr std::size_t kShippedArchives = 24;
+
+/// Standby managed recovery of one shipped archive of New-Order redo:
+/// read on the primary, ship, store on the standby, then parse, note, stage
+/// and drain it. The archives (2 MiB charged, about 1.1 MiB stored, each)
+/// are produced up front and each iteration ships the next one, so every
+/// apply writes its pages.
+void BM_StandbyApplyArchive(benchmark::State& state) {
+  testing::SimEnv env;
+  engine::DatabaseConfig cfg = testing::SmallTpcc::config();
+  cfg.redo.archive_mode = true;
+  cfg.redo.file_size_bytes = 2 * 1024 * 1024;
+  testing::SmallTpcc rig(env, 100, cfg);
+  recovery::BackupManager backups(&env.host.fs(), "/backup");
+  sim::Host standby_host("standby", &env.clock);
+  for (const char* dir : {"/data", "/redo", "/arch", "/backup"}) {
+    standby_host.add_disk(dir);
+  }
+  sim::NetworkLink link;
+  standby::StandbyConfig scfg;
+  scfg.db = cfg;
+  standby::StandbyDatabase standby(&standby_host, &env.sched, scfg, &link);
+  VDB_CHECK(standby.instantiate_from(*rig.db, backups).is_ok());
+
+  struct Shipment {
+    std::string path;
+    std::uint64_t seq;
+    SimTime done_at;
+  };
+  std::vector<Shipment> archives;
+  rig.db->archiver().on_archived =
+      [&](const std::string& path, std::uint64_t seq, SimTime done_at) {
+        archives.push_back({path, seq, done_at});
+      };
+  tpcc::TpccRandom random(Rng{3}, rig.tdb->scale());
+  tpcc::TpccTxns txns(rig.tdb.get(), &random);
+  while (archives.size() < kShippedArchives) {
+    VDB_CHECK(txns.run(tpcc::TxnType::kNewOrder, 1).is_ok());
+  }
+  std::uint64_t bytes = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Shipment& a = archives[next++ % archives.size()];
+    bytes += env.host.fs().size(a.path).value();
+    standby.on_primary_archive(env.host.fs(), a.path, a.seq, a.done_at);
+  }
+  VDB_CHECK(standby.archives_applied() ==
+            static_cast<std::uint64_t>(state.iterations()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_StandbyApplyArchive)
+    ->Iterations(kShippedArchives)
+    ->Unit(benchmark::kMicrosecond);
 
 /// One TPC-C interaction of `type` per iteration, on warehouse 1 of a
 /// loaded one-warehouse database whose working set the cache holds.

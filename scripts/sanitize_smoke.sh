@@ -3,9 +3,10 @@
 # build dir and runs the unit-test suite under it. The redo pipeline's
 # arena reuse and the parallel replay workers are exactly the code most
 # worth running under ASan/TSan, and so are the 2PL table's entry slab
-# and flat index (parked waiters hold entry references while it grows)
-# and the buffer cache's frame pool. Run it after touching src/wal,
-# src/engine/replay_plan.*, src/txn or src/storage.
+# and flat index (parked waiters hold entry references while it grows),
+# the buffer cache's frame pool and SimFs::read_all's borrowed views
+# (parsed while replay writes other files). Run it after touching src/wal,
+# src/engine/replay_plan.*, src/txn, src/storage or src/sim.
 #
 # Usage: sanitize_smoke.sh [address|thread] [extra ctest args...]
 #   Default sanitizer: address. Build dir: ./build-san-<sanitizer>.

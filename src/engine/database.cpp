@@ -1318,6 +1318,13 @@ Status Database::open_after_external_recovery() {
 }
 
 Status Database::rebuild_object_state() {
+  // However the scan ends, the hook's owner gets to finish what it collected.
+  struct Done {
+    const std::function<void()>& fn;
+    ~Done() {
+      if (fn) fn();
+    }
+  } done{rebuild_done_};
   heaps_.clear();
   for (const catalog::TableDef* def : catalog_.tables()) {
     heaps_[def->id.value] = std::make_unique<storage::TableHeap>(

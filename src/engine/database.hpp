@@ -199,7 +199,12 @@ class Database {
   // --- derived-state hooks ----------------------------------------------------
 
   void register_observer(TableId table, RowObserver observer);
-  void set_rebuild_hook(RebuildRowHook hook) { rebuild_hook_ = std::move(hook); }
+  /// `row` sees every live row of a rebuild scan; `done`, if set, runs once
+  /// the scan ends (however it ends), for owners that build in bulk.
+  void set_rebuild_hook(RebuildRowHook row, std::function<void()> done = {}) {
+    rebuild_hook_ = std::move(row);
+    rebuild_done_ = std::move(done);
+  }
 
   /// Invoked once the catalog is available (after mount / instance
   /// recovery) and before object state is rebuilt — the place to register
@@ -402,6 +407,7 @@ class Database {
       heaps_;
   std::unordered_map<std::uint32_t, std::vector<RowObserver>> observers_;
   RebuildRowHook rebuild_hook_;
+  std::function<void()> rebuild_done_;
   std::function<void(Database&)> on_mounted_;
   std::function<Status(Database&)> post_recovery_hook_;
   sim::EventHandle ckpt_timer_;

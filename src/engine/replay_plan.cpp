@@ -31,34 +31,78 @@ bool RedoApplyPlan::wants(wal::LogRecordType type) {
 
 void RedoApplyPlan::stage(const wal::LogRecord& rec) {
   VDB_CHECK_MSG(wants(rec.type), "staging non-partitionable record");
-  const std::size_t idx = staged_count_;
-  if (idx < records_.size()) {
-    records_[idx] = rec;  // copy-assign reuses the pooled entry's capacity
+  const auto idx = static_cast<std::uint32_t>(entries_.size());
+  Entry& e = entries_.emplace_back();
+  e.lsn = rec.lsn;
+  e.type = rec.type;
+  if (rec.type == wal::LogRecordType::kFormatPage) {
+    e.rid = RowId{rec.page, 0};
+    e.owner = rec.format_owner;
+    e.slot_size = rec.slot_size;
   } else {
-    records_.push_back(rec);
+    e.rid = rec.dml.rid;
+    e.owner = rec.dml.table;
+    if (rec.type != wal::LogRecordType::kDelete) {
+      e.image = arena_.size();
+      e.image_len = static_cast<std::uint32_t>(rec.dml.after.size());
+      arena_.insert(arena_.end(), rec.dml.after.begin(), rec.dml.after.end());
+    }
   }
-  staged_count_ += 1;
 
-  const PageId page = rec.type == wal::LogRecordType::kFormatPage
-                          ? rec.page
-                          : rec.dml.rid.page;
-  auto [it, inserted] = page_index_.try_emplace(page, runs_.size());
+  const PageId page = e.rid.page;
+  bool inserted = false;
+  const std::uint32_t r = page_index_.find_or_insert(
+      page, static_cast<std::uint32_t>(run_count_), &inserted);
   if (inserted) {
-    Run run;
+    if (run_count_ == runs_.size()) runs_.emplace_back();
+    Run& run = runs_[run_count_++];
     run.page = page;
-    runs_.push_back(std::move(run));
+    run.items.clear();
+    run.has_format = false;
+    run.done = false;
+    run.first_applied = kInvalidLsn;
     pending_runs_ += 1;
   }
-  Run& run = runs_[it->second];
+  Run& run = runs_[r];
   run.items.push_back(idx);
   if (rec.type == wal::LogRecordType::kFormatPage) run.has_format = true;
 }
 
+bool RedoApplyPlan::apply_to(const Entry& e, storage::Page* page) const {
+  switch (e.type) {
+    case wal::LogRecordType::kInsert:
+    case wal::LogRecordType::kUpdate:
+      page->set_slot(e.rid.slot, image_of(e));
+      return true;
+    case wal::LogRecordType::kDelete:
+      page->clear_slot(e.rid.slot);
+      return true;
+    default:
+      return false;
+  }
+}
+
+const wal::LogRecord& RedoApplyPlan::as_record(const Entry& e) {
+  wal::LogRecord& rec = scratch_record_;
+  rec.type = e.type;
+  rec.lsn = e.lsn;
+  if (e.type == wal::LogRecordType::kFormatPage) {
+    rec.page = e.rid.page;
+    rec.format_owner = e.owner;
+    rec.slot_size = e.slot_size;
+  } else {
+    rec.dml.table = e.owner;
+    rec.dml.rid = e.rid;
+    const auto image = image_of(e);
+    rec.dml.after.assign(image.begin(), image.end());
+  }
+  return rec;
+}
+
 Status RedoApplyPlan::apply_serially(Run& run, Stats* stats) {
-  run.handled_serially = true;
-  for (std::size_t idx : run.items) {
-    const wal::LogRecord& rec = records_[idx];
-    Status st = hooks_.serial_apply(rec);
+  for (std::uint32_t idx : run.items) {
+    const Entry& e = entries_[idx];
+    Status st = hooks_.serial_apply(as_record(e));
     if (st.is_ok()) {
       stats->applied += 1;
       applied_counter_->inc();
@@ -67,7 +111,7 @@ Status RedoApplyPlan::apply_serially(Run& run, Stats* stats) {
     if (!skippable(st.code())) return st;
     stats->skipped += 1;
     skipped_counter_->inc();
-    if (hooks_.on_skip) hooks_.on_skip(rec.lsn, st);
+    if (hooks_.on_skip) hooks_.on_skip(e.lsn, st);
   }
   return Status::ok();
 }
@@ -82,11 +126,10 @@ Status RedoApplyPlan::prepare_run(Run& run, Stats* stats) {
   auto ref = hooks_.storage->fetch(run.page);
   if (!ref.is_ok()) {
     if (!skippable(ref.code())) return ref.status();
-    run.skipped = true;
-    for (std::size_t idx : run.items) {
+    for (std::uint32_t idx : run.items) {
       stats->skipped += 1;
       skipped_counter_->inc();
-      if (hooks_.on_skip) hooks_.on_skip(records_[idx].lsn, ref.status());
+      if (hooks_.on_skip) hooks_.on_skip(entries_[idx].lsn, ref.status());
     }
     return Status::ok();
   }
@@ -101,22 +144,13 @@ void RedoApplyPlan::apply_run(Run& run) const {
   // finalize, so workers share no cache line per record.
   storage::Page* page = run.ref.page();
   Lsn first_applied = kInvalidLsn;
-  for (std::size_t idx : run.items) {
-    const wal::LogRecord& rec = records_[idx];
-    if (rec.lsn <= page->lsn()) continue;
-    switch (rec.type) {
-      case wal::LogRecordType::kInsert:
-      case wal::LogRecordType::kUpdate:
-        page->set_slot(rec.dml.rid.slot, rec.dml.after);
-        break;
-      case wal::LogRecordType::kDelete:
-        page->clear_slot(rec.dml.rid.slot);
-        break;
-      default:
-        break;  // unreachable: format runs were handled serially
-    }
-    page->set_lsn(rec.lsn);
-    if (first_applied == kInvalidLsn) first_applied = rec.lsn;
+  for (std::uint32_t idx : run.items) {
+    const Entry& e = entries_[idx];
+    if (e.lsn <= page->lsn()) continue;
+    // Format runs were handled serially, so every entry here applies.
+    apply_to(e, page);
+    page->set_lsn(e.lsn);
+    if (first_applied == kInvalidLsn) first_applied = e.lsn;
   }
   run.first_applied = first_applied;
 }
@@ -126,79 +160,73 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain() {
     reset();
     return Stats{};
   }
-  std::vector<std::size_t> selected;
-  selected.reserve(pending_runs_);
-  for (std::size_t r = 0; r < runs_.size(); ++r) {
-    if (!runs_[r].done) selected.push_back(r);
+  std::vector<std::uint32_t> selected = std::move(selected_scratch_);
+  selected.clear();
+  for (std::size_t r = 0; r < run_count_; ++r) {
+    if (!runs_[r].done) selected.push_back(static_cast<std::uint32_t>(r));
   }
-  return drain_runs(selected);
+  return drain_runs(std::move(selected));
 }
 
 Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_page(PageId pid) {
-  auto it = page_index_.find(pid);
-  if (it == page_index_.end()) return Stats{};
-  return drain_runs({it->second});
+  const std::uint32_t r = page_index_.find(pid);
+  if (r == FlatIndex<PageId>::kNone) return Stats{};
+  std::vector<std::uint32_t> selected = std::move(selected_scratch_);
+  selected.assign(1, r);
+  return drain_runs(std::move(selected));
 }
 
 Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_some(std::size_t max_runs) {
-  std::vector<std::size_t> selected;
-  selected.reserve(std::min(max_runs, pending_runs_));
-  for (std::size_t r = 0; r < runs_.size() && selected.size() < max_runs;
+  std::vector<std::uint32_t> selected = std::move(selected_scratch_);
+  selected.clear();
+  for (std::size_t r = 0; r < run_count_ && selected.size() < max_runs;
        ++r) {
-    if (!runs_[r].done) selected.push_back(r);
+    if (!runs_[r].done) selected.push_back(static_cast<std::uint32_t>(r));
   }
-  if (selected.empty()) return Stats{};
-  return drain_runs(selected);
+  return drain_runs(std::move(selected));
 }
 
 std::vector<PageId> RedoApplyPlan::pending_pages() const {
   std::vector<PageId> pages;
   pages.reserve(pending_runs_);
-  for (const Run& run : runs_) {
-    if (!run.done) pages.push_back(run.page);
+  for (std::size_t r = 0; r < run_count_; ++r) {
+    if (!runs_[r].done) pages.push_back(runs_[r].page);
   }
   return pages;
 }
 
 Lsn RedoApplyPlan::low_water() const {
   Lsn low = kInvalidLsn;
-  for (const Run& run : runs_) {
+  for (std::size_t r = 0; r < run_count_; ++r) {
+    const Run& run = runs_[r];
     if (run.done || run.items.empty()) continue;
     // Items are staged in LSN order, so the first is the run's lowest.
-    low = std::min(low, records_[run.items.front()].lsn);
+    low = std::min(low, entries_[run.items.front()].lsn);
   }
   return low;
 }
 
 void RedoApplyPlan::overlay_page(PageId pid, storage::Page* copy) const {
-  auto it = page_index_.find(pid);
-  if (it == page_index_.end()) return;
-  const Run& run = runs_[it->second];
-  for (std::size_t idx : run.items) {
-    const wal::LogRecord& rec = records_[idx];
-    if (rec.lsn <= copy->lsn()) continue;
-    switch (rec.type) {
-      case wal::LogRecordType::kInsert:
-      case wal::LogRecordType::kUpdate:
-        copy->set_slot(rec.dml.rid.slot, rec.dml.after);
-        break;
-      case wal::LogRecordType::kDelete:
-        copy->clear_slot(rec.dml.rid.slot);
-        break;
-      default:
-        // A format record with lsn above a formatted image cannot happen
-        // (the image was flushed after the format applied); an unformatted
-        // image never reaches the overlay (the scan skips it).
-        continue;
-    }
-    copy->set_lsn(rec.lsn);
+  const std::uint32_t r = page_index_.find(pid);
+  if (r == FlatIndex<PageId>::kNone) return;
+  for (std::uint32_t idx : runs_[r].items) {
+    const Entry& e = entries_[idx];
+    if (e.lsn <= copy->lsn()) continue;
+    // A format record with lsn above a formatted image cannot happen (the
+    // image was flushed after the format applied); an unformatted image
+    // never reaches the overlay (the scan skips it).
+    if (!apply_to(e, copy)) continue;
+    copy->set_lsn(e.lsn);
   }
 }
 
 Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
-    const std::vector<std::size_t>& selected) {
+    std::vector<std::uint32_t> selected) {
   Stats stats;
-  if (selected.empty()) return stats;
+  if (selected.empty()) {
+    selected_scratch_ = std::move(selected);
+    return stats;
+  }
   drains_counter_->inc();
   const unsigned jobs = resolve_jobs(hooks_.jobs);
 
@@ -210,6 +238,7 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
   const std::size_t max_pins =
       std::max<std::size_t>(1, std::min<std::size_t>(cache_cap / 2, 512));
 
+  std::vector<std::uint32_t> parallel_runs = std::move(parallel_scratch_);
   Status failure = Status::ok();
   for (std::size_t begin = 0; begin < selected.size() && failure.is_ok();
        begin += max_pins) {
@@ -217,8 +246,7 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
 
     // Serial prepare: pin pages, route special runs through the engine,
     // and charge the apply share of the replay CPU in deterministic order.
-    std::vector<std::size_t> parallel_runs;
-    parallel_runs.reserve(end - begin);
+    parallel_runs.clear();
     std::uint64_t parallel_records = 0;
     for (std::size_t s = begin; s < end; ++s) {
       Run& run = runs_[selected[s]];
@@ -259,6 +287,8 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
     }
   }
 
+  selected_scratch_ = std::move(selected);
+  parallel_scratch_ = std::move(parallel_runs);
   if (pending_runs_ == 0) reset();
 
   if (!failure.is_ok()) return failure;
@@ -266,10 +296,10 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
 }
 
 void RedoApplyPlan::reset() {
-  // Record entries keep their capacity; run and index containers are
-  // per-page (far fewer than per-record) so plain clears are cheap.
-  staged_count_ = 0;
-  runs_.clear();
+  // Clears keep every container's capacity for the next cycle.
+  entries_.clear();
+  arena_.clear();
+  run_count_ = 0;
   page_index_.clear();
   pending_runs_ = 0;
 }

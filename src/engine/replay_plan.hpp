@@ -17,13 +17,21 @@
 // through the driver-supplied apply callback during the prepare step; the
 // parallel phase touches only pinned, formatted pages with pure in-memory
 // slot writes.
+//
+// Staging copies no LogRecord: each record becomes a small fixed entry,
+// and an insert's or update's after image is appended to one byte arena
+// the plan owns (never a view of the log, because a retained plan outlives
+// the read that staged it). Only the serial path rebuilds a LogRecord, one
+// entry at a time, in a single scratch record.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "obs/observability.hpp"
@@ -95,15 +103,19 @@ class RedoApplyPlan {
   /// serial barriers: drain() first, then apply the record.
   static bool wants(wal::LogRecordType type);
 
-  /// Copies `rec` into the plan (safe with parse_records' reused scratch
-  /// record). Must only be called with wants(rec.type) true.
+  /// Stages `rec`: a compact entry plus, for inserts and updates, a copy
+  /// of its after image in the plan's byte arena. Nothing points into
+  /// `rec` afterwards, so it may be parse_records' reused scratch record.
+  /// Must only be called with wants(rec.type) true.
   void stage(const wal::LogRecord& rec);
 
-  std::size_t staged() const { return staged_count_; }
-  bool empty() const { return staged_count_ == 0; }
+  std::size_t staged() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
 
-  /// Applies every staged record and resets the plan. Record buffers are
-  /// pooled across drain cycles, so steady-state staging does not allocate.
+  /// Applies every staged record and resets the plan. Entries, the image
+  /// arena, runs, their item lists, the page index and the drain's scratch
+  /// lists keep their capacity across cycles, so a warm plan stages and
+  /// drains without allocating.
   Result<Stats> drain();
 
   // --- retained-run mode (early-open / on-demand restart) -----------------
@@ -123,7 +135,7 @@ class RedoApplyPlan {
   bool has_pending() const { return pending_runs_ > 0; }
   std::size_t pending_runs() const { return pending_runs_; }
   bool page_pending(PageId pid) const {
-    return page_index_.contains(pid);
+    return page_index_.find(pid) != FlatIndex<PageId>::kNone;
   }
   /// Pending pages in staging (first-touch LSN) order — deterministic.
   std::vector<PageId> pending_pages() const;
@@ -142,35 +154,66 @@ class RedoApplyPlan {
   void overlay_page(PageId pid, storage::Page* copy) const;
 
  private:
+  /// One staged record: what the apply needs and no more. A DML record
+  /// keeps its row address and table; a format record its page (in
+  /// `rid.page`), owner and slot size. Inserts and updates keep their after
+  /// image as [image, image + image_len) of `arena_`.
+  struct Entry {
+    Lsn lsn = kInvalidLsn;
+    std::size_t image = 0;
+    RowId rid{};
+    TableId owner{};
+    std::uint32_t image_len = 0;
+    std::uint16_t slot_size = 0;
+    wal::LogRecordType type = wal::LogRecordType::kInsert;
+  };
+
   struct Run {
     PageId page{PageId::invalid()};
-    std::vector<std::size_t> items;  // indices into records_, LSN order
+    std::vector<std::uint32_t> items;  // indices into entries_, LSN order
     bool has_format = false;
     bool done = false;  // drained in retained-run mode
     // Filled during prepare/apply:
     storage::PageRef ref;
-    bool handled_serially = false;
-    bool skipped = false;
     Lsn first_applied = kInvalidLsn;
   };
+
+  std::span<const std::uint8_t> image_of(const Entry& e) const {
+    return {arena_.data() + e.image, e.image_len};
+  }
+  /// Applies `e` to a formatted page (LSN-guarded by the caller). False for
+  /// a format entry, which only the serial path applies.
+  bool apply_to(const Entry& e, storage::Page* page) const;
+  /// Rebuilds `e` as a LogRecord in the one scratch record, for the serial
+  /// path (format runs, NOLOGGING-formatted pages).
+  const wal::LogRecord& as_record(const Entry& e);
 
   Status prepare_run(Run& run, Stats* stats);
   Status apply_serially(Run& run, Stats* stats);
   void apply_run(Run& run) const;
-  /// Shared drain engine: applies the listed runs (chunked so pinned pages
-  /// fit in the cache), marks them done, and fully resets once no run is
-  /// left pending.
-  Result<Stats> drain_runs(const std::vector<std::size_t>& selected);
+  /// Shared drain engine: applies the runs listed in `selected` (chunked so
+  /// pinned pages fit in the cache), marks them done, and fully resets once
+  /// no run is left pending. `selected` is a pooled scratch list the call
+  /// hands back when it returns.
+  Result<Stats> drain_runs(std::vector<std::uint32_t> selected);
   void reset();
 
   Hooks hooks_;
-  /// Pooled record copies: staged_count_ live entries, the rest retain
-  /// their heap capacity for the next cycle.
-  std::vector<wal::LogRecord> records_;
-  std::size_t staged_count_ = 0;
-  std::vector<Run> runs_;  // first-touch (LSN) order — deterministic
+  /// Staged entries (staged() of them) and the after images they point
+  /// into. Both are cleared, not freed, when the plan resets.
+  std::vector<Entry> entries_;
+  std::vector<std::uint8_t> arena_;
+  /// Runs in first-touch (LSN) order — deterministic. The first run_count_
+  /// are live; the rest keep their item lists' capacity for reuse.
+  std::vector<Run> runs_;
+  std::size_t run_count_ = 0;
   std::size_t pending_runs_ = 0;  // staged runs not yet drained
-  std::unordered_map<PageId, std::size_t> page_index_;
+  FlatIndex<PageId> page_index_;  // pending page -> its run
+  /// Scratch lists of a drain, pooled across drains. A drain re-entered
+  /// from its own serial apply finds them taken and uses fresh ones.
+  std::vector<std::uint32_t> selected_scratch_;
+  std::vector<std::uint32_t> parallel_scratch_;
+  wal::LogRecord scratch_record_;
   obs::Counter* applied_counter_ = nullptr;
   obs::Counter* skipped_counter_ = nullptr;
   obs::Counter* drains_counter_ = nullptr;

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,6 +49,57 @@ class BPlusTree {
     }
     size_ += 1;
     return true;
+  }
+
+  /// Replaces the contents with `entries`, whose keys must be strictly
+  /// ascending, building the tree bottom-up: leaves, then each internal
+  /// level, every node filled to three quarters of its order (the sizes
+  /// spread evenly over a level) so that later inserts do not split at
+  /// once. Linear in the entry count, against n log n for n inserts.
+  void assign_sorted(std::span<const std::pair<Key, Value>> entries) {
+    clear();
+    if (entries.empty()) return;
+    for (size_t i = 1; i < entries.size(); ++i) {
+      VDB_CHECK_MSG(entries[i - 1].first < entries[i].first,
+                    "assign_sorted needs strictly ascending keys");
+    }
+    // Current level's nodes and the smallest key of each one's subtree.
+    std::vector<Node*> level;
+    std::vector<Key> lows;
+    Leaf* prev = nullptr;
+    for_each_share(entries.size(), [&](size_t begin, size_t end) {
+      auto* leaf = new Leaf();
+      leaf->keys.reserve(end - begin);
+      leaf->values.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) {
+        leaf->keys.push_back(entries[i].first);
+        leaf->values.push_back(entries[i].second);
+      }
+      leaf->prev = prev;
+      if (prev != nullptr) prev->next = leaf;
+      prev = leaf;
+      level.push_back(leaf);
+      lows.push_back(leaf->keys.front());
+    });
+    first_leaf_ = static_cast<Leaf*>(level.front());
+    last_leaf_ = prev;
+    while (level.size() > 1) {
+      std::vector<Node*> parents;
+      std::vector<Key> parent_lows;
+      for_each_share(level.size(), [&](size_t begin, size_t end) {
+        auto* node = new Internal();
+        node->children.assign(level.begin() + static_cast<long>(begin),
+                              level.begin() + static_cast<long>(end));
+        node->keys.assign(lows.begin() + static_cast<long>(begin) + 1,
+                          lows.begin() + static_cast<long>(end));
+        parents.push_back(node);
+        parent_lows.push_back(lows[begin]);
+      });
+      level = std::move(parents);
+      lows = std::move(parent_lows);
+    }
+    root_ = level.front();
+    size_ = entries.size();
   }
 
   /// Removes; returns false if the key was absent.
@@ -414,8 +466,25 @@ class BPlusTree {
     }
   }
 
+  /// Splits [0, n) into ceil(n / kBulkFill) consecutive shares whose sizes
+  /// differ by at most one and calls fn(begin, end) for each in order.
+  template <typename Fn>
+  static void for_each_share(size_t n, Fn&& fn) {
+    const size_t shares = (n + kBulkFill - 1) / kBulkFill;
+    const size_t base = n / shares;
+    const size_t extra = n % shares;
+    size_t begin = 0;
+    for (size_t i = 0; i < shares; ++i) {
+      const size_t end = begin + base + (i < extra ? 1 : 0);
+      fn(begin, end);
+      begin = end;
+    }
+  }
+
   static constexpr size_t kMaxLeaf = Order;
   static constexpr size_t kMaxInternal = Order;
+  /// Entries per leaf and children per internal node of a bulk build.
+  static constexpr size_t kBulkFill = Order * 3 / 4;
 
   Node* root_ = nullptr;
   Leaf* first_leaf_ = nullptr;

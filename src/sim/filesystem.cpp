@@ -240,8 +240,8 @@ Status SimFs::read(const std::string& path, std::uint64_t offset,
   return Status::ok();
 }
 
-Result<std::vector<std::uint8_t>> SimFs::read_all(const std::string& path,
-                                                  IoMode mode) {
+Result<std::span<const std::uint8_t>> SimFs::read_all(const std::string& path,
+                                                      IoMode mode) {
   auto file = find(path);
   if (!file.is_ok()) return file.status();
   File& f = *file.value();
@@ -257,9 +257,8 @@ Result<std::vector<std::uint8_t>> SimFs::read_all(const std::string& path,
                                ? std::string(" (whole file)")
                                : " (" + std::to_string(r->len) + " bytes)"));
   }
-  std::vector<std::uint8_t> out = f.data;
   charge(f.disk, f.charged, mode, /*sequential=*/true);
-  return out;
+  return std::span<const std::uint8_t>(f.data);
 }
 
 Status SimFs::truncate(const std::string& path, std::uint64_t new_size) {

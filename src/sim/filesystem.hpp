@@ -99,8 +99,15 @@ class SimFs {
               std::span<std::uint8_t> out, IoMode mode,
               bool sequential = false);
 
-  Result<std::vector<std::uint8_t>> read_all(const std::string& path,
-                                             IoMode mode);
+  /// The whole file, borrowed: a view of the stored bytes, charged as one
+  /// sequential read of the file's charged size. Fails like read() on a
+  /// missing file, a transient-error hit or any corrupt range. The view
+  /// stays valid until `path` is next written, appended to, truncated,
+  /// copied over or removed; I/O on other paths leaves it alone, and a
+  /// flip_bits() on `path` shows through it. Parse in place; copy only what
+  /// must outlive that.
+  Result<std::span<const std::uint8_t>> read_all(const std::string& path,
+                                                 IoMode mode);
 
   Status truncate(const std::string& path, std::uint64_t new_size);
 

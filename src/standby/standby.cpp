@@ -46,6 +46,7 @@ Status StandbyDatabase::instantiate_from(engine::Database& primary,
   VDB_RETURN_IF_ERROR(db_->mount_from_control(set->control));
   db_->set_recovering(true);
   db_->storage().cache().set_io_mode(sim::IoMode::kBackground);
+  plan_ = std::make_unique<engine::RedoApplyPlan>(db_->make_replay_plan());
   applied_to_ = set->backup_lsn;
   instantiated_ = true;
   return Status::ok();
@@ -93,9 +94,10 @@ void StandbyDatabase::apply_archive(const std::string& standby_path) {
   // drivers use: scan serially (redo analysis, busy-time accounting), stage
   // page records, drain the partitioned plan at DDL barriers and at the end
   // of the archive. Apply failures are ignored — gaps are impossible since
-  // archives arrive in sequence order.
-  engine::RedoApplyPlan plan = db_->make_replay_plan();
-
+  // archives arrive in sequence order. The archive is parsed where it lies
+  // on the standby's disk; the plan, kept across archives, copies the after
+  // images it stages into its own pooled arena.
+  engine::RedoApplyPlan& plan = *plan_;
   std::uint64_t records = 0;
   (void)wal::parse_log_records(bytes.value(), [&](const wal::LogRecord& rec) {
     records += 1;
@@ -138,6 +140,7 @@ Result<ActivationReport> StandbyDatabase::activate() {
   // PREPAREd 2PC branches are adopted as in-doubt instead — the failover
   // orchestrator resolves them against the coordinator's decision.
   if (tracer.active()) tracer.enter(obs::RecoveryPhase::kUndo, clock.now());
+  plan_.reset();  // managed recovery is over
   VDB_RETURN_IF_ERROR(db_->settle_analysis(std::move(analysis_)).status());
   db_->set_recovering(false);
   if (tracer.active()) tracer.enter(obs::RecoveryPhase::kOpen, clock.now());

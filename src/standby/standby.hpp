@@ -32,6 +32,7 @@
 #include "common/types.hpp"
 #include "engine/database.hpp"
 #include "engine/redo_analysis.hpp"
+#include "engine/replay_plan.hpp"
 #include "recovery/backup.hpp"
 #include "sim/host.hpp"
 #include "sim/network.hpp"
@@ -87,6 +88,9 @@ class StandbyDatabase {
   StandbyConfig cfg_;
   sim::NetworkLink* link_;
   std::unique_ptr<engine::Database> db_;
+  /// Managed recovery's apply plan, one for every archive: a warm plan
+  /// stages and drains an archive without allocating.
+  std::unique_ptr<engine::RedoApplyPlan> plan_;
   Lsn applied_to_ = 0;
   std::uint64_t archives_applied_ = 0;
   std::uint64_t records_applied_ = 0;

@@ -100,10 +100,23 @@ Status TpccDb::attach(engine::Database* db) {
         auto tbl = tbl_of(table);
         if (tbl.has_value()) {
           std::unique_lock lock(index_mu_);
+          rebuilding_ = true;
           index_insert(*tbl, rid, row);
         }
-      });
+      },
+      [this] { finish_rebuild(); });
   return Status::ok();
+}
+
+void TpccDb::finish_rebuild() {
+  std::unique_lock lock(index_mu_);
+  if (!rebuilding_) return;
+  rebuilding_ = false;
+  name_idx_.finish();
+  order_idx_.finish();
+  order_cust_idx_.finish();
+  new_order_idx_.finish();
+  order_line_idx_.finish();
 }
 
 std::vector<std::uint8_t>& TpccDb::row_buffer() {
@@ -187,27 +200,28 @@ void TpccDb::index_insert(Tbl t, RowId rid,
     case Tbl::kCustomer: {
       auto r = from_bytes<CustomerRow>(row);
       customer_idx_.insert(customer_pos(r.c_w_id, r.c_d_id, r.c_id), rid);
-      name_idx_.insert({r.c_w_id, r.c_d_id, to_name_arr(r.c_last), r.c_id},
-                       rid);
+      name_idx_.add({r.c_w_id, r.c_d_id, to_name_arr(r.c_last), r.c_id}, rid,
+                    rebuilding_);
       break;
     }
     case Tbl::kHistory:
       break;  // no access path
     case Tbl::kNewOrder: {
       auto r = from_bytes<NewOrderRow>(row);
-      new_order_idx_.insert({r.no_w_id, r.no_d_id, r.no_o_id}, rid);
+      new_order_idx_.add({r.no_w_id, r.no_d_id, r.no_o_id}, rid, rebuilding_);
       break;
     }
     case Tbl::kOrder: {
       auto r = from_bytes<OrderRow>(row);
-      order_idx_.insert({r.o_w_id, r.o_d_id, r.o_id}, rid);
-      order_cust_idx_.insert({r.o_w_id, r.o_d_id, r.o_c_id, r.o_id}, rid);
+      order_idx_.add({r.o_w_id, r.o_d_id, r.o_id}, rid, rebuilding_);
+      order_cust_idx_.add({r.o_w_id, r.o_d_id, r.o_c_id, r.o_id}, rid,
+                          rebuilding_);
       break;
     }
     case Tbl::kOrderLine: {
       auto r = from_bytes<OrderLineRow>(row);
-      order_line_idx_.insert(
-          {r.ol_w_id, r.ol_d_id, r.ol_o_id, r.ol_number}, rid);
+      order_line_idx_.add({r.ol_w_id, r.ol_d_id, r.ol_o_id, r.ol_number}, rid,
+                          rebuilding_);
       break;
     }
     case Tbl::kItem: {

@@ -11,6 +11,7 @@
 // benchmark's access paths come back after Oracle recovers.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "engine/database.hpp"
@@ -62,6 +64,51 @@ class DenseIndex {
  private:
   std::vector<RowId> rids_;
   std::size_t size_ = 0;  // valid positions
+};
+
+/// A B+-tree access path that a rebuild scan fills in bulk. While a scan
+/// runs, add() collects (key, rid) pairs instead of inserting; finish()
+/// then stable-sorts them behind the entries the tree already holds, keeps
+/// the first rid of each key (what inserting them in scan order keeps),
+/// builds the tree bottom-up, and frees the pairs.
+template <typename Key>
+class TreePath : public index::BPlusTree<Key, RowId> {
+ public:
+  void add(const Key& key, RowId rid, bool collect) {
+    if (collect) {
+      pending_.emplace_back(key, rid);
+    } else {
+      this->insert(key, rid);
+    }
+  }
+
+  void finish() {
+    std::vector<std::pair<Key, RowId>> pairs = std::exchange(pending_, {});
+    if (pairs.empty()) return;
+    // Entries that reached the tree before the scan ended (a standby's
+    // loser rollback re-inserts rows through the observers) go first, so
+    // they keep their keys as they would under row-by-row inserts.
+    std::vector<std::pair<Key, RowId>> held;
+    held.reserve(this->size());
+    this->for_each([&](const Key& key, const RowId& rid) {
+      held.emplace_back(key, rid);
+      return true;
+    });
+    pairs.insert(pairs.begin(), held.begin(), held.end());
+    const auto by_key = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    std::stable_sort(pairs.begin(), pairs.end(), by_key);
+    const auto same_key = [](const auto& a, const auto& b) {
+      return !(a.first < b.first) && !(b.first < a.first);
+    };
+    pairs.erase(std::unique(pairs.begin(), pairs.end(), same_key),
+                pairs.end());
+    this->assign_sorted(pairs);
+  }
+
+ private:
+  std::vector<std::pair<Key, RowId>> pending_;
 };
 
 /// Fixed-width last-name key segment.
@@ -145,6 +192,27 @@ class TpccDb {
   size_t index_entries() const;
   void clear_indexes();
 
+  /// Visits every entry of the five B+-tree paths as fn(path, key, rid):
+  /// path 0 is customer-by-name, then order, order-by-customer, new-order
+  /// and order-line, each in key order.
+  template <typename Fn>
+  void for_each_tree_entry(Fn&& fn) const {
+    std::shared_lock lock(index_mu_);
+    int path = 0;
+    const auto visit = [&](const auto& tree) {
+      tree.for_each([&](const auto& key, const RowId& rid) {
+        fn(path, key, rid);
+        return true;
+      });
+      path += 1;
+    };
+    visit(name_idx_);
+    visit(order_idx_);
+    visit(order_cust_idx_);
+    visit(new_order_idx_);
+    visit(order_line_idx_);
+  }
+
  private:
   /// The calling thread's read buffer (coordinator workers share a TpccDb).
   static std::vector<std::uint8_t>& row_buffer();
@@ -152,6 +220,9 @@ class TpccDb {
   // Callers of the two low-level maintainers must hold index_mu_ exclusive.
   void index_insert(Tbl t, RowId rid, std::span<const std::uint8_t> row);
   void index_erase(Tbl t, RowId rid, std::span<const std::uint8_t> row);
+  /// End of a rebuild scan: bulk-builds the B+-tree paths from what the
+  /// scan collected.
+  void finish_rebuild();
   std::optional<Tbl> tbl_of(TableId id) const;
 
   // Dense positions of the fixed-cardinality keys, in key order;
@@ -180,11 +251,14 @@ class TpccDb {
   DenseIndex customer_idx_;
   DenseIndex item_idx_;
   DenseIndex stock_idx_;
-  index::BPlusTree<std::tuple<U32, U32, NameArr, U32>, RowId> name_idx_;
-  index::BPlusTree<std::tuple<U32, U32, U32>, RowId> order_idx_;
-  index::BPlusTree<std::tuple<U32, U32, U32, U32>, RowId> order_cust_idx_;
-  index::BPlusTree<std::tuple<U32, U32, U32>, RowId> new_order_idx_;
-  index::BPlusTree<std::tuple<U32, U32, U32, U32>, RowId> order_line_idx_;
+  TreePath<std::tuple<U32, U32, NameArr, U32>> name_idx_;
+  TreePath<std::tuple<U32, U32, U32>> order_idx_;
+  TreePath<std::tuple<U32, U32, U32, U32>> order_cust_idx_;
+  TreePath<std::tuple<U32, U32, U32>> new_order_idx_;
+  TreePath<std::tuple<U32, U32, U32, U32>> order_line_idx_;
+  /// True while a rebuild scan feeds the B+-tree paths (their add()
+  /// collects); finish_rebuild() builds them and clears it.
+  bool rebuilding_ = false;
 };
 
 }  // namespace vdb::tpcc

@@ -1,5 +1,5 @@
-// Heap allocations per TPC-C interaction, counted by a replaced global
-// operator new.
+// Heap allocations of the TPC-C interactions and of redo apply, counted
+// (calls and bytes) by a replaced global operator new.
 //
 // This is its own executable because replacing operator new is
 // process-wide. Counting is per thread and only inside an AllocScope, so
@@ -12,6 +12,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "engine/replay_plan.hpp"
+#include "recovery/backup.hpp"
+#include "sim/network.hpp"
+#include "standby/standby.hpp"
 #include "storage/storage_manager.hpp"
 #include "tests/test_env.hpp"
 #include "tpcc/tpcc_random.hpp"
@@ -27,12 +31,16 @@ namespace {
 
 thread_local bool t_counting = false;
 thread_local std::uint64_t t_allocations = 0;
+thread_local std::uint64_t t_bytes = 0;
 
 }  // namespace
 
 #if VDB_ALLOC_COUNTING
 void* operator new(std::size_t n) {
-  if (t_counting) ++t_allocations;
+  if (t_counting) {
+    ++t_allocations;
+    t_bytes += n;
+  }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -46,11 +54,13 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace vdb::tpcc {
 namespace {
 
-/// Counts this thread's operator-new calls while alive.
+/// Counts this thread's operator-new calls and the bytes they asked for
+/// while alive.
 class AllocScope {
  public:
   AllocScope() {
     t_allocations = 0;
+    t_bytes = 0;
     t_counting = true;
   }
   ~AllocScope() { t_counting = false; }
@@ -58,6 +68,7 @@ class AllocScope {
   AllocScope& operator=(const AllocScope&) = delete;
 
   std::uint64_t count() const { return t_allocations; }
+  std::uint64_t bytes() const { return t_bytes; }
 };
 
 /// A loaded database and a terminal's transaction runner over it.
@@ -92,6 +103,7 @@ TEST(AllocBudget, CountingSeesAllocations) {
   auto* p = new std::uint64_t(1);
   delete p;
   EXPECT_EQ(scope.count(), 1u);
+  EXPECT_EQ(scope.bytes(), sizeof(std::uint64_t));
 }
 
 // Stock-Level reads the order lines of a district's last 20 orders and the
@@ -165,6 +177,117 @@ TEST(AllocBudget, WarmCacheMissAllocatesNothing) {
   }
   EXPECT_EQ(worst, 0u);
   EXPECT_GT(flushed, 0u);
+}
+
+// A replay plan keeps its entries, image arena, runs, item lists, page
+// index and drain scratch across cycles: once one stage-and-drain cycle
+// has sized them, the next one of the same shape allocates nothing.
+TEST(AllocBudget, WarmReplayStagingAllocatesNothing) {
+  if (!VDB_ALLOC_COUNTING) GTEST_SKIP() << "the sanitizer owns operator new";
+  testing::SimEnv env;
+  testing::SmallDb small(env);
+  std::vector<RowId> rids;
+  for (int i = 0; i < 200; ++i) {
+    rids.push_back(testing::put_row(*small.db, small.table,
+                                    "row" + std::to_string(i)));
+  }
+  // Updates and deletes dealt over the rows' pages, images of a few sizes.
+  std::vector<wal::LogRecord> shapes(4);
+  for (std::size_t k = 0; k < shapes.size(); ++k) {
+    shapes[k].type = k == 3 ? wal::LogRecordType::kDelete
+                            : wal::LogRecordType::kUpdate;
+    shapes[k].txn = TxnId{9001};
+    shapes[k].dml.table = small.table;
+    shapes[k].dml.before.assign(20, 'b');
+    if (k != 3) shapes[k].dml.after.assign(16 + 16 * k, 'a');
+  }
+  constexpr std::uint64_t kRecords = 1200;
+  Lsn lsn = Lsn{1} << 40;  // above anything the rows carry
+  engine::RedoApplyPlan plan = small.db->make_replay_plan();
+  const auto cycle = [&] {
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      wal::LogRecord& rec = shapes[i % shapes.size()];
+      rec.lsn = lsn++;
+      rec.dml.rid = rids[(i * 7) % rids.size()];
+      plan.stage(rec);
+    }
+    return plan.drain();
+  };
+  small.db->set_recovering(true);
+  auto cold = cycle();
+  ASSERT_TRUE(cold.is_ok());
+  ASSERT_EQ(cold.value().applied, kRecords);
+
+  AllocScope scope;
+  auto warm = cycle();
+  const std::uint64_t allocations = scope.count();
+  small.db->set_recovering(false);
+  ASSERT_TRUE(warm.is_ok());
+  EXPECT_EQ(warm.value().applied, kRecords);
+  EXPECT_EQ(allocations, 0u);
+}
+
+// Shipping an archive to the standby stores its bytes once, on the
+// standby's disk; managed recovery then parses that copy in place and
+// stages into a plan kept across archives. The bytes allocated for one
+// archive's ship and apply stay below the archive's (charged) size.
+TEST(AllocBudget, StandbyArchiveApplyCopiesLessThanTheArchive) {
+  if (!VDB_ALLOC_COUNTING) GTEST_SKIP() << "the sanitizer owns operator new";
+  testing::SimEnv env;
+  engine::DatabaseConfig cfg = testing::small_db_config(/*archive=*/true);
+  cfg.redo.file_size_bytes = 64 * 1024;
+  testing::SmallDb primary(env, cfg);
+  recovery::BackupManager backups(&env.host.fs(), "/backup");
+  sim::Host standby_host("standby", &env.clock);
+  for (const char* dir : {"/data", "/redo", "/arch", "/backup"}) {
+    standby_host.add_disk(dir);
+  }
+  sim::NetworkLink link;
+  standby::StandbyConfig scfg;
+  scfg.db = cfg;
+  standby::StandbyDatabase standby(&standby_host, &env.sched, scfg, &link);
+  ASSERT_TRUE(standby.instantiate_from(*primary.db, backups).is_ok());
+
+  struct Shipment {
+    std::string path;
+    std::uint64_t seq;
+    SimTime done_at;
+  };
+  std::vector<Shipment> archives;
+  primary.db->archiver().on_archived =
+      [&](const std::string& path, std::uint64_t seq, SimTime done_at) {
+        archives.push_back({path, seq, done_at});
+      };
+  std::vector<RowId> rids;
+  for (int i = 0; i < 100; ++i) {
+    rids.push_back(testing::put_row(*primary.db, primary.table,
+                                    std::string(60, 'r')));
+  }
+  for (int i = 0; archives.size() < 3; ++i) {
+    auto txn = primary.db->begin();
+    ASSERT_TRUE(txn.is_ok());
+    ASSERT_TRUE(primary.db
+                    ->update(txn.value(), primary.table, rids[i % rids.size()],
+                             testing::row(std::string(60, 'a' + i % 26)))
+                    .is_ok());
+    ASSERT_TRUE(primary.db->commit(txn.value()).is_ok());
+  }
+
+  sim::SimFs& primary_fs = env.host.fs();
+  const auto ship = [&](const Shipment& a) {
+    standby.on_primary_archive(primary_fs, a.path, a.seq, a.done_at);
+  };
+  ship(archives[0]);  // warms the plan
+  const Shipment& measured = archives[1];
+  auto charged = primary_fs.charged_size(measured.path);
+  ASSERT_TRUE(charged.is_ok());
+  AllocScope scope;
+  ship(measured);
+  const std::uint64_t bytes = scope.bytes();
+  EXPECT_EQ(standby.archives_applied(), 2u);
+  EXPECT_LT(bytes, charged.value())
+      << "archive " << primary_fs.size(measured.path).value() << " bytes, "
+      << charged.value() << " charged";
 }
 
 }  // namespace

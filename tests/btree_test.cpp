@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "index/bplus_tree.hpp"
@@ -150,6 +154,76 @@ TEST(BPlusTree, EraseEverythingReverse) {
   for (int i = 299; i >= 0; --i) EXPECT_TRUE(tree.erase(i)) << i;
   EXPECT_TRUE(tree.empty());
   EXPECT_TRUE(tree.validate());
+}
+
+/// Every (key, value) of a tree in key order.
+template <typename Tree>
+std::vector<std::pair<int, int>> entries_of(const Tree& tree) {
+  std::vector<std::pair<int, int>> out;
+  tree.for_each([&](const int& k, const int& v) {
+    out.emplace_back(k, v);
+    return true;
+  });
+  return out;
+}
+
+// A bulk-built tree holds what inserting the same entries builds, at the
+// sizes around a bulk leaf's fill (48 of 64) and a leaf's capacity, and it
+// stays a working tree: random inserts and erases afterwards agree with
+// std::map.
+TEST(BPlusTree, AssignSortedMatchesInsertBuilt) {
+  for (const int n : {0, 1, 47, 48, 49, 64, 65, 10000}) {
+    SCOPED_TRACE("size " + std::to_string(n));
+    std::vector<std::pair<int, int>> sorted;
+    BPlusTree<int, int> inserted;
+    std::map<int, int> model;
+    for (int i = 0; i < n; ++i) {
+      sorted.emplace_back(2 * i, 3 * i);
+      inserted.insert(2 * i, 3 * i);
+      model.emplace(2 * i, 3 * i);
+    }
+    BPlusTree<int, int> bulk;
+    bulk.insert(-5, 0);  // replaced, not kept
+    bulk.assign_sorted(sorted);
+    ASSERT_TRUE(bulk.validate());
+    EXPECT_EQ(bulk.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(entries_of(bulk), entries_of(inserted));
+    for (int i = 0; i < n; ++i) {
+      ASSERT_NE(bulk.find(2 * i), nullptr) << 2 * i;
+      EXPECT_EQ(*bulk.find(2 * i), 3 * i);
+      EXPECT_EQ(bulk.find(2 * i + 1), nullptr);
+    }
+    std::vector<int> desc;
+    bulk.scan_range_desc(0, 2 * n, [&](const int& k, const int&) {
+      desc.push_back(k);
+      return true;
+    });
+    EXPECT_EQ(desc.size(), static_cast<std::size_t>(n));
+    EXPECT_TRUE(std::is_sorted(desc.rbegin(), desc.rend()));
+
+    Rng rng(static_cast<std::uint64_t>(n) + 1);
+    const int key_space = 2 * n + 100;
+    for (int op = 0; op < 2000; ++op) {
+      const int key = static_cast<int>(rng.uniform(0, key_space));
+      if (rng.uniform01() < 0.5) {
+        const int value = static_cast<int>(rng.uniform(0, 1 << 20));
+        EXPECT_EQ(bulk.insert(key, value), model.emplace(key, value).second);
+      } else {
+        EXPECT_EQ(bulk.erase(key), model.erase(key) > 0);
+      }
+      if (op % 250 == 0) {
+        ASSERT_TRUE(bulk.validate()) << "op " << op;
+      }
+    }
+    ASSERT_TRUE(bulk.validate());
+    const std::vector<std::pair<int, int>> expected(model.begin(),
+                                                    model.end());
+    EXPECT_EQ(entries_of(bulk), expected);
+    for (const auto& [key, value] : model) {
+      ASSERT_NE(bulk.find(key), nullptr) << key;
+      EXPECT_EQ(*bulk.find(key), value);
+    }
+  }
 }
 
 /// Property test: random interleaved operations behave exactly like

@@ -214,9 +214,84 @@ TEST_F(SimFsTest, CopyPreservesContentAndCharge) {
                           IoMode::kBackground, 500)
                   .is_ok());
   ASSERT_TRUE(fs().copy("/data/a", "/other/b", IoMode::kBackground).is_ok());
-  EXPECT_EQ(fs().read_all("/other/b", IoMode::kBackground).value(),
+  auto copied = fs().read_all("/other/b", IoMode::kBackground);
+  ASSERT_TRUE(copied.is_ok());
+  EXPECT_EQ(std::vector<std::uint8_t>(copied.value().begin(),
+                                      copied.value().end()),
             (std::vector<std::uint8_t>{5, 6}));
   EXPECT_EQ(fs().charged_size("/other/b").value(), 500u);
+}
+
+// read_all borrows the stored bytes instead of copying them. It keeps the
+// failure checks and the I/O charge of a whole-file read, and its view
+// follows the file until the file itself changes.
+TEST_F(SimFsTest, ReadAllBorrowsTheStoredBytes) {
+  EXPECT_EQ(fs().read_all("/data/missing", IoMode::kForeground).code(),
+            ErrorCode::kNotFound);
+
+  ASSERT_TRUE(fs().create("/data/a").is_ok());
+  const std::vector<std::uint8_t> data{10, 20, 30, 40, 50, 60};
+  constexpr std::uint64_t kCharged = 1 << 20;
+  ASSERT_TRUE(
+      fs().append("/data/a", data, IoMode::kForeground, kCharged).is_ok());
+
+  // A foreground read waits for one sequential request of the charged size
+  // on an idle device; a background one occupies the device only.
+  Disk* disk = fs().disk_for("/data/a");
+  const DiskParams& params = disk->params();
+  const SimDuration whole_file =
+      params.sequential_seek_time +
+      kCharged * kSecond / params.bandwidth_bytes_per_sec;
+  const SimTime before = clock_.now();
+  const std::uint64_t bytes_before = disk->stats().bytes;
+  auto view = fs().read_all("/data/a", IoMode::kForeground);
+  ASSERT_TRUE(view.is_ok());
+  EXPECT_EQ(clock_.now() - before, whole_file);
+  EXPECT_EQ(disk->stats().bytes - bytes_before, kCharged);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.value().begin(),
+                                      view.value().end()),
+            data);
+  const SimTime after_foreground = clock_.now();
+  ASSERT_TRUE(fs().read_all("/data/a", IoMode::kBackground).is_ok());
+  EXPECT_EQ(clock_.now(), after_foreground);
+  EXPECT_EQ(disk->busy_until(), after_foreground + whole_file);
+
+  // Silent damage is in the stored bytes, so the view shows it.
+  const std::uint8_t first = view.value()[0];
+  ASSERT_TRUE(fs().flip_bits("/data/a", 0, 1, /*seed=*/5).is_ok());
+  EXPECT_NE(view.value()[0], first);
+
+  // I/O on other paths leaves the view where it was.
+  const std::uint8_t* where = view.value().data();
+  const std::vector<std::uint8_t> seen(view.value().begin(),
+                                       view.value().end());
+  const std::vector<std::uint8_t> big(64 * 1024, 7);
+  for (int i = 0; i < 32; ++i) {
+    const std::string other =
+        (i % 2 == 0 ? "/data/f" : "/other/f") + std::to_string(i);
+    ASSERT_TRUE(fs().create(other).is_ok());
+    ASSERT_TRUE(fs().append(other, big, IoMode::kBackground).is_ok());
+    ASSERT_TRUE(fs().write(other, 100, data, IoMode::kBackground).is_ok());
+  }
+  ASSERT_TRUE(fs().copy("/other/f1", "/data/copy", IoMode::kBackground)
+                  .is_ok());
+  ASSERT_TRUE(fs().remove("/data/f0").is_ok());
+  EXPECT_EQ(fs().read_all("/data/a", IoMode::kBackground).value().data(),
+            where);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.value().begin(),
+                                      view.value().end()),
+            seen);
+
+  // A device error inside an injected window, and a corrupt range anywhere
+  // in the file, fail the read.
+  fs().inject_transient_errors("/data/a", clock_.now() + kSecond, 1.0,
+                               /*seed=*/1);
+  EXPECT_EQ(fs().read_all("/data/a", IoMode::kForeground).code(),
+            ErrorCode::kTransientIo);
+  fs().clear_transient_errors();
+  ASSERT_TRUE(fs().corrupt_range("/data/a", 4, 1).is_ok());
+  EXPECT_EQ(fs().read_all("/data/a", IoMode::kForeground).code(),
+            ErrorCode::kCorruption);
 }
 
 TEST_F(SimFsTest, ListByPrefix) {

@@ -102,10 +102,8 @@ struct SmallTpcc {
   std::unique_ptr<engine::Database> db;
   std::unique_ptr<tpcc::TpccDb> tdb;
 
-  explicit SmallTpcc(SimEnv& env, std::uint32_t orders_per_district = 100) {
-    engine::DatabaseConfig cfg = small_db_config();
-    cfg.redo.file_size_bytes = 16 * 1024 * 1024;
-    cfg.storage.cache_pages = 2048;
+  explicit SmallTpcc(SimEnv& env, std::uint32_t orders_per_district = 100,
+                     const engine::DatabaseConfig& cfg = config()) {
     db = std::make_unique<engine::Database>(&env.host, &env.sched, cfg);
     VDB_CHECK(db->create().is_ok());
     VDB_CHECK(db->create_tablespace("TPCC", {{"/data/t1.dbf", 512},
@@ -118,6 +116,15 @@ struct SmallTpcc {
     VDB_CHECK(tdb->attach(db.get()).is_ok());
     tpcc::Loader loader(tdb.get(), 7);
     VDB_CHECK(loader.load().is_ok());
+  }
+
+  /// The rig's database: 16 MiB redo files, no archiving, a 2048-page
+  /// cache.
+  static engine::DatabaseConfig config() {
+    engine::DatabaseConfig cfg = small_db_config();
+    cfg.redo.file_size_bytes = 16 * 1024 * 1024;
+    cfg.storage.cache_pages = 2048;
+    return cfg;
   }
 
   static tpcc::TpccScale scale(std::uint32_t orders_per_district) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -270,6 +275,133 @@ TEST_F(TpccFixture, CustomersByNameOrderedById) {
   for (size_t i = 1; i < matches.size(); ++i) {
     EXPECT_LT(matches[i - 1].first, matches[i].first);
   }
+}
+
+// A bulk build keeps the first rid the scan met for each key, and an entry
+// the tree already held when the scan ended (a standby's loser rollback
+// re-inserts rows through the observers) over any the scan collected.
+TEST(TreePath, FinishKeepsHeldEntriesAndFirstRidPerKey) {
+  const auto rid = [](std::uint32_t block) {
+    return RowId{PageId{FileId{1}, block}, 0};
+  };
+  TreePath<std::tuple<std::uint32_t>> path;
+  path.add({5}, rid(1), /*collect=*/false);
+  for (const auto& [key, block] :
+       std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+           {5, 2}, {3, 3}, {9, 4}, {3, 5}, {9, 6}}) {
+    path.add({key}, rid(block), /*collect=*/true);
+  }
+  EXPECT_EQ(path.size(), 1u);  // collected pairs wait for finish()
+  path.finish();
+  ASSERT_TRUE(path.validate());
+  std::vector<std::pair<std::uint32_t, RowId>> entries;
+  path.for_each([&](const std::tuple<std::uint32_t>& key, const RowId& r) {
+    entries.emplace_back(std::get<0>(key), r);
+    return true;
+  });
+  const std::vector<std::pair<std::uint32_t, RowId>> expected{
+      {3, rid(3)}, {5, rid(1)}, {9, rid(4)}};
+  EXPECT_EQ(entries, expected);
+}
+
+/// A B+-tree path entry as (path, key fields, rid); a last name becomes
+/// its sixteen bytes.
+using TreeEntry =
+    std::tuple<int, std::vector<std::uint32_t>, std::string, RowId>;
+
+std::vector<TreeEntry> tree_entries(const TpccDb& tdb) {
+  std::vector<TreeEntry> out;
+  tdb.for_each_tree_entry([&](int path, const auto& key, RowId rid) {
+    TreeEntry entry{path, {}, {}, rid};
+    std::apply(
+        [&](const auto&... field) {
+          const auto put = [&](const auto& f) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(f)>, NameArr>) {
+              std::get<2>(entry).assign(f.begin(), f.end());
+            } else {
+              std::get<1>(entry).push_back(f);
+            }
+          };
+          (put(field), ...);
+        },
+        key);
+    out.push_back(std::move(entry));
+  });
+  return out;
+}
+
+// A crash restart rebuilds the B+-tree paths in bulk from the rebuild
+// scan: every path holds the (key, rid) set it held before the crash, and
+// where two rows share a key the path keeps the one the scan meets first,
+// the lowest (file, block, slot), as row-by-row inserts in scan order did.
+TEST_F(TpccFixture, RestartRebuildKeepsEveryAccessPath) {
+  // The load ran NOLOGGING; make it durable as the harness's backup does.
+  ASSERT_TRUE(db_->checkpoint_now().is_ok());
+  TpccRandom random(Rng{11}, scale_);
+  TpccTxns txns(tdb_.get(), &random);
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(txns.run(TxnType::kNewOrder, 1).is_ok());
+    ASSERT_TRUE(txns.run(TxnType::kPayment, 1).is_ok());
+    if (i % 10 == 0) ASSERT_TRUE(txns.run(TxnType::kDelivery, 1).is_ok());
+  }
+  const auto restart = [&] {
+    ASSERT_TRUE(db_->shutdown_abort().is_ok());
+    auto fresh =
+        std::make_unique<engine::Database>(&env_.host, &env_.sched, cfg_);
+    fresh->set_on_mounted(
+        [this](engine::Database& d) { ASSERT_TRUE(tdb_->attach(&d).is_ok()); });
+    ASSERT_TRUE(fresh->startup().is_ok());
+    db_ = std::move(fresh);
+  };
+
+  const std::vector<TreeEntry> before = tree_entries(*tdb_);
+  const size_t entries = tdb_->index_entries();
+  ASSERT_GT(before.size(), 1000u);
+  restart();
+  EXPECT_EQ(tdb_->index_entries(), entries);
+  const std::vector<TreeEntry> after = tree_entries(*tdb_);
+  EXPECT_TRUE(before == after);
+  for (int path = 0; path < 5; ++path) {
+    EXPECT_TRUE(std::any_of(after.begin(), after.end(), [&](const auto& e) {
+      return std::get<0>(e) == path;
+    })) << "path " << path;
+  }
+
+  // Duplicate keys: a second ORDER row for order (1, 1, 5) and a second
+  // ORDER-LINE row for its line 1, committed to the heap. A unique path
+  // keeps the original while the database runs.
+  const RowId order = *tdb_->order_rid(1, 1, 5);
+  const RowId line = tdb_->order_lines(1, 1, 5).front();
+  auto txn = db_->begin();
+  ASSERT_TRUE(txn.is_ok());
+  auto order_row = tdb_->read_row<OrderRow>(txn.value(), Tbl::kOrder, order);
+  auto line_row =
+      tdb_->read_row<OrderLineRow>(txn.value(), Tbl::kOrderLine, line);
+  ASSERT_TRUE(order_row.is_ok() && line_row.is_ok());
+  auto order_dup =
+      tdb_->insert_row(txn.value(), Tbl::kOrder, order_row.value());
+  auto line_dup =
+      tdb_->insert_row(txn.value(), Tbl::kOrderLine, line_row.value());
+  ASSERT_TRUE(order_dup.is_ok() && line_dup.is_ok());
+  ASSERT_TRUE(db_->commit(txn.value()).is_ok());
+  EXPECT_EQ(tdb_->order_rid(1, 1, 5), order);
+  EXPECT_EQ(tdb_->index_entries(), entries);
+
+  restart();
+  EXPECT_EQ(tdb_->index_entries(), entries);
+  EXPECT_EQ(tdb_->order_rid(1, 1, 5), std::min(order, order_dup.value()));
+  EXPECT_EQ(tdb_->order_lines(1, 1, 5).front(),
+            std::min(line, line_dup.value()));
+  const std::vector<std::uint32_t> by_customer{1, 1, order_row.value().o_c_id,
+                                               5};
+  const std::vector<TreeEntry> rebuilt = tree_entries(*tdb_);
+  const auto it = std::find_if(rebuilt.begin(), rebuilt.end(),
+                               [&](const TreeEntry& e) {
+                                 return std::get<0>(e) == 2 &&
+                                        std::get<1>(e) == by_customer;
+                               });
+  ASSERT_NE(it, rebuilt.end());
+  EXPECT_EQ(std::get<3>(*it), std::min(order, order_dup.value()));
 }
 
 TEST_F(TpccFixture, EachTransactionTypeExecutes) {

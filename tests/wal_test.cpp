@@ -474,7 +474,7 @@ TEST_F(RedoLogTest, LogFileReaderSkipsBadHeaders) {
 
   auto bytes = host_.fs().read_all(path, sim::IoMode::kBackground);
   ASSERT_TRUE(bytes.is_ok());
-  std::vector<std::uint8_t> image = bytes.value();
+  std::vector<std::uint8_t> image(bytes.value().begin(), bytes.value().end());
   auto count_records = [](std::span<const std::uint8_t> data) {
     int records = 0;
     EXPECT_TRUE(parse_log_records(data, [&](const LogRecord&) {
