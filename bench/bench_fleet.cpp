@@ -92,7 +92,7 @@ int main() {
     }
   }
 
-  const unsigned jobs = ExperimentRunner::default_jobs();
+  const unsigned jobs = default_jobs();
   const auto started = std::chrono::steady_clock::now();
   std::vector<FleetOutcome> outcomes = run_all(batch, jobs);
   const double wall =

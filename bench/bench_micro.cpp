@@ -192,15 +192,10 @@ BENCHMARK(BM_LogRecordEncodeDecode);
 
 void BM_RedoApplyPlanReplay(benchmark::State& state) {
   // One drain cycle (stage + drain) of range(0) DML records dealt
-  // round-robin over the table's pages, with replay_jobs = range(1). The
-  // drain fetches, guards, applies and dirty-marks every page; chunks of at
-  // least 2 * RedoApplyPlan::kApplyRecordsPerWorker records apply on more
-  // than one worker, smaller ones inline, so rows at equal size and
-  // different jobs show what the extra workers buy. Timed on the real clock,
-  // since the apply workers' CPU time is not the calling thread's.
+  // round-robin over the table's pages. The drain fetches, guards, applies
+  // and dirty-marks every page, inline on the calling thread.
   const auto records = static_cast<std::size_t>(state.range(0));
   engine::DatabaseConfig cfg = testing::small_db_config();
-  cfg.replay_jobs = static_cast<unsigned>(state.range(1));
   testing::SimEnv env;
   testing::SmallDb db(env, cfg);
   std::vector<std::uint8_t> payload(48, 1);
@@ -232,7 +227,6 @@ void BM_RedoApplyPlanReplay(benchmark::State& state) {
   rec.dml.after[0] = 2;
   Lsn lsn = Lsn{1} << 40;  // above anything the workload wrote
   db.db->set_recovering(true);
-  unsigned workers = 1;
   for (auto _ : state) {
     engine::RedoApplyPlan plan = db.db->make_replay_plan();
     for (const RowId& rid : rids) {
@@ -243,17 +237,17 @@ void BM_RedoApplyPlanReplay(benchmark::State& state) {
     auto stats = plan.drain();
     VDB_CHECK(stats.is_ok());
     benchmark::DoNotOptimize(stats.value().applied);
-    workers = stats.value().workers;
   }
-  state.counters["workers"] = workers;
   state.counters["pages"] = static_cast<double>(by_page.size());
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(rids.size()));
 }
 BENCHMARK(BM_RedoApplyPlanReplay)
-    ->ArgNames({"records", "jobs"})
-    ->ArgsProduct({{32, 256, 4096, 32768}, {1, 2, 4}})
-    ->UseRealTime();
+    ->ArgName("records")
+    ->Arg(32)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Arg(32768);
 
 void BM_InstanceRecoveryReplay(benchmark::State& state) {
   // End-to-end instance recovery: a workload of committed single-row

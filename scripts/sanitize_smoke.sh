@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the tree under a sanitizer (-DVDB_SANITIZE=...) in a throwaway
 # build dir and runs the unit-test suite under it. The redo pipeline's
-# arena reuse and the parallel replay workers are exactly the code most
-# worth running under ASan/TSan, and so are the 2PL table's entry slab
+# arena reuse, the replay plan's pooled staging and the experiment
+# runner's worker pool are exactly the code most worth running under
+# ASan/TSan, and so are the 2PL table's entry slab
 # and flat index (parked waiters hold entry references while it grows),
 # the buffer cache's frame pool and SimFs::read_all's borrowed views
 # (parsed while replay writes other files). Run it after touching src/wal,

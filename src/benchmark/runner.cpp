@@ -18,10 +18,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-unsigned ExperimentRunner::default_jobs() { return vdb::default_jobs(); }
-
 ExperimentRunner::ExperimentRunner(unsigned jobs)
-    : jobs_(jobs > 0 ? jobs : default_jobs()) {}
+    : jobs_(jobs > 0 ? jobs : vdb::default_jobs()) {}
 
 std::vector<ExperimentOutcome> ExperimentRunner::run_all(
     const std::vector<LabelledExperiment>& batch) {

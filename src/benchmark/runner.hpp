@@ -65,9 +65,6 @@ class ExperimentRunner {
   /// Timing of the most recent run_all() call.
   const RunnerTiming& last_timing() const { return timing_; }
 
-  /// VDB_JOBS if set (clamped to >= 1), else hardware_concurrency.
-  static unsigned default_jobs();
-
  private:
   unsigned jobs_;
   RunnerTiming timing_;

@@ -17,9 +17,14 @@ unsigned default_jobs() {
   return hw > 0 ? hw : 1;
 }
 
+namespace {
+
+/// 0 resolves to default_jobs(), anything else passes through.
 unsigned resolve_jobs(unsigned jobs) {
   return jobs > 0 ? jobs : default_jobs();
 }
+
+}  // namespace
 
 void parallel_for(std::size_t n, unsigned jobs,
                   const std::function<void(std::size_t)>& fn) {

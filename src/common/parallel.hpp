@@ -1,11 +1,10 @@
-// Shared bounded-worker parallelism primitive.
+// Bounded-worker parallelism primitive for the benchmark harness.
 //
-// Both the benchmark harness (fanning independent experiments across a
-// pool) and the engine's recovery replay (applying disjoint page partitions
-// concurrently) need the same thing: run fn(0..n) on up to `jobs` threads,
-// block until done, never reorder observable results. Workers claim indexes
-// from an atomic cursor, so the only cross-thread state is the cursor —
-// callers guarantee fn is safe for distinct indexes.
+// ExperimentRunner and bench_fleet fan independent experiments across a
+// pool: run fn(0..n) on up to `jobs` threads, block until done, never
+// reorder observable results. Workers claim indexes from an atomic cursor,
+// so the only cross-thread state is the cursor — callers guarantee fn is
+// safe for distinct indexes.
 #pragma once
 
 #include <cstddef>
@@ -13,13 +12,9 @@
 
 namespace vdb {
 
-/// VDB_JOBS if set (clamped to >= 1), else hardware_concurrency. The single
-/// knob controlling every thread pool in the system: the experiment matrix
-/// fan-out and the in-engine parallel redo apply.
+/// VDB_JOBS if set (clamped to >= 1), else hardware_concurrency: the width
+/// of the experiment fan-out.
 unsigned default_jobs();
-
-/// 0 resolves to default_jobs(), anything else passes through.
-unsigned resolve_jobs(unsigned jobs);
 
 /// Invokes fn(i) for every i in [0, n) on up to `jobs` workers (jobs == 0
 /// resolves via default_jobs()). The calling thread is one of them, so at

@@ -1121,7 +1121,6 @@ RedoApplyPlan Database::make_replay_plan(
     return apply_record(rec);
   };
   hooks.on_skip = std::move(on_skip);
-  hooks.jobs = cfg_.replay_jobs;
   hooks.obs = obs_;
   hooks.charge_apply = std::move(charge_apply);
   return RedoApplyPlan(std::move(hooks));
@@ -1145,8 +1144,7 @@ Result<Lsn> Database::instance_recovery() {
 
   // Two-phase replay: the scan below does the serial bookkeeping (redo
   // analysis, clock charges) and stages page records; the plan applies them
-  // partitioned by page at each drain point (across workers when the drain
-  // is big enough to pay for them).
+  // partitioned by page at each drain point.
   //
   // Early-open modes (M2-M4) split the per-record cost: the scan charges
   // only the analysis share, and the plan charges the apply share when a

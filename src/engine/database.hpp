@@ -240,8 +240,7 @@ class Database {
   /// phase-two engine for every replay driver. The driver scans the redo
   /// stream serially, stages records the plan wants(), drains at serial
   /// barriers and at end of scan. `on_skip` fires for records skipped on
-  /// missing/offline datafiles. The most workers a drain may use comes from
-  /// DatabaseConfig::replay_jobs (0 = VDB_JOBS).
+  /// missing/offline datafiles.
   RedoApplyPlan make_replay_plan(
       std::function<void(Lsn, const Status&)> on_skip = nullptr,
       std::function<void(std::uint64_t)> charge_apply = nullptr);

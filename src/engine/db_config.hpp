@@ -110,11 +110,9 @@ struct DatabaseConfig {
   storage::StorageParams storage;
   txn::RollbackSegmentConfig rollback;
   CostModel cost;
-  /// Most worker threads for the partitioned redo apply during replay
-  /// (instance/media/standby recovery); drains below the apply grain
-  /// (RedoApplyPlan::kApplyRecordsPerWorker) run inline whatever the value.
-  /// 0 honors VDB_JOBS, falling back to the host's core count. Results are
-  /// byte-identical at any setting; only wall-clock time changes.
+  /// Unused: redo apply always runs inline on the replaying thread, and no
+  /// code reads this field. It stays only because vdbbench/main.cpp still
+  /// assigns it; it goes together with that assignment.
   unsigned replay_jobs = 0;
   /// Instance-restart scheme after a crash (see RestartMode).
   RestartMode restart_mode = RestartMode::kM1Traditional;

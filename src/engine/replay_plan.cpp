@@ -2,19 +2,11 @@
 
 #include <algorithm>
 
-#include "common/parallel.hpp"
-
 namespace vdb::engine {
 
 bool RedoApplyPlan::skippable(ErrorCode code) {
   return code == ErrorCode::kMediaFailure || code == ErrorCode::kOffline ||
          code == ErrorCode::kNotFound || code == ErrorCode::kCorruption;
-}
-
-unsigned RedoApplyPlan::apply_workers(std::uint64_t records, unsigned jobs) {
-  const std::uint64_t by_size = records / kApplyRecordsPerWorker;
-  return static_cast<unsigned>(
-      std::max<std::uint64_t>(1, std::min<std::uint64_t>(jobs, by_size)));
 }
 
 bool RedoApplyPlan::wants(wal::LogRecordType type) {
@@ -109,7 +101,6 @@ Status RedoApplyPlan::apply_serially(Run& run, Stats* stats) {
       continue;
     }
     if (!skippable(st.code())) return st;
-    stats->skipped += 1;
     skipped_counter_->inc();
     if (hooks_.on_skip) hooks_.on_skip(e.lsn, st);
   }
@@ -127,7 +118,6 @@ Status RedoApplyPlan::prepare_run(Run& run, Stats* stats) {
   if (!ref.is_ok()) {
     if (!skippable(ref.code())) return ref.status();
     for (std::uint32_t idx : run.items) {
-      stats->skipped += 1;
       skipped_counter_->inc();
       if (hooks_.on_skip) hooks_.on_skip(entries_[idx].lsn, ref.status());
     }
@@ -139,9 +129,6 @@ Status RedoApplyPlan::prepare_run(Run& run, Stats* stats) {
 }
 
 void RedoApplyPlan::apply_run(Run& run) const {
-  // May run on an apply worker: it writes only its own page and, once at the
-  // end, its own run. The applied count is folded into the counter at
-  // finalize, so workers share no cache line per record.
   storage::Page* page = run.ref.page();
   Lsn first_applied = kInvalidLsn;
   for (std::uint32_t idx : run.items) {
@@ -228,48 +215,38 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
     return stats;
   }
   drains_counter_->inc();
-  const unsigned jobs = resolve_jobs(hooks_.jobs);
 
   // Runs are processed in chunks small enough that every chunk's pages fit
   // pinned in the cache with room to spare (the serial-apply path inside
   // prepare fetches pages of its own). Chunk boundaries depend only on the
-  // selected run set, never on the worker count.
+  // selected run set.
   const std::uint32_t cache_cap = hooks_.storage->cache().capacity();
   const std::size_t max_pins =
       std::max<std::size_t>(1, std::min<std::size_t>(cache_cap / 2, 512));
 
-  std::vector<std::uint32_t> parallel_runs = std::move(parallel_scratch_);
   Status failure = Status::ok();
   for (std::size_t begin = 0; begin < selected.size() && failure.is_ok();
        begin += max_pins) {
     const std::size_t end = std::min(selected.size(), begin + max_pins);
 
-    // Serial prepare: pin pages, route special runs through the engine,
-    // and charge the apply share of the replay CPU in deterministic order.
-    parallel_runs.clear();
-    std::uint64_t parallel_records = 0;
-    for (std::size_t s = begin; s < end; ++s) {
-      Run& run = runs_[selected[s]];
+    // Prepare and apply in run order: pin the page (or route a special run
+    // through the engine), charge the apply share of the replay CPU, and
+    // write the run's records into the pinned page. Pins stay held until
+    // the chunk's finalize, so the chunk's fetches never evict each other.
+    std::size_t prepared = begin;
+    for (; prepared < end; ++prepared) {
+      Run& run = runs_[selected[prepared]];
       if (hooks_.charge_apply) hooks_.charge_apply(run.items.size());
       failure = prepare_run(run, &stats);
       if (!failure.is_ok()) break;
-      if (run.ref.valid()) {
-        parallel_runs.push_back(selected[s]);
-        parallel_records += run.items.size();
-      }
+      if (run.ref.valid()) apply_run(run);
     }
 
-    // Apply: disjoint pinned pages, in-memory writes only. Most drains are
-    // a few dozen records, which apply faster inline than a thread starts.
-    const unsigned workers = apply_workers(parallel_records, jobs);
-    stats.workers = std::max(stats.workers, workers);
-    parallel_for(parallel_runs.size(), workers,
-                 [&](std::size_t i) { apply_run(runs_[parallel_runs[i]]); });
-
-    // Serial finalize: dirty-mark with the first applied LSN (a checkpoint
-    // taken mid-recovery must know how far back this page's changes reach),
-    // release pins, and fold stats in deterministic run order.
-    for (std::size_t s = begin; s < end; ++s) {
+    // Finalize the prepared runs in run order: dirty-mark with the first
+    // applied LSN (a checkpoint taken mid-recovery must know how far back
+    // this page's changes reach) and release pins. A failed run and the
+    // rest of its chunk stay pending for a later drain.
+    for (std::size_t s = begin; s < prepared; ++s) {
       Run& run = runs_[selected[s]];
       if (run.ref.valid()) {
         if (run.first_applied != kInvalidLsn) {
@@ -288,7 +265,6 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
   }
 
   selected_scratch_ = std::move(selected);
-  parallel_scratch_ = std::move(parallel_runs);
   if (pending_runs_ == 0) reset();
 
   if (!failure.is_ok()) return failure;

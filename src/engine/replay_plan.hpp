@@ -6,17 +6,15 @@
 // (redo analysis, stop-before positions, simulated-clock charges) and
 // stages every page-targeted record here. Phase two — drain()
 // — groups the staged records into per-page runs and applies them chunk by
-// chunk. A chunk too small to pay for a thread start applies inline on the
-// calling thread; a bigger one spreads its runs over up to `jobs` workers
-// (common/parallel, honoring VDB_JOBS). Runs touch disjoint pages, and
-// within a run records apply in LSN order, so the result is byte-identical
-// to the serial pass at any job count.
+// chunk on the calling thread: each run's page is fetched and pinned in run
+// order and its records apply in LSN order right away; the chunk's dirty
+// marks and unpins follow once the whole chunk is through, so the pages of
+// one chunk never evict each other.
 //
 // Runs that need engine machinery — page-format records, pages formatted by
 // a NOLOGGING table (no format record exists) — are applied serially
-// through the driver-supplied apply callback during the prepare step; the
-// parallel phase touches only pinned, formatted pages with pure in-memory
-// slot writes.
+// through the driver-supplied apply callback during the prepare step; every
+// other run takes pure in-memory slot writes on its pinned, formatted page.
 //
 // Staging copies no LogRecord: each record becomes a small fixed entry,
 // and an insert's or update's after image is appended to one byte arena
@@ -43,26 +41,11 @@ namespace vdb::engine {
 class RedoApplyPlan {
  public:
   struct Stats {
+    /// Records applied, guard-skipped ones (change already on the page)
+    /// included. Records skipped on missing/offline files are reported
+    /// through Hooks::on_skip and the "replay records skipped" counter.
     std::uint64_t applied = 0;
-    std::uint64_t skipped = 0;  // records on missing/offline files
-    /// Most apply workers any chunk of the drain used (1 = all inline).
-    /// The only field that depends on the job count.
-    unsigned workers = 1;
   };
-
-  /// Staged records each apply worker must take over before a chunk is
-  /// split: below it, starting a thread costs more than the apply it
-  /// saves. Sized from bench_micro's BM_RedoApplyPlanReplay with the grain
-  /// forced to 1 (Release, 4-vCPU x86-64 VM, medians of 10): 32768 records
-  /// is the break-even row (8.3 ms on 1 worker, 8.1 on 2, 7.4 on 4); at
-  /// 4096 records 2 workers took 1.3x and 4 took 2x as long as 1.
-  static constexpr std::uint64_t kApplyRecordsPerWorker = 16384;
-
-  /// Apply workers for a chunk of `records` staged records on `jobs`
-  /// workers (resolved; 0 counts as 1): min(jobs, records /
-  /// kApplyRecordsPerWorker), at least 1. A function of the chunk's content
-  /// and the job count only, never of timing.
-  static unsigned apply_workers(std::uint64_t records, unsigned jobs);
 
   struct Hooks {
     storage::StorageManager* storage = nullptr;
@@ -72,11 +55,7 @@ class RedoApplyPlan {
     /// Invoked (serially, in staging order per page) for every record
     /// skipped because its datafile is gone or offline. Optional.
     std::function<void(Lsn, const Status&)> on_skip;
-    /// Most workers for the apply phase; 0 honors VDB_JOBS. Chunks below
-    /// the grain apply inline whatever the value (apply_workers).
-    unsigned jobs = 0;
-    /// Statistics area; nullptr falls back to the process default. Its
-    /// counters are updated on the calling thread only.
+    /// Statistics area; nullptr falls back to the process default.
     obs::Observability* obs = nullptr;
     /// Serial per-run charge, invoked once per drained run with the run's
     /// record count. The instance-recovery driver uses it to charge the
@@ -173,7 +152,7 @@ class RedoApplyPlan {
     std::vector<std::uint32_t> items;  // indices into entries_, LSN order
     bool has_format = false;
     bool done = false;  // drained in retained-run mode
-    // Filled during prepare/apply:
+    // Filled by prepare_run/apply_run:
     storage::PageRef ref;
     Lsn first_applied = kInvalidLsn;
   };
@@ -188,13 +167,18 @@ class RedoApplyPlan {
   /// path (format runs, NOLOGGING-formatted pages).
   const wal::LogRecord& as_record(const Entry& e);
 
+  /// Pins `run`'s page in `run.ref` for apply_run. Format runs and pages a
+  /// NOLOGGING table formatted apply through the engine here instead and
+  /// hold no pin; runs on missing/offline files are skipped.
   Status prepare_run(Run& run, Stats* stats);
   Status apply_serially(Run& run, Stats* stats);
   void apply_run(Run& run) const;
   /// Shared drain engine: applies the runs listed in `selected` (chunked so
   /// pinned pages fit in the cache), marks them done, and fully resets once
-  /// no run is left pending. `selected` is a pooled scratch list the call
-  /// hands back when it returns.
+  /// no run is left pending. A run whose prepare fails stays pending with
+  /// every run after it, so a retried drain picks them up (the apply is
+  /// LSN-guarded, hence idempotent). `selected` is a pooled scratch list the
+  /// call hands back when it returns.
   Result<Stats> drain_runs(std::vector<std::uint32_t> selected);
   void reset();
 
@@ -209,10 +193,10 @@ class RedoApplyPlan {
   std::size_t run_count_ = 0;
   std::size_t pending_runs_ = 0;  // staged runs not yet drained
   FlatIndex<PageId> page_index_;  // pending page -> its run
-  /// Scratch lists of a drain, pooled across drains. A drain re-entered
-  /// from its own serial apply finds them taken and uses fresh ones.
+  /// Selected-runs list of a drain, pooled across drains. A drain
+  /// re-entered from its own serial apply finds it taken and uses a fresh
+  /// one.
   std::vector<std::uint32_t> selected_scratch_;
-  std::vector<std::uint32_t> parallel_scratch_;
   wal::LogRecord scratch_record_;
   obs::Counter* applied_counter_ = nullptr;
   obs::Counter* skipped_counter_ = nullptr;

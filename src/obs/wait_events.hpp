@@ -10,8 +10,8 @@
 // sweeps (checkpoint_wait), dirty-frame eviction (buffer_busy), and log
 // switches blocked on the archiver (archive_stall).
 //
-// Accumulation is relaxed-atomic so replay workers may report waits
-// concurrently; scopes themselves are cheap enough for hot paths (two
+// Accumulation is relaxed-atomic so the transaction coordinator's workers
+// may report waits concurrently; scopes themselves are cheap enough for hot paths (two
 // clock reads + three atomic adds on close, nothing when the elapsed time
 // is zero).
 #pragma once

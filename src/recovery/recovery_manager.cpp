@@ -137,10 +137,8 @@ Result<RecoveryReport> RecoveryManager::replay_from(
   std::uint64_t expected_seq = sources[*first].seq;
 
   // Two-phase replay: the scan stages page records into the plan; each
-  // drain applies them partitioned by page, inline when small and across
-  // workers (VDB_JOBS) when big enough to pay. Counters and skip
-  // diagnostics accumulate serially, so the report is byte-identical at any
-  // worker count.
+  // drain applies them partitioned by page, in run order on this thread.
+  // Skip diagnostics arrive through on_skip in staging order per page.
   auto note_skip = [&](Lsn lsn, const Status& st) {
     report.records_skipped += 1;
     if (report.records_skipped <= 4) {

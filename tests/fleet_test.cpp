@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <utility>
@@ -404,8 +403,7 @@ TEST(FleetTest, AdminShellFleetCommandsRequireABinding) {
   EXPECT_FALSE(shell.execute("ALTER FLEET FAILOVER 0").is_ok());
 }
 
-FleetExperimentResult run_with_jobs(const char* jobs) {
-  setenv("VDB_JOBS", jobs, 1);
+FleetExperimentResult run_single_shard_crash() {
   FleetExperimentOptions opts;
   opts.shards = 2;
   opts.scenario = faults::FleetScenario::kSingleShardCrash;
@@ -413,27 +411,26 @@ FleetExperimentResult run_with_jobs(const char* jobs) {
   opts.inject_at = 1 * kMinute;
   opts.fleet = small_cfg();
   auto result = FleetExperiment(opts).run();
-  unsetenv("VDB_JOBS");
   EXPECT_TRUE(result.is_ok());
   return result.is_ok() ? result.value() : FleetExperimentResult{};
 }
 
-TEST(FleetTest, ExperimentDeterministicAcrossReplayJobCounts) {
-  const FleetExperimentResult serial = run_with_jobs("1");
-  const FleetExperimentResult parallel = run_with_jobs("4");
-  EXPECT_EQ(serial.committed, parallel.committed);
-  EXPECT_EQ(serial.cross_shard_committed, parallel.cross_shard_committed);
-  EXPECT_EQ(serial.cross_shard_started, parallel.cross_shard_started);
-  EXPECT_EQ(serial.promotions, parallel.promotions);
-  EXPECT_EQ(serial.in_doubt_resolved, parallel.in_doubt_resolved);
-  EXPECT_EQ(serial.atomicity_violations, parallel.atomicity_violations);
-  EXPECT_EQ(serial.lost_committed, parallel.lost_committed);
-  EXPECT_EQ(serial.lost_per_shard, parallel.lost_per_shard);
-  EXPECT_EQ(serial.recovery_time, parallel.recovery_time);
-  EXPECT_EQ(serial.detection_delay, parallel.detection_delay);
-  EXPECT_DOUBLE_EQ(serial.tpmc, parallel.tpmc);
-  EXPECT_EQ(serial.series, parallel.series);
-  EXPECT_EQ(serial.atomicity_violations, 0u);
+TEST(FleetTest, ExperimentDeterministicAcrossRuns) {
+  const FleetExperimentResult first = run_single_shard_crash();
+  const FleetExperimentResult second = run_single_shard_crash();
+  EXPECT_EQ(first.committed, second.committed);
+  EXPECT_EQ(first.cross_shard_committed, second.cross_shard_committed);
+  EXPECT_EQ(first.cross_shard_started, second.cross_shard_started);
+  EXPECT_EQ(first.promotions, second.promotions);
+  EXPECT_EQ(first.in_doubt_resolved, second.in_doubt_resolved);
+  EXPECT_EQ(first.atomicity_violations, second.atomicity_violations);
+  EXPECT_EQ(first.lost_committed, second.lost_committed);
+  EXPECT_EQ(first.lost_per_shard, second.lost_per_shard);
+  EXPECT_EQ(first.recovery_time, second.recovery_time);
+  EXPECT_EQ(first.detection_delay, second.detection_delay);
+  EXPECT_DOUBLE_EQ(first.tpmc, second.tpmc);
+  EXPECT_EQ(first.series, second.series);
+  EXPECT_EQ(first.atomicity_violations, 0u);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
-// Parallel redo apply must be invisible: every replay driver routed through
-// engine::RedoApplyPlan has to produce byte-identical results whatever the
-// worker count. These tests run the same scenario at replay_jobs = 1 and 4
-// and compare recovered data and RecoveryReport fields exactly — the
-// determinism gate for the partitioned phase-two apply.
+// Every replay driver routes its page records through engine::RedoApplyPlan.
+// These tests drive instance, media, point-in-time and TPC-C crash recovery
+// through it and check the recovered data and RecoveryReport fields, and
+// hold the plan's in-memory apply to the engine's one-record-at-a-time
+// apply_record, byte for byte.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
 
 #include "recovery/backup.hpp"
 #include "recovery/recovery_manager.hpp"
@@ -71,10 +74,9 @@ struct RecoveredState {
   std::vector<std::string> audit;
 };
 
-RecoveredState recover_after_crash(unsigned jobs) {
+RecoveredState recover_after_crash() {
   SimEnv env;
   engine::DatabaseConfig cfg = small_db_config();
-  cfg.replay_jobs = jobs;
   SmallDb small(env, cfg);
   run_workload(small);
   VDB_CHECK(small.db->shutdown_abort().is_ok());
@@ -87,14 +89,20 @@ RecoveredState recover_after_crash(unsigned jobs) {
   return state;
 }
 
+bool contains(const std::vector<std::string>& rows, const std::string& r) {
+  return std::find(rows.begin(), rows.end(), r) != rows.end();
+}
+
 TEST(ReplayPlanTest, InstanceRecoveryByteIdenticalAcrossJobs) {
-  const RecoveredState serial = recover_after_crash(1);
-  const RecoveredState parallel = recover_after_crash(4);
-  EXPECT_FALSE(serial.accounts.empty());
-  EXPECT_EQ(serial.accounts, parallel.accounts);
-  EXPECT_EQ(serial.audit, parallel.audit);
-  // The loser's changes must be gone in both.
-  for (const auto& r : serial.accounts) {
+  const RecoveredState state = recover_after_crash();
+  // 120 inserted, 10 erased by the committed transaction.
+  EXPECT_EQ(state.accounts.size(), 110u);
+  EXPECT_EQ(state.audit.size(), 40u);
+  EXPECT_TRUE(contains(state.accounts, "updated0"));
+  EXPECT_TRUE(contains(state.accounts, "updated27"));
+  EXPECT_FALSE(contains(state.accounts, "row60"));
+  // The loser's changes must be gone.
+  for (const auto& r : state.accounts) {
     EXPECT_NE(r, "uncommitted");
     EXPECT_NE(r, "dirty");
   }
@@ -102,13 +110,13 @@ TEST(ReplayPlanTest, InstanceRecoveryByteIdenticalAcrossJobs) {
 
 struct MediaOutcome {
   recovery::RecoveryReport report;
+  std::vector<std::string> before_fault;
   std::vector<std::string> accounts;
 };
 
-MediaOutcome recover_deleted_datafile(unsigned jobs) {
+MediaOutcome recover_deleted_datafile() {
   SimEnv env;
   engine::DatabaseConfig cfg = small_db_config(/*archive=*/true);
-  cfg.replay_jobs = jobs;
   SmallDb small(env, cfg);
   recovery::BackupManager backups(&env.host.fs(), "/backup");
   recovery::RecoveryManager rm(&env.host, &env.sched, &backups);
@@ -118,6 +126,8 @@ MediaOutcome recover_deleted_datafile(unsigned jobs) {
   // No transaction left open: media recovery on a live instance expects
   // writers to have ended (open ones are rolled back by the operator first).
   run_workload(small, /*leave_loser=*/false);
+  MediaOutcome out;
+  out.before_fault = all_rows(*small.db, small.table);
 
   VDB_CHECK(env.host.fs().remove("/data/users01.dbf").is_ok());
   small.db->storage().cache().discard_all();
@@ -125,22 +135,23 @@ MediaOutcome recover_deleted_datafile(unsigned jobs) {
 
   auto report = rm.recover_datafile(*small.db, FileId{0});
   VDB_CHECK_MSG(report.is_ok(), report.status().to_string());
-  MediaOutcome out;
   out.report = report.value();
   out.accounts = all_rows(*small.db, small.table);
   return out;
 }
 
 TEST(ReplayPlanTest, MediaRecoveryReportIdenticalAcrossJobs) {
-  const MediaOutcome serial = recover_deleted_datafile(1);
-  const MediaOutcome parallel = recover_deleted_datafile(4);
-  EXPECT_EQ(serial.report.recovered_to, parallel.report.recovered_to);
-  EXPECT_EQ(serial.report.complete, parallel.report.complete);
-  EXPECT_EQ(serial.report.records_applied, parallel.report.records_applied);
-  EXPECT_EQ(serial.report.records_skipped, parallel.report.records_skipped);
-  EXPECT_EQ(serial.report.archives_read, parallel.report.archives_read);
-  EXPECT_EQ(serial.report.files_restored, parallel.report.files_restored);
-  EXPECT_EQ(serial.accounts, parallel.accounts);
+  const MediaOutcome out = recover_deleted_datafile();
+  EXPECT_TRUE(out.report.complete);
+  EXPECT_EQ(out.report.files_restored, 1u);
+  EXPECT_EQ(out.report.records_skipped, 0u);
+  // Every committed change since the backup: 120 + 40 inserts, 10 updates
+  // and 10 deletes at least (DDL records apply too).
+  EXPECT_GE(out.report.records_applied, 180u);
+  EXPECT_GT(out.report.recovered_to, Lsn{0});
+  EXPECT_NE(out.report.recovered_to, kInvalidLsn);
+  EXPECT_EQ(out.accounts.size(), 111u);  // "pre-backup" + 110
+  EXPECT_EQ(out.accounts, out.before_fault);
 }
 
 struct PitOutcome {
@@ -149,10 +160,9 @@ struct PitOutcome {
   bool audit_lost = false;
 };
 
-PitOutcome incomplete_recovery(unsigned jobs) {
+PitOutcome incomplete_recovery() {
   SimEnv env;
   engine::DatabaseConfig cfg = small_db_config(/*archive=*/true);
-  cfg.replay_jobs = jobs;
   SmallDb small(env, cfg);
   recovery::BackupManager backups(&env.host.fs(), "/backup");
   recovery::RecoveryManager rm(&env.host, &env.sched, &backups);
@@ -181,32 +191,28 @@ PitOutcome incomplete_recovery(unsigned jobs) {
 }
 
 TEST(ReplayPlanTest, IncompleteRecoveryIdenticalAcrossJobs) {
-  const PitOutcome serial = incomplete_recovery(1);
-  const PitOutcome parallel = incomplete_recovery(4);
-  EXPECT_FALSE(serial.report.complete);
-  EXPECT_EQ(serial.report.recovered_to, parallel.report.recovered_to);
-  EXPECT_EQ(serial.report.complete, parallel.report.complete);
-  EXPECT_EQ(serial.report.records_applied, parallel.report.records_applied);
-  EXPECT_EQ(serial.report.records_skipped, parallel.report.records_skipped);
-  EXPECT_EQ(serial.accounts, parallel.accounts);
-  EXPECT_EQ(serial.accounts.size(), 60u);
-  EXPECT_TRUE(serial.audit_lost);
-  EXPECT_TRUE(parallel.audit_lost);
+  const PitOutcome out = incomplete_recovery();
+  EXPECT_FALSE(out.report.complete);
+  EXPECT_GE(out.report.records_applied, 60u);
+  EXPECT_EQ(out.report.records_skipped, 0u);
+  ASSERT_EQ(out.accounts.size(), 60u);
+  for (int i = 0; i < 60; ++i) {
+    EXPECT_TRUE(contains(out.accounts, "keep" + std::to_string(i))) << i;
+  }
+  EXPECT_TRUE(out.audit_lost);
 }
 
-// Full-stack check: TPC-C crash recovery keeps every consistency condition
-// at any worker count and recovers identical order state.
+// Full-stack check: TPC-C crash recovery keeps every consistency condition.
 struct TpccOutcome {
   std::uint32_t violations = 0;
   std::uint64_t orders = 0;
 };
 
-TpccOutcome tpcc_crash_recovery(unsigned jobs) {
+TpccOutcome tpcc_crash_recovery() {
   SimEnv env;
   engine::DatabaseConfig cfg = small_db_config();
   cfg.redo.file_size_bytes = 8 * 1024 * 1024;
   cfg.storage.cache_pages = 1024;
-  cfg.replay_jobs = jobs;
   auto db = std::make_unique<engine::Database>(&env.host, &env.sched, cfg);
   VDB_CHECK(db->create().is_ok());
   VDB_CHECK(db->create_tablespace("TPCC", {{"/data/t1.dbf", 512},
@@ -249,131 +255,134 @@ TpccOutcome tpcc_crash_recovery(unsigned jobs) {
 }
 
 TEST(ReplayPlanTest, TpccCrashRecoveryConsistentAcrossJobs) {
-  const TpccOutcome serial = tpcc_crash_recovery(1);
-  const TpccOutcome parallel = tpcc_crash_recovery(4);
-  EXPECT_EQ(serial.violations, 0u);
-  EXPECT_EQ(parallel.violations, 0u);
-  EXPECT_EQ(serial.orders, parallel.orders);
-  EXPECT_GT(serial.orders, 0u);
+  const TpccOutcome out = tpcc_crash_recovery();
+  EXPECT_EQ(out.violations, 0u);
+  EXPECT_GT(out.orders, 0u);
 }
 
-constexpr std::uint64_t kGrain = RedoApplyPlan::kApplyRecordsPerWorker;
+// The plan's in-memory apply against the engine's serial one. Two twin
+// databases receive the same update records: one through a plan, drained
+// once per batch, the other one record at a time through
+// Database::apply_record. The second batch re-sends half of the first with
+// stale images, which the page-LSN guard must skip on both sides. A small
+// cache makes each drain span several pin chunks, so evictions happen in
+// the middle of a drain. Every block of users01 must come out identical.
+constexpr std::uint32_t kOracleCachePages = 16;
+constexpr int kOracleRows = 2048;
 
-TEST(ReplayPlanTest, ApplyWorkersFollowTheGrain) {
-  EXPECT_EQ(RedoApplyPlan::apply_workers(100 * kGrain, 0), 1u);
-  EXPECT_EQ(RedoApplyPlan::apply_workers(100 * kGrain, 1), 1u);
-  EXPECT_EQ(RedoApplyPlan::apply_workers(0, 4), 1u);
-  EXPECT_EQ(RedoApplyPlan::apply_workers(kGrain - 1, 4), 1u);
-  EXPECT_EQ(RedoApplyPlan::apply_workers(2 * kGrain - 1, 4), 1u);
-  EXPECT_EQ(RedoApplyPlan::apply_workers(2 * kGrain, 4), 2u);
-  EXPECT_EQ(RedoApplyPlan::apply_workers(100 * kGrain, 4), 4u);
-}
-
-// Drains on both sides of the apply grain. Most replay drains are a few
-// dozen records and apply inline; one of several grains is split across
-// workers. Media recovery replays a thousand one-record drains, then a plan
-// staged directly drains once below the grain and once above it. Pages and
-// reports must come out identical at any job count.
 std::string wide_row(const std::string& tag) {
   return tag + std::string(60 - tag.size(), '.');  // fills a 64-byte slot
 }
 
-struct GrainOutcome {
-  recovery::RecoveryReport report;
-  std::vector<std::string> accounts;
-  std::vector<std::vector<std::uint8_t>> pages;  // every block of users01
-  RedoApplyPlan::Stats small;
-  RedoApplyPlan::Stats large;
-};
-
-// Stages `records` updates dealt round-robin over `rids`, LSNs counting up
-// from `*lsn`, and drains them as one plan.
-RedoApplyPlan::Stats drain_updates(Database& db, TableId table,
-                                   const std::vector<RowId>& rids,
-                                   std::uint64_t records, Lsn* lsn) {
-  RedoApplyPlan plan = db.make_replay_plan();
+// Update i of the oracle stream: LSN `base + i`, dealt round-robin over
+// `rids`, with an after image tagged `tag`.
+wal::LogRecord oracle_update(TableId table, const std::vector<RowId>& rids,
+                             Lsn base, int i, const std::string& tag) {
   wal::LogRecord rec;
   rec.type = wal::LogRecordType::kUpdate;
   rec.txn = TxnId{9001};
+  rec.lsn = base + static_cast<Lsn>(i);
   rec.dml.table = table;
-  for (std::uint64_t i = 0; i < records; ++i) {
-    rec.lsn = (*lsn)++;
-    rec.dml.rid = rids[i % rids.size()];
-    rec.dml.after = row(wide_row("direct" + std::to_string(i)));
-    plan.stage(rec);
-  }
-  auto stats = plan.drain();
-  VDB_CHECK_MSG(stats.is_ok(), stats.status().to_string());
-  return stats.value();
+  rec.dml.rid = rids[static_cast<std::size_t>(i) % rids.size()];
+  rec.dml.after = row(wide_row(tag + std::to_string(i)));
+  return rec;
 }
 
-GrainOutcome drains_around_the_grain(unsigned jobs) {
+struct OracleTwin {
   SimEnv env;
-  engine::DatabaseConfig cfg = small_db_config(/*archive=*/true);
-  cfg.replay_jobs = jobs;
-  SmallDb small(env, cfg);
-  recovery::BackupManager backups(&env.host.fs(), "/backup");
-  recovery::RecoveryManager rm(&env.host, &env.sched, &backups);
-  VDB_CHECK(backups.take_backup(*small.db).is_ok());
-
+  SmallDb small;
   std::vector<RowId> rids;
-  for (int i = 0; i < 1024; ++i) {  // ~9 pages of 64-byte slots
-    rids.push_back(
-        put_row(*small.db, small.table, wide_row("row" + std::to_string(i))));
+
+  static engine::DatabaseConfig config() {
+    engine::DatabaseConfig cfg = small_db_config();
+    cfg.storage.cache_pages = kOracleCachePages;
+    return cfg;
   }
 
-  VDB_CHECK(env.host.fs().remove("/data/users01.dbf").is_ok());
-  small.db->storage().cache().discard_all();
-  small.db->storage().mark_missing(FileId{0});
-  auto report = rm.recover_datafile(*small.db, FileId{0});
-  VDB_CHECK_MSG(report.is_ok(), report.status().to_string());
-
-  GrainOutcome out;
-  out.report = report.value();
-  Lsn lsn = Lsn{1} << 40;  // above anything the workload wrote
-  small.db->set_recovering(true);
-  out.small = drain_updates(*small.db, small.table, rids, kGrain / 2, &lsn);
-  out.large = drain_updates(*small.db, small.table, rids, 2 * kGrain, &lsn);
-  small.db->set_recovering(false);
-
-  out.accounts = all_rows(*small.db, small.table);
-  auto info = small.db->storage().file_info(FileId{0});
-  VDB_CHECK(info.is_ok());
-  for (std::uint32_t b = 0; b < info.value()->blocks; ++b) {
-    auto ref = small.db->storage().fetch(PageId{FileId{0}, b});
-    VDB_CHECK_MSG(ref.is_ok(), ref.status().to_string());
-    const auto bytes = ref.value()->bytes();
-    out.pages.emplace_back(bytes.begin(), bytes.end());
+  OracleTwin() : small(env, config()) {
+    for (int i = 0; i < kOracleRows; ++i) {
+      rids.push_back(put_row(*small.db, small.table,
+                             wide_row("row" + std::to_string(i))));
+    }
   }
-  return out;
-}
 
-TEST(ReplayPlanTest, DrainsBelowAndAboveGrainIdenticalAcrossJobs) {
-  const GrainOutcome serial = drains_around_the_grain(1);
-  const GrainOutcome parallel = drains_around_the_grain(4);
-  // The worker choice is the only job-dependent outcome.
-  EXPECT_EQ(serial.small.workers, 1u);
-  EXPECT_EQ(serial.large.workers, 1u);
-  EXPECT_EQ(parallel.small.workers, 1u);
-  EXPECT_GT(parallel.large.workers, 1u);
-  EXPECT_EQ(serial.small.applied, parallel.small.applied);
-  EXPECT_EQ(serial.large.applied, parallel.large.applied);
-  EXPECT_EQ(serial.large.applied, 2 * kGrain);
+  // Checkpoints, then reads every block of users01 from the file.
+  std::vector<std::vector<std::uint8_t>> blocks() {
+    VDB_CHECK(small.db->checkpoint_now().is_ok());
+    auto info = small.db->storage().file_info(FileId{0});
+    VDB_CHECK(info.is_ok());
+    std::vector<std::vector<std::uint8_t>> out;
+    for (std::uint32_t b = 0; b < info.value()->blocks; ++b) {
+      std::vector<std::uint8_t> bytes(storage::Page::kSize);
+      VDB_CHECK(env.host.fs()
+                    .read("/data/users01.dbf",
+                          static_cast<std::uint64_t>(b) * storage::Page::kSize,
+                          bytes, sim::IoMode::kForeground)
+                    .is_ok());
+      out.push_back(std::move(bytes));
+    }
+    return out;
+  }
+};
 
-  EXPECT_TRUE(serial.report.complete);
-  EXPECT_GE(serial.report.records_applied, 1024u);
-  EXPECT_EQ(serial.report.recovered_to, parallel.report.recovered_to);
-  EXPECT_EQ(serial.report.complete, parallel.report.complete);
-  EXPECT_EQ(serial.report.records_applied, parallel.report.records_applied);
-  EXPECT_EQ(serial.report.records_skipped, parallel.report.records_skipped);
-  EXPECT_EQ(serial.report.archives_read, parallel.report.archives_read);
-  EXPECT_EQ(serial.report.files_restored, parallel.report.files_restored);
-  EXPECT_EQ(serial.report.blocks_restored, parallel.report.blocks_restored);
-  EXPECT_EQ(serial.accounts.size(), 1024u);
-  EXPECT_EQ(serial.accounts, parallel.accounts);
-  ASSERT_EQ(serial.pages.size(), parallel.pages.size());
-  for (std::size_t b = 0; b < serial.pages.size(); ++b) {
-    EXPECT_EQ(serial.pages[b], parallel.pages[b]) << "block " << b;
+TEST(ReplayPlanTest, PlanDrainMatchesSerialApplyRecord) {
+  OracleTwin planned;
+  OracleTwin serial;
+  ASSERT_EQ(planned.rids, serial.rids);
+  std::set<PageId> pages;
+  for (const RowId& rid : planned.rids) pages.insert(rid.page);
+  // More runs than one chunk pins (half the cache).
+  ASSERT_GT(pages.size(), kOracleCachePages / 2);
+
+  // Batch one: updates [0, 3000). Batch two: [1500, 4000), where the first
+  // 1500 carry stale images below the pages' LSNs.
+  constexpr int kFirstEnd = 3000;
+  constexpr int kSecondBegin = 1500;
+  constexpr int kSecondEnd = 4000;
+  const Lsn base = Lsn{1} << 40;  // above anything the workload wrote
+  const TableId table = planned.small.table;
+  auto tag_of = [&](int batch, int i) {
+    return batch == 2 && i < kFirstEnd ? std::string("stale")
+                                       : std::string("new");
+  };
+
+  planned.small.db->set_recovering(true);
+  serial.small.db->set_recovering(true);
+  std::uint64_t applied[3] = {0, 0, 0};
+  for (int batch : {1, 2}) {
+    const int begin = batch == 1 ? 0 : kSecondBegin;
+    const int end = batch == 1 ? kFirstEnd : kSecondEnd;
+    RedoApplyPlan plan = planned.small.db->make_replay_plan();
+    for (int i = begin; i < end; ++i) {
+      const wal::LogRecord rec =
+          oracle_update(table, planned.rids, base, i, tag_of(batch, i));
+      plan.stage(rec);
+      ASSERT_TRUE(serial.small.db->apply_record(rec).is_ok()) << i;
+    }
+    auto stats = plan.drain();
+    ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+    applied[batch] = stats.value().applied;
+    EXPECT_FALSE(plan.has_pending());
+  }
+  planned.small.db->set_recovering(false);
+  serial.small.db->set_recovering(false);
+
+  // Guard-skipped records count as applied.
+  EXPECT_EQ(applied[1], static_cast<std::uint64_t>(kFirstEnd));
+  EXPECT_EQ(applied[2], static_cast<std::uint64_t>(kSecondEnd - kSecondBegin));
+
+  const auto rows = all_rows(*planned.small.db, table);
+  EXPECT_EQ(rows.size(), static_cast<std::size_t>(kOracleRows));
+  EXPECT_EQ(rows, all_rows(*serial.small.db, table));
+  for (const auto& r : rows) {
+    EXPECT_EQ(r.find("stale"), std::string::npos) << r;
+  }
+
+  const auto planned_blocks = planned.blocks();
+  const auto serial_blocks = serial.blocks();
+  ASSERT_EQ(planned_blocks.size(), serial_blocks.size());
+  for (std::size_t b = 0; b < planned_blocks.size(); ++b) {
+    EXPECT_EQ(planned_blocks[b], serial_blocks[b]) << "block " << b;
   }
 }
 

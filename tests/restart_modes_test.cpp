@@ -1,12 +1,13 @@
 // Early-open restart modes (M1 traditional .. M4 mixed) must be invisible
-// to the recovered state: whatever the mode, the stall knob, or the replay
-// worker count, the database converges to the byte-identical end state the
-// traditional restart produces. On top of that determinism gate, these
-// tests pin the mode-specific contracts: M2 rejects (or stalls on) user
-// DML against pages with pending redo, M3 recovers pages lazily on fetch
-// and trickles the rest in the background, a second crash in the middle of
-// an early-open restart is recoverable, and the recovery trace spans keep
-// tiling the trace with the on_demand phase in play.
+// to the recovered state: whatever the mode or the stall knob, the database
+// converges to the byte-identical end state the traditional restart
+// produces. On top of that determinism gate, these tests pin the
+// mode-specific contracts: M2 rejects (or stalls on) user DML against pages
+// with pending redo, M3 recovers pages lazily on fetch and trickles the
+// rest in the background, a drain that fails on I/O leaves its redo pending
+// for a retry, a second crash in the middle of an early-open restart is
+// recoverable, and the recovery trace spans keep tiling the trace with the
+// on_demand phase in play.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,11 +88,9 @@ struct RecoveredState {
   std::vector<std::string> audit;
 };
 
-RecoveredState crash_and_recover(RestartMode mode, bool stall,
-                                 unsigned jobs) {
+RecoveredState crash_and_recover(RestartMode mode, bool stall) {
   SimEnv env;
   engine::DatabaseConfig cfg = small_db_config();
-  cfg.replay_jobs = jobs;
   cfg.restart_mode = mode;
   cfg.early_open_stall = stall;
   SmallDb small(env, cfg);
@@ -112,7 +111,7 @@ RecoveredState crash_and_recover(RestartMode mode, bool stall,
 
 TEST(RestartModesTest, AllModesConvergeToTraditionalStateAtAnyJobCount) {
   const RecoveredState baseline =
-      crash_and_recover(RestartMode::kM1Traditional, false, 1);
+      crash_and_recover(RestartMode::kM1Traditional, false);
   ASSERT_FALSE(baseline.accounts.empty());
   for (const auto& r : baseline.accounts) {
     EXPECT_NE(r, "uncommitted");
@@ -130,16 +129,11 @@ TEST(RestartModesTest, AllModesConvergeToTraditionalStateAtAnyJobCount) {
       {RestartMode::kM4Mixed, false},
   };
   for (const Combo& combo : combos) {
-    for (unsigned jobs : {1u, 4u}) {
-      const RecoveredState state =
-          crash_and_recover(combo.mode, combo.stall, jobs);
-      EXPECT_EQ(state.accounts, baseline.accounts)
-          << to_string(combo.mode) << " stall=" << combo.stall
-          << " jobs=" << jobs;
-      EXPECT_EQ(state.audit, baseline.audit)
-          << to_string(combo.mode) << " stall=" << combo.stall
-          << " jobs=" << jobs;
-    }
+    const RecoveredState state = crash_and_recover(combo.mode, combo.stall);
+    EXPECT_EQ(state.accounts, baseline.accounts)
+        << to_string(combo.mode) << " stall=" << combo.stall;
+    EXPECT_EQ(state.audit, baseline.audit)
+        << to_string(combo.mode) << " stall=" << combo.stall;
   }
 }
 
@@ -288,8 +282,46 @@ TEST(RestartModesTest, SecondCrashDuringEarlyOpenRestartIsRecoverable) {
 
   const auto accounts = all_rows(next, next.table_id("accounts").value());
   const RecoveredState baseline =
-      crash_and_recover(RestartMode::kM1Traditional, false, 1);
+      crash_and_recover(RestartMode::kM1Traditional, false);
   EXPECT_EQ(accounts, baseline.accounts);
+}
+
+TEST(RestartModesTest, M3FailedDrainLeavesRedoPendingForRetry) {
+  EarlyOpenRig rig(RestartMode::kM3OnDemand, /*stall=*/false);
+  ASSERT_TRUE(rig.db->restart_coordinator() != nullptr);
+  ASSERT_TRUE(rig.db->restart_coordinator()->has_pending());
+
+  // Write back what the open dirtied, then drop every frame, so draining a
+  // pending page has to read it from disk.
+  storage::BufferCache& cache = rig.db->storage().cache();
+  (void)cache.checkpoint();
+  ASSERT_EQ(cache.dirty_count(), 0u);
+  cache.discard_all();
+
+  // Every datafile read fails: a drain exhausts its retries on the first
+  // pending page and must leave that run, and every run after it, pending.
+  // First the on-demand drain of one page, then the full sweep.
+  const auto [table, rid] = rig.pending_row();
+  sim::SimFs& fs = rig.env.host.fs();
+  fs.inject_transient_errors("/data", rig.env.clock.now() + 3600 * kSecond,
+                             1.0, /*seed=*/5);
+  auto txn = rig.db->begin();
+  ASSERT_TRUE(txn.is_ok());
+  EXPECT_FALSE(read_str(*rig.db, txn.value(), table, rid).is_ok());
+  ASSERT_TRUE(rig.db->rollback(txn.value()).is_ok());
+  EXPECT_TRUE(rig.db->restart_coordinator()->page_pending(rid.page));
+  EXPECT_FALSE(rig.db->complete_restart_recovery().is_ok());
+  ASSERT_TRUE(rig.db->restart_coordinator() != nullptr);
+  EXPECT_TRUE(rig.db->restart_coordinator()->has_pending());
+  fs.clear_transient_errors();
+
+  ASSERT_TRUE(rig.db->complete_restart_recovery().is_ok());
+  EXPECT_TRUE(rig.db->restart_coordinator() == nullptr);
+  const RecoveredState baseline =
+      crash_and_recover(RestartMode::kM1Traditional, false);
+  EXPECT_EQ(all_rows(*rig.db, rig.accounts), baseline.accounts);
+  EXPECT_EQ(all_rows(*rig.db, rig.db->table_id("audit").value()),
+            baseline.audit);
 }
 
 TEST(RestartModesTest, TraceSpansKeepTilingWithOnDemandPhase) {

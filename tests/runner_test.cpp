@@ -10,6 +10,7 @@
 #include "benchmark/experiment.hpp"
 #include "benchmark/recovery_configs.hpp"
 #include "benchmark/runner.hpp"
+#include "common/parallel.hpp"
 
 namespace vdb::bench {
 namespace {
@@ -112,11 +113,11 @@ TEST(ExperimentRunner, DefaultJobsRespectsEnv) {
   // Not parallel-safe with other env tests, but the suite runs these
   // serially within one process.
   setenv("VDB_JOBS", "3", 1);
-  EXPECT_EQ(ExperimentRunner::default_jobs(), 3u);
+  EXPECT_EQ(vdb::default_jobs(), 3u);
   setenv("VDB_JOBS", "0", 1);
-  EXPECT_EQ(ExperimentRunner::default_jobs(), 1u);
+  EXPECT_EQ(vdb::default_jobs(), 1u);
   unsetenv("VDB_JOBS");
-  EXPECT_GE(ExperimentRunner::default_jobs(), 1u);
+  EXPECT_GE(vdb::default_jobs(), 1u);
 }
 
 }  // namespace
