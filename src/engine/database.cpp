@@ -766,9 +766,10 @@ Result<RowId> Database::insert(TxnId txn, TableId table,
   const bool logging = def.value()->logging;
   advance(cfg_.cost.cpu_per_write_op);
 
-  auto slot = h->choose_insert_slot();
-  if (!slot.is_ok()) return slot.status();
-  const RowId rid = slot.value().rid;
+  auto chosen = h->choose_insert_slot();
+  if (!chosen.is_ok()) return chosen.status();
+  storage::TableHeap::InsertSlot& slot = chosen.value();
+  const RowId rid = slot.rid;
 
   // Early-open restart gate, checked before anything is logged or recorded
   // for undo: a rejected insert must leave no trace.
@@ -776,7 +777,7 @@ Result<RowId> Database::insert(TxnId txn, TableId table,
     VDB_RETURN_IF_ERROR(restart_->check_access(rid.page));
   }
 
-  if (slot.value().needs_format) {
+  if (slot.needs_format) {
     Lsn lsn;
     if (logging) {
       wal::LogRecord fmt;
@@ -810,7 +811,7 @@ Result<RowId> Database::insert(TxnId txn, TableId table,
   auto undo = txns_.record_op(
       txn, wal::UndoOp{lsn, wal::LogRecordType::kInsert, std::move(change)});
   if (!undo.is_ok()) return undo.status();
-  VDB_RETURN_IF_ERROR(h->apply_insert(rid, row, lsn));
+  VDB_RETURN_IF_ERROR(h->apply_insert(rid, row, lsn, std::move(slot.page)));
   notify(RowChange{RowChange::Kind::kInsert, table, rid, {}, row});
   return rid;
 }
@@ -1328,7 +1329,7 @@ Status Database::rebuild_object_state() {
     heaps_[def->id.value] = std::make_unique<storage::TableHeap>(
         storage_.get(), def->id, def->tablespace, def->slot_size);
   }
-  const auto register_one = [&](PageId pid, const storage::Page& page) {
+  const auto register_one = [&](PageId pid, storage::PageView page) {
     auto it = heaps_.find(page.owner().value);
     if (it == heaps_.end()) return;  // dropped table: leaked pages
     it->second->register_page(pid, page.used_count() < page.capacity(),
@@ -1356,12 +1357,12 @@ Status Database::rebuild_object_state() {
   for (const auto& file : storage_->files()) {
     if (file.dropped || file.status != storage::FileStatus::kOnline) continue;
     VDB_RETURN_IF_ERROR(storage_->scan_file(
-        file.id, [&](std::uint32_t block, const storage::Page& page) {
+        file.id, [&](std::uint32_t block, storage::PageView page) {
           const PageId pid{file.id, block};
           auto pending = visited_pending.find(pid);
           if (pending != visited_pending.end()) {
             pending->second = true;
-            storage::Page patched = page;
+            storage::Page patched(page);
             restart_->overlay(pid, &patched);
             register_one(pid, patched);
             return;

@@ -1,10 +1,62 @@
 #include "storage/page.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "common/codec.hpp"
 
 namespace vdb::storage {
+
+template <typename Image>
+bool PageImage<Image>::slot_used(std::uint16_t slot) const {
+  VDB_CHECK(slot < capacity());
+  return (data()[bitmap_offset() + slot / 8] >> (slot % 8)) & 1;
+}
+
+template <typename Image>
+std::uint16_t PageImage<Image>::find_free_slot() const {
+  const std::uint16_t cap = capacity();
+  if (used_count() >= cap) return kNoSlot;
+  // A byte's trailing ones are its used low slots, so the first byte with
+  // a zero bit holds the lowest free slot. format() zeroes the bits past
+  // the capacity in the last byte; a zero there is not a slot.
+  const std::uint8_t* bitmap = data() + bitmap_offset();
+  for (size_t byte = 0; byte < bitmap_bytes(); ++byte) {
+    if (bitmap[byte] == 0xFF) continue;
+    const size_t slot = byte * 8 + std::countr_one(bitmap[byte]);
+    return slot < cap ? static_cast<std::uint16_t>(slot) : kNoSlot;
+  }
+  return kNoSlot;
+}
+
+template <typename Image>
+Result<std::span<const std::uint8_t>> PageImage<Image>::read_slot(
+    std::uint16_t slot) const {
+  if (slot >= capacity() || !slot_used(slot)) {
+    return make_error(ErrorCode::kNotFound, "slot not in use");
+  }
+  const size_t off = slot_offset(slot);
+  const std::uint16_t len = get_u16(off);
+  return std::span<const std::uint8_t>{data() + off + 2, len};
+}
+
+template <typename Image>
+bool PageImage<Image>::verify_checksum() const {
+  if (!formatted()) return true;  // virgin page
+  return stored_checksum() == computed_checksum();
+}
+
+template <typename Image>
+std::uint32_t PageImage<Image>::computed_checksum() const {
+  return crc32c({data() + 4, kSize - 4});
+}
+
+template class PageImage<Page>;
+template class PageImage<PageView>;
+
+Page::Page(const PageView& view) {
+  std::memcpy(buf_.data(), view.raw(), kSize);
+}
 
 std::uint16_t Page::capacity_for(std::uint16_t slot_size) {
   const size_t stride = slot_size + 2u;
@@ -25,20 +77,6 @@ void Page::format(TableId owner, std::uint16_t slot_size) {
   set_u32(16, owner.value);
   set_u16(20, capacity_for(slot_size));
   set_u16(22, 0);
-}
-
-bool Page::slot_used(std::uint16_t slot) const {
-  VDB_CHECK(slot < capacity());
-  return (buf_[bitmap_offset() + slot / 8] >> (slot % 8)) & 1;
-}
-
-std::uint16_t Page::find_free_slot() const {
-  const std::uint16_t cap = capacity();
-  if (used_count() >= cap) return kNoSlot;
-  for (std::uint16_t s = 0; s < cap; ++s) {
-    if (!slot_used(s)) return s;
-  }
-  return kNoSlot;
 }
 
 void Page::set_slot(std::uint16_t slot, std::span<const std::uint8_t> payload) {
@@ -62,54 +100,6 @@ void Page::clear_slot(std::uint16_t slot) {
   }
 }
 
-Result<std::span<const std::uint8_t>> Page::read_slot(
-    std::uint16_t slot) const {
-  if (slot >= capacity() || !slot_used(slot)) {
-    return make_error(ErrorCode::kNotFound, "slot not in use");
-  }
-  const size_t off = slot_offset(slot);
-  const std::uint16_t len = get_u16(off);
-  return std::span<const std::uint8_t>{buf_.data() + off + 2, len};
-}
-
-void Page::update_checksum() {
-  set_u32(0, crc32c({buf_.data() + 4, kSize - 4}));
-}
-
-bool Page::verify_checksum() const {
-  if (!formatted()) return true;  // virgin page
-  return get_u32(0) == crc32c({buf_.data() + 4, kSize - 4});
-}
-
-std::uint32_t Page::stored_checksum() const { return get_u32(0); }
-
-std::uint32_t Page::computed_checksum() const {
-  return crc32c({buf_.data() + 4, kSize - 4});
-}
-
-std::uint16_t Page::get_u16(size_t off) const {
-  std::uint16_t v;
-  std::memcpy(&v, buf_.data() + off, sizeof(v));
-  return v;
-}
-std::uint32_t Page::get_u32(size_t off) const {
-  std::uint32_t v;
-  std::memcpy(&v, buf_.data() + off, sizeof(v));
-  return v;
-}
-std::uint64_t Page::get_u64(size_t off) const {
-  std::uint64_t v;
-  std::memcpy(&v, buf_.data() + off, sizeof(v));
-  return v;
-}
-void Page::set_u16(size_t off, std::uint16_t v) {
-  std::memcpy(buf_.data() + off, &v, sizeof(v));
-}
-void Page::set_u32(size_t off, std::uint32_t v) {
-  std::memcpy(buf_.data() + off, &v, sizeof(v));
-}
-void Page::set_u64(size_t off, std::uint64_t v) {
-  std::memcpy(buf_.data() + off, &v, sizeof(v));
-}
+void Page::update_checksum() { set_u32(0, computed_checksum()); }
 
 }  // namespace vdb::storage

@@ -13,10 +13,15 @@
 // Slots are fixed-stride, so updates are always in place and RowIds are
 // stable — the property the redo/undo protocol and the in-memory indexes
 // rely on.
+//
+// Page owns its bytes; PageView reads an image that lives elsewhere (a
+// block of a datafile being scanned) without copying it. Both read through
+// the same accessors, PageImage.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "common/status.hpp"
@@ -24,17 +29,78 @@
 
 namespace vdb::storage {
 
-class Page {
+/// The header layout and read-only accessors of a page image. `Image`
+/// (Page or PageView) supplies the image's bytes through `image()`.
+template <typename Image>
+class PageImage {
  public:
   static constexpr size_t kSize = 8192;
   static constexpr std::uint16_t kMagic = 0xDBDB;
   static constexpr size_t kHeaderBase = 24;
 
-  Page() { buf_.fill(0); }
+  const std::uint8_t* raw() const { return data(); }
+  std::span<const std::uint8_t> bytes() const { return {data(), kSize}; }
 
+  bool formatted() const { return get_u16(4) == kMagic; }
+  TableId owner() const { return TableId{get_u32(16)}; }
+  std::uint16_t slot_size() const { return get_u16(6); }
+  std::uint16_t capacity() const { return get_u16(20); }
+  std::uint16_t used_count() const { return get_u16(22); }
+  Lsn lsn() const { return get_u64(8); }
+
+  bool slot_used(std::uint16_t slot) const;
+
+  /// Lowest free slot index, or kNoSlot when full.
+  static constexpr std::uint16_t kNoSlot = 0xFFFF;
+  std::uint16_t find_free_slot() const;
+
+  /// Payload of a used slot.
+  Result<std::span<const std::uint8_t>> read_slot(std::uint16_t slot) const;
+
+  /// True when the stored checksum matches the contents. All-zero (virgin)
+  /// pages verify trivially.
+  bool verify_checksum() const;
+
+  /// Checksum recorded in the header (what the writer computed).
+  std::uint32_t stored_checksum() const { return get_u32(0); }
+
+  /// Checksum of the current contents (what a verifier computes).
+  std::uint32_t computed_checksum() const;
+
+ protected:
+  size_t bitmap_offset() const { return kHeaderBase; }
+  size_t bitmap_bytes() const { return (capacity() + 7) / 8; }
+  size_t slot_stride() const { return slot_size() + 2u; }
+  size_t slot_offset(std::uint16_t slot) const {
+    return kHeaderBase + bitmap_bytes() + slot * slot_stride();
+  }
+
+  std::uint16_t get_u16(size_t off) const { return get<std::uint16_t>(off); }
+  std::uint32_t get_u32(size_t off) const { return get<std::uint32_t>(off); }
+  std::uint64_t get_u64(size_t off) const { return get<std::uint64_t>(off); }
+
+ private:
+  const std::uint8_t* data() const {
+    return static_cast<const Image&>(*this).image();
+  }
+  template <typename T>
+  T get(size_t off) const {
+    T v;
+    std::memcpy(&v, data() + off, sizeof(v));
+    return v;
+  }
+};
+
+class PageView;
+
+class Page : public PageImage<Page> {
+ public:
+  Page() { buf_.fill(0); }
+  /// A copy of the viewed image.
+  explicit Page(const PageView& view);
+
+  using PageImage::raw;
   std::uint8_t* raw() { return buf_.data(); }
-  const std::uint8_t* raw() const { return buf_.data(); }
-  std::span<const std::uint8_t> bytes() const { return {buf_.data(), kSize}; }
 
   /// Largest slot capacity a page can offer for a given payload size.
   static std::uint16_t capacity_for(std::uint16_t slot_size);
@@ -43,20 +109,7 @@ class Page {
   /// payload slots.
   void format(TableId owner, std::uint16_t slot_size);
 
-  bool formatted() const { return get_u16(4) == kMagic; }
-  TableId owner() const { return TableId{get_u32(16)}; }
-  std::uint16_t slot_size() const { return get_u16(6); }
-  std::uint16_t capacity() const { return get_u16(20); }
-  std::uint16_t used_count() const { return get_u16(22); }
-
-  Lsn lsn() const { return get_u64(8); }
   void set_lsn(Lsn lsn) { set_u64(8, lsn); }
-
-  bool slot_used(std::uint16_t slot) const;
-
-  /// Lowest free slot index, or kNoSlot when full.
-  static constexpr std::uint16_t kNoSlot = 0xFFFF;
-  std::uint16_t find_free_slot() const;
 
   /// Stores `payload` (size <= slot_size) into `slot`, marking it used.
   void set_slot(std::uint16_t slot, std::span<const std::uint8_t> payload);
@@ -64,38 +117,36 @@ class Page {
   /// Marks `slot` free. The payload bytes are not wiped.
   void clear_slot(std::uint16_t slot);
 
-  /// Payload of a used slot.
-  Result<std::span<const std::uint8_t>> read_slot(std::uint16_t slot) const;
-
   /// Recomputes and stores the checksum (call before writing to disk).
   void update_checksum();
 
-  /// True when the stored checksum matches the contents. All-zero (virgin)
-  /// pages verify trivially.
-  bool verify_checksum() const;
-
-  /// Checksum recorded in the header (what the writer computed).
-  std::uint32_t stored_checksum() const;
-
-  /// Checksum of the current contents (what a verifier computes).
-  std::uint32_t computed_checksum() const;
-
  private:
-  size_t bitmap_offset() const { return kHeaderBase; }
-  size_t bitmap_bytes() const { return (capacity() + 7) / 8; }
-  size_t slot_stride() const { return slot_size() + 2u; }
-  size_t slot_offset(std::uint16_t slot) const {
-    return kHeaderBase + bitmap_bytes() + slot * slot_stride();
+  friend class PageImage<Page>;
+  const std::uint8_t* image() const { return buf_.data(); }
+
+  void set_u16(size_t off, std::uint16_t v) { set(off, v); }
+  void set_u32(size_t off, std::uint32_t v) { set(off, v); }
+  void set_u64(size_t off, std::uint64_t v) { set(off, v); }
+  template <typename T>
+  void set(size_t off, T v) {
+    std::memcpy(buf_.data() + off, &v, sizeof(v));
   }
 
-  std::uint16_t get_u16(size_t off) const;
-  std::uint32_t get_u32(size_t off) const;
-  std::uint64_t get_u64(size_t off) const;
-  void set_u16(size_t off, std::uint16_t v);
-  void set_u32(size_t off, std::uint32_t v);
-  void set_u64(size_t off, std::uint64_t v);
-
   std::array<std::uint8_t, kSize> buf_;
+};
+
+/// A read-only view of a page image owned by someone else: a Page, or
+/// kSize bytes of a datafile. It is valid only while those bytes are.
+class PageView : public PageImage<PageView> {
+ public:
+  explicit PageView(const std::uint8_t* image) : image_(image) {}
+  PageView(const Page& page) : image_(page.raw()) {}  // NOLINT: a view
+
+ private:
+  friend class PageImage<PageView>;
+  const std::uint8_t* image() const { return image_; }
+
+  const std::uint8_t* image_;
 };
 
 }  // namespace vdb::storage

@@ -432,18 +432,15 @@ Result<VerifyReport> StorageManager::verify_file(FileId id) {
 }
 
 Status StorageManager::scan_file(
-    FileId id,
-    const std::function<void(std::uint32_t, const Page&)>& fn) {
+    FileId id, const std::function<void(std::uint32_t, PageView)>& fn) {
   VDB_ASSIGN_OR_RETURN(DataFileInfo * file, file_mut(id));
   auto bytes = fs_->read_all(file->path, sim::IoMode::kForeground);
   if (!bytes.is_ok()) return bytes.status();
-  const auto& data = bytes.value();
-  Page page;
+  const std::span<const std::uint8_t> data = bytes.value();
   std::uint32_t hwm = 0;
-  for (std::uint32_t block = 0; block * Page::kSize < data.size(); ++block) {
-    std::copy(data.begin() + static_cast<long>(block) * Page::kSize,
-              data.begin() + static_cast<long>(block + 1) * Page::kSize,
-              page.raw());
+  for (std::uint32_t block = 0; (block + 1) * Page::kSize <= data.size();
+       ++block) {
+    const PageView page(data.data() + block * Page::kSize);
     if (!page.formatted()) continue;
     hwm = block + 1;
     fn(block, page);

@@ -176,10 +176,12 @@ class StorageManager final : public PageStore {
 
   /// Sequentially reads a whole file (one bulk I/O charge) and invokes `fn`
   /// for every formatted page. Used to rebuild heap/index metadata after
-  /// recovery. Does not populate the cache.
-  Status scan_file(FileId id,
-                   const std::function<void(std::uint32_t block,
-                                            const Page& page)>& fn);
+  /// recovery. Does not populate the cache. The view borrows the file's
+  /// bytes: it is valid only inside the call, and `fn` must not write the
+  /// file. A caller that keeps or patches a block copies it into a Page.
+  Status scan_file(
+      FileId id,
+      const std::function<void(std::uint32_t block, PageView page)>& fn);
 
   /// DBVERIFY analogue: reads every block of the file (sequential charge)
   /// and checksums it, without populating the cache. Works on online and

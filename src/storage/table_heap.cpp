@@ -8,23 +8,25 @@ Result<TableHeap::InsertSlot> TableHeap::choose_insert_slot() {
     VDB_ASSIGN_OR_RETURN(PageRef ref, sm_->fetch(pid));
     const std::uint16_t slot = ref->find_free_slot();
     if (slot != Page::kNoSlot) {
-      return InsertSlot{RowId{pid, slot}, false};
+      return InsertSlot{RowId{pid, slot}, false, std::move(ref)};
     }
     pages_with_space_.erase(pid);
   }
   VDB_ASSIGN_OR_RETURN(PageId pid, sm_->reserve_page(tablespace_));
-  return InsertSlot{RowId{pid, 0}, true};
+  return InsertSlot{RowId{pid, 0}, true, {}};
 }
 
 Status TableHeap::apply_insert(RowId rid, std::span<const std::uint8_t> row,
-                               Lsn lsn) {
-  VDB_ASSIGN_OR_RETURN(PageRef ref, sm_->fetch(rid.page));
-  VDB_CHECK_MSG(ref->formatted(), "insert into unformatted page");
-  ref->set_slot(rid.slot, row);
-  ref->set_lsn(lsn);
+                               Lsn lsn, PageRef page) {
+  if (!page.valid()) {
+    VDB_ASSIGN_OR_RETURN(page, sm_->fetch(rid.page));
+  }
+  VDB_CHECK_MSG(page->formatted(), "insert into unformatted page");
+  page->set_slot(rid.slot, row);
+  page->set_lsn(lsn);
   sm_->mark_dirty(rid.page);
   row_count_ += 1;
-  if (ref->used_count() >= ref->capacity()) {
+  if (page->used_count() >= page->capacity()) {
     pages_with_space_.erase(rid.page);
   }
   return Status::ok();

@@ -32,14 +32,19 @@ class TableHeap {
 
   /// Location a new row will occupy. When no existing page has room, a new
   /// page is reserved and `needs_format` is set — the caller must log and
-  /// apply a FORMAT record before the INSERT record.
+  /// apply a FORMAT record before the INSERT record. Otherwise `page` pins
+  /// the chosen page, for apply_insert to write through.
   struct InsertSlot {
     RowId rid;
     bool needs_format = false;
+    PageRef page;
   };
   Result<InsertSlot> choose_insert_slot();
 
-  Status apply_insert(RowId rid, std::span<const std::uint8_t> row, Lsn lsn);
+  /// Stores `row` at `rid`, through `page` when it pins rid's page (the
+  /// one choose_insert_slot returned), else fetching it.
+  Status apply_insert(RowId rid, std::span<const std::uint8_t> row, Lsn lsn,
+                      PageRef page = {});
   Status apply_update(RowId rid, std::span<const std::uint8_t> row, Lsn lsn);
   Status apply_delete(RowId rid, Lsn lsn);
 

@@ -269,4 +269,54 @@ Result<StockQuantity> StockQuantity::decode(Decoder& dec) {
   return row;
 }
 
+Result<WarehouseKey> WarehouseKey::decode(Decoder& dec) {
+  WarehouseKey row;
+  GET_NUM(w_id, get_u32);
+  return row;
+}
+
+Result<DistrictKey> DistrictKey::decode(Decoder& dec) {
+  DistrictKey row;
+  GET_NUM(d_id, get_u32);
+  GET_NUM(d_w_id, get_u32);
+  return row;
+}
+
+Result<CustomerKey> CustomerKey::decode(Decoder& dec) {
+  CustomerKey row;
+  GET_NUM(c_id, get_u32);
+  GET_NUM(c_d_id, get_u32);
+  GET_NUM(c_w_id, get_u32);
+  for (int skipped = 0; skipped < 2; ++skipped) {  // c_first, c_middle
+    auto field = dec.get_view();
+    if (!field.is_ok()) return field.status();
+  }
+  GET_STR(c_last);
+  return row;
+}
+
+Result<OrderKey> OrderKey::decode(Decoder& dec) {
+  OrderKey row;
+  GET_NUM(o_id, get_u32);
+  GET_NUM(o_d_id, get_u32);
+  GET_NUM(o_w_id, get_u32);
+  GET_NUM(o_c_id, get_u32);
+  return row;
+}
+
+Result<OrderLineKey> OrderLineKey::decode(Decoder& dec) {
+  OrderLineKey row;
+  GET_NUM(ol_o_id, get_u32);
+  GET_NUM(ol_d_id, get_u32);
+  GET_NUM(ol_w_id, get_u32);
+  GET_NUM(ol_number, get_u8);
+  return row;
+}
+
+Result<ItemKey> ItemKey::decode(Decoder& dec) {
+  ItemKey row;
+  GET_NUM(i_id, get_u32);
+  return row;
+}
+
 }  // namespace vdb::tpcc

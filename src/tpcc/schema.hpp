@@ -166,13 +166,66 @@ struct StockRow {
 };
 
 /// The leading key and quantity fields of a STOCK row: what Stock-Level
-/// reads. Decodes a prefix of StockRow's encoding and skips the rest.
+/// reads, and the key of the stock access path. Decodes a prefix of
+/// StockRow's encoding and skips the rest.
 struct StockQuantity {
   std::uint32_t s_i_id = 0;
   std::uint32_t s_w_id = 0;
   std::int32_t s_quantity = 0;
 
   static Result<StockQuantity> decode(Decoder& dec);
+};
+
+// Key views: the fields an access path keys a row by, decoded from the
+// front of the row's encoding without the rest, as StockQuantity is.
+// NEW-ORDER rows are all key. HISTORY has no access path.
+
+struct WarehouseKey {
+  std::uint32_t w_id = 0;
+
+  static Result<WarehouseKey> decode(Decoder& dec);
+};
+
+struct DistrictKey {
+  std::uint32_t d_id = 0;
+  std::uint32_t d_w_id = 0;
+
+  static Result<DistrictKey> decode(Decoder& dec);
+};
+
+/// The id fields and the last name; c_first and c_middle, which sit
+/// between them, are skipped.
+struct CustomerKey {
+  std::uint32_t c_id = 0;
+  std::uint32_t c_d_id = 0;
+  std::uint32_t c_w_id = 0;
+  InlineString<16> c_last;
+
+  static Result<CustomerKey> decode(Decoder& dec);
+};
+
+struct OrderKey {
+  std::uint32_t o_id = 0;
+  std::uint32_t o_d_id = 0;
+  std::uint32_t o_w_id = 0;
+  std::uint32_t o_c_id = 0;
+
+  static Result<OrderKey> decode(Decoder& dec);
+};
+
+struct OrderLineKey {
+  std::uint32_t ol_o_id = 0;
+  std::uint32_t ol_d_id = 0;
+  std::uint32_t ol_w_id = 0;
+  std::uint8_t ol_number = 0;
+
+  static Result<OrderLineKey> decode(Decoder& dec);
+};
+
+struct ItemKey {
+  std::uint32_t i_id = 0;
+
+  static Result<ItemKey> decode(Decoder& dec);
 };
 
 /// Most lines one order can have (clause 2.4.1.3: ol_cnt in [5, 15]).

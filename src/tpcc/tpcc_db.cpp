@@ -98,20 +98,30 @@ Status TpccDb::attach(engine::Database* db) {
   db_->set_rebuild_hook(
       [this](TableId table, RowId rid, std::span<const std::uint8_t> row) {
         auto tbl = tbl_of(table);
-        if (tbl.has_value()) {
-          std::unique_lock lock(index_mu_);
-          rebuilding_ = true;
-          index_insert(*tbl, rid, row);
+        if (!tbl.has_value()) return;
+        // The scan's first row starts the bulk build and holds index_mu_
+        // until the scan ends: no reader may see a half-built path.
+        if (!scan_lock_.owns_lock()) {
+          scan_lock_ = std::unique_lock(index_mu_);
+          bulk_building_ = true;
         }
+        index_row(*tbl, rid, row, /*insert=*/true);
       },
-      [this] { finish_rebuild(); });
+      [this] { finish_bulk_build(); });
   return Status::ok();
 }
 
-void TpccDb::finish_rebuild() {
+void TpccDb::begin_bulk_build() {
   std::unique_lock lock(index_mu_);
-  if (!rebuilding_) return;
-  rebuilding_ = false;
+  bulk_building_ = true;
+}
+
+void TpccDb::finish_bulk_build() {
+  std::unique_lock lock = scan_lock_.owns_lock()
+                              ? std::move(scan_lock_)
+                              : std::unique_lock(index_mu_);
+  if (!bulk_building_) return;
+  bulk_building_ = false;
   name_idx_.finish();
   order_idx_.finish();
   order_cust_idx_.finish();
@@ -120,6 +130,11 @@ void TpccDb::finish_rebuild() {
 }
 
 std::vector<std::uint8_t>& TpccDb::row_buffer() {
+  thread_local std::vector<std::uint8_t> buffer;
+  return buffer;
+}
+
+std::vector<std::uint8_t>& TpccDb::encode_buffer() {
   thread_local std::vector<std::uint8_t> buffer;
   return buffer;
 }
@@ -173,10 +188,10 @@ void TpccDb::apply_index_change(Tbl t, const engine::RowChange& change) {
   std::unique_lock lock(index_mu_);
   switch (change.kind) {
     case engine::RowChange::Kind::kInsert:
-      index_insert(t, change.rid, change.after);
+      index_row(t, change.rid, change.after, /*insert=*/true);
       break;
     case engine::RowChange::Kind::kDelete:
-      index_erase(t, change.rid, change.before);
+      index_row(t, change.rid, change.before, /*insert=*/false);
       break;
     case engine::RowChange::Kind::kUpdate:
       // TPC-C business keys are immutable; nothing moves.
@@ -184,115 +199,73 @@ void TpccDb::apply_index_change(Tbl t, const engine::RowChange& change) {
   }
 }
 
-void TpccDb::index_insert(Tbl t, RowId rid,
-                          std::span<const std::uint8_t> row) {
-  switch (t) {
-    case Tbl::kWarehouse: {
-      auto r = from_bytes<WarehouseRow>(row);
-      warehouse_idx_.insert(warehouse_pos(r.w_id), rid);
-      break;
+void TpccDb::index_row(Tbl t, RowId rid, std::span<const std::uint8_t> row,
+                       bool insert) {
+  const auto dense = [&](DenseIndex& idx, std::size_t pos) {
+    if (insert) {
+      idx.insert(pos, rid);
+    } else {
+      idx.erase(pos, rid);
     }
-    case Tbl::kDistrict: {
-      auto r = from_bytes<DistrictRow>(row);
-      district_idx_.insert(district_pos(r.d_w_id, r.d_id), rid);
-      break;
-    }
-    case Tbl::kCustomer: {
-      auto r = from_bytes<CustomerRow>(row);
-      customer_idx_.insert(customer_pos(r.c_w_id, r.c_d_id, r.c_id), rid);
-      name_idx_.add({r.c_w_id, r.c_d_id, to_name_arr(r.c_last), r.c_id}, rid,
-                    rebuilding_);
-      break;
-    }
-    case Tbl::kHistory:
-      break;  // no access path
-    case Tbl::kNewOrder: {
-      auto r = from_bytes<NewOrderRow>(row);
-      new_order_idx_.add({r.no_w_id, r.no_d_id, r.no_o_id}, rid, rebuilding_);
-      break;
-    }
-    case Tbl::kOrder: {
-      auto r = from_bytes<OrderRow>(row);
-      order_idx_.add({r.o_w_id, r.o_d_id, r.o_id}, rid, rebuilding_);
-      order_cust_idx_.add({r.o_w_id, r.o_d_id, r.o_c_id, r.o_id}, rid,
-                          rebuilding_);
-      break;
-    }
-    case Tbl::kOrderLine: {
-      auto r = from_bytes<OrderLineRow>(row);
-      order_line_idx_.add({r.ol_w_id, r.ol_d_id, r.ol_o_id, r.ol_number}, rid,
-                          rebuilding_);
-      break;
-    }
-    case Tbl::kItem: {
-      auto r = from_bytes<ItemRow>(row);
-      item_idx_.insert(item_pos(r.i_id), rid);
-      break;
-    }
-    case Tbl::kStock: {
-      auto r = from_bytes<StockRow>(row);
-      stock_idx_.insert(stock_pos(r.s_w_id, r.s_i_id), rid);
-      break;
-    }
-  }
-}
-
-void TpccDb::index_erase(Tbl t, RowId rid, std::span<const std::uint8_t> row) {
-  // Erase only if the index still maps the business key to *this* row. A
+  };
+  // Erase only if the path still maps the business key to *this* row. A
   // concurrent transaction that aborted a duplicate-key insert delivers a
   // delete notification for a key another (committed) row legitimately
   // owns; an unconditional erase would strip the survivor's entry. The
   // dense paths apply the same rule in DenseIndex::erase.
-  auto erase_match = [rid](auto& idx, const auto& key) {
+  const auto tree = [&](auto& idx, const auto& key) {
+    if (insert) {
+      idx.add(key, rid, bulk_building_);
+      return;
+    }
     const RowId* cur = idx.find(key);
     if (cur != nullptr && *cur == rid) idx.erase(key);
   };
   switch (t) {
     case Tbl::kWarehouse: {
-      auto r = from_bytes<WarehouseRow>(row);
-      warehouse_idx_.erase(warehouse_pos(r.w_id), rid);
+      const auto k = from_bytes<WarehouseKey>(row);
+      dense(warehouse_idx_, warehouse_pos(k.w_id));
       break;
     }
     case Tbl::kDistrict: {
-      auto r = from_bytes<DistrictRow>(row);
-      district_idx_.erase(district_pos(r.d_w_id, r.d_id), rid);
+      const auto k = from_bytes<DistrictKey>(row);
+      dense(district_idx_, district_pos(k.d_w_id, k.d_id));
       break;
     }
     case Tbl::kCustomer: {
-      auto r = from_bytes<CustomerRow>(row);
-      customer_idx_.erase(customer_pos(r.c_w_id, r.c_d_id, r.c_id), rid);
-      erase_match(name_idx_, std::tuple{r.c_w_id, r.c_d_id,
-                                        to_name_arr(r.c_last), r.c_id});
+      const auto k = from_bytes<CustomerKey>(row);
+      dense(customer_idx_, customer_pos(k.c_w_id, k.c_d_id, k.c_id));
+      tree(name_idx_,
+           std::tuple{k.c_w_id, k.c_d_id, to_name_arr(k.c_last), k.c_id});
       break;
     }
     case Tbl::kHistory:
-      break;
+      break;  // no access path
     case Tbl::kNewOrder: {
-      auto r = from_bytes<NewOrderRow>(row);
-      erase_match(new_order_idx_, std::tuple{r.no_w_id, r.no_d_id, r.no_o_id});
+      const auto k = from_bytes<NewOrderRow>(row);
+      tree(new_order_idx_, std::tuple{k.no_w_id, k.no_d_id, k.no_o_id});
       break;
     }
     case Tbl::kOrder: {
-      auto r = from_bytes<OrderRow>(row);
-      erase_match(order_idx_, std::tuple{r.o_w_id, r.o_d_id, r.o_id});
-      erase_match(order_cust_idx_,
-                  std::tuple{r.o_w_id, r.o_d_id, r.o_c_id, r.o_id});
+      const auto k = from_bytes<OrderKey>(row);
+      tree(order_idx_, std::tuple{k.o_w_id, k.o_d_id, k.o_id});
+      tree(order_cust_idx_, std::tuple{k.o_w_id, k.o_d_id, k.o_c_id, k.o_id});
       break;
     }
     case Tbl::kOrderLine: {
-      auto r = from_bytes<OrderLineRow>(row);
-      erase_match(order_line_idx_,
-                  std::tuple{r.ol_w_id, r.ol_d_id, r.ol_o_id, r.ol_number});
+      const auto k = from_bytes<OrderLineKey>(row);
+      tree(order_line_idx_,
+           std::tuple{k.ol_w_id, k.ol_d_id, k.ol_o_id, U32{k.ol_number}});
       break;
     }
     case Tbl::kItem: {
-      auto r = from_bytes<ItemRow>(row);
-      item_idx_.erase(item_pos(r.i_id), rid);
+      const auto k = from_bytes<ItemKey>(row);
+      dense(item_idx_, item_pos(k.i_id));
       break;
     }
     case Tbl::kStock: {
-      auto r = from_bytes<StockRow>(row);
-      stock_idx_.erase(stock_pos(r.s_w_id, r.s_i_id), rid);
+      const auto k = from_bytes<StockQuantity>(row);
+      dense(stock_idx_, stock_pos(k.s_w_id, k.s_i_id));
       break;
     }
   }

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <span>
@@ -66,11 +67,12 @@ class DenseIndex {
   std::size_t size_ = 0;  // valid positions
 };
 
-/// A B+-tree access path that a rebuild scan fills in bulk. While a scan
-/// runs, add() collects (key, rid) pairs instead of inserting; finish()
-/// then stable-sorts them behind the entries the tree already holds, keeps
-/// the first rid of each key (what inserting them in scan order keeps),
-/// builds the tree bottom-up, and frees the pairs.
+/// A B+-tree access path that a bulk build fills: a rebuild scan, or the
+/// initial load. While one runs, add() collects (key, rid) pairs instead
+/// of inserting; finish() then stable-sorts them behind the entries the
+/// tree already holds, keeps the first rid of each key (what inserting them
+/// in arrival order keeps), builds the tree bottom-up, and frees the
+/// pairs.
 template <typename Key>
 class TreePath : public index::BPlusTree<Key, RowId> {
  public:
@@ -98,7 +100,10 @@ class TreePath : public index::BPlusTree<Key, RowId> {
     const auto by_key = [](const auto& a, const auto& b) {
       return a.first < b.first;
     };
-    std::stable_sort(pairs.begin(), pairs.end(), by_key);
+    // A load collects orders, new orders and order lines in key order.
+    if (!std::is_sorted(pairs.begin(), pairs.end(), by_key)) {
+      std::stable_sort(pairs.begin(), pairs.end(), by_key);
+    }
     const auto same_key = [](const auto& a, const auto& b) {
       return !(a.first < b.first) && !(b.first < a.first);
     };
@@ -130,6 +135,14 @@ class TpccDb {
   /// after create_schema (the loader's inserts then populate the indexes
   /// through the observers).
   Status attach(engine::Database* db);
+
+  /// A bulk build of the B+-tree paths. From begin_bulk_build() on, the
+  /// rows the observers see reach those paths as collected (key, rid)
+  /// pairs, which the paths do not answer from; finish_bulk_build() builds
+  /// each path once from them. The loader brackets the initial population
+  /// with the pair, and every rebuild scan runs the same build.
+  void begin_bulk_build();
+  void finish_bulk_build();
 
   engine::Database& db() { return *db_; }
   bool attached() const { return db_ != nullptr; }
@@ -179,14 +192,19 @@ class TpccDb {
     return from_bytes<Row>(bytes);
   }
 
+  /// Encodes the row into a buffer owned by the calling thread, so a
+  /// write allocates nothing for its encoding once the buffer has grown to
+  /// the widest slot. The engine hands that span to the row observers, and
+  /// it lives only until the thread encodes again: no observer may write a
+  /// row inside a notification.
   template <typename Row>
   Result<RowId> insert_row(TxnId txn, Tbl t, const Row& row) {
-    return db_->insert(txn, table(t), to_bytes(row));
+    return db_->insert(txn, table(t), encode(row));
   }
 
   template <typename Row>
   Status update_row(TxnId txn, Tbl t, RowId rid, const Row& row) {
-    return db_->update(txn, table(t), rid, to_bytes(row));
+    return db_->update(txn, table(t), rid, encode(row));
   }
 
   size_t index_entries() const;
@@ -216,13 +234,21 @@ class TpccDb {
  private:
   /// The calling thread's read buffer (coordinator workers share a TpccDb).
   static std::vector<std::uint8_t>& row_buffer();
+  /// The calling thread's encoding of `row`, valid until it encodes again.
+  template <typename Row>
+  static std::span<const std::uint8_t> encode(const Row& row) {
+    std::vector<std::uint8_t>& out = encode_buffer();
+    out.clear();
+    Encoder enc(&out);
+    row.encode(enc);
+    return out;
+  }
+  static std::vector<std::uint8_t>& encode_buffer();
   void apply_index_change(Tbl t, const engine::RowChange& change);
-  // Callers of the two low-level maintainers must hold index_mu_ exclusive.
-  void index_insert(Tbl t, RowId rid, std::span<const std::uint8_t> row);
-  void index_erase(Tbl t, RowId rid, std::span<const std::uint8_t> row);
-  /// End of a rebuild scan: bulk-builds the B+-tree paths from what the
-  /// scan collected.
-  void finish_rebuild();
+  /// Adds (`insert`) or removes the row's access-path entries, decoding
+  /// only its key fields. The caller holds index_mu_ exclusive.
+  void index_row(Tbl t, RowId rid, std::span<const std::uint8_t> row,
+                 bool insert);
   std::optional<Tbl> tbl_of(TableId id) const;
 
   // Dense positions of the fixed-cardinality keys, in key order;
@@ -256,9 +282,11 @@ class TpccDb {
   TreePath<std::tuple<U32, U32, U32, U32>> order_cust_idx_;
   TreePath<std::tuple<U32, U32, U32>> new_order_idx_;
   TreePath<std::tuple<U32, U32, U32, U32>> order_line_idx_;
-  /// True while a rebuild scan feeds the B+-tree paths (their add()
-  /// collects); finish_rebuild() builds them and clears it.
-  bool rebuilding_ = false;
+  /// True during a bulk build (the B+-tree paths' add() collects);
+  /// finish_bulk_build() builds them and clears it.
+  bool bulk_building_ = false;
+  /// index_mu_, held by a rebuild scan from its first row to its end.
+  std::unique_lock<std::shared_mutex> scan_lock_;
 };
 
 }  // namespace vdb::tpcc

@@ -43,6 +43,16 @@ Result<LoadStats> Loader::load() {
 
 Result<LoadStats> Loader::load_warehouses(
     const std::vector<std::uint32_t>& ws) {
+  // The B+-tree paths are built once, from every row the load inserts,
+  // rather than one tree insert per row.
+  db_->begin_bulk_build();
+  const Status st = load_rows(ws);
+  db_->finish_bulk_build();
+  VDB_RETURN_IF_ERROR(st);
+  return stats_;
+}
+
+Status Loader::load_rows(const std::vector<std::uint32_t>& ws) {
   engine::Database& db = db_->db();
   // Bulk loads run NOLOGGING (redo off); the harness backs up right after.
   for (size_t i = 0; i < kTableCount; ++i) {
@@ -85,7 +95,7 @@ Result<LoadStats> Loader::load_warehouses(
     VDB_RETURN_IF_ERROR(
         db.set_table_logging(table_name(static_cast<Tbl>(i)), true));
   }
-  return stats_;
+  return Status::ok();
 }
 
 void Loader::zip(InlineString<9>& field) {

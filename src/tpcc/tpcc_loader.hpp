@@ -30,9 +30,11 @@ class Loader {
 
   /// Populates items plus only the listed warehouses — a fleet shard holds
   /// a subset of the warehouse range but the full (replicated) catalog.
+  /// The access paths are bulk-built once the rows are in.
   Result<LoadStats> load_warehouses(const std::vector<std::uint32_t>& ws);
 
  private:
+  Status load_rows(const std::vector<std::uint32_t>& ws);
   Status load_items(TxnId* txn);
   Status load_warehouse(TxnId txn, std::uint32_t w);
   Status load_stock(TxnId* txn, std::uint32_t w);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "engine/replay_plan.hpp"
@@ -18,6 +19,7 @@
 #include "standby/standby.hpp"
 #include "storage/storage_manager.hpp"
 #include "tests/test_env.hpp"
+#include "tpcc/tpcc_loader.hpp"
 #include "tpcc/tpcc_random.hpp"
 #include "tpcc/tpcc_txns.hpp"
 
@@ -127,8 +129,8 @@ TEST(AllocBudget, StockLevelAllocationsDoNotGrowWithRowsRead) {
 }
 
 // New-Order: 5-15 lines, each an ITEM read, a STOCK read-modify-write and
-// an ORDER-LINE insert. Each write still allocates its row encoding and
-// the undo images it keeps; everything else is reused.
+// an ORDER-LINE insert. Each write still allocates the undo images it
+// keeps; its encoding and everything else are reused.
 TEST(AllocBudget, NewOrderStaysUnderBudget) {
   if (!VDB_ALLOC_COUNTING) GTEST_SKIP() << "the sanitizer owns operator new";
   Terminal t(/*orders_per_district=*/100);
@@ -138,6 +140,40 @@ TEST(AllocBudget, NewOrderStaysUnderBudget) {
   for (int i = 0; i < kRuns; ++i) VDB_CHECK(t.txns.new_order(1).is_ok());
   const double per_txn = static_cast<double>(scope.count()) / kRuns;
   EXPECT_LE(per_txn, 100.0);
+}
+
+// The initial population encodes every row into the loading thread's
+// buffer and bulk-builds the B+-tree paths once. A row still allocates two
+// things: the copy of its image the engine keeps for undo, and the holder
+// list of its 2PL lock entry (a bulk transaction's lock table is freed when
+// it drains). Pages, undo lists and path arrays grow by the page or
+// geometrically. A third allocation per row, such as a fresh encoding
+// vector, breaks the budget.
+TEST(AllocBudget, LoadStaysUnderBudgetPerRow) {
+  if (!VDB_ALLOC_COUNTING) GTEST_SKIP() << "the sanitizer owns operator new";
+  testing::SimEnv env;
+  auto db = std::make_unique<engine::Database>(
+      &env.host, &env.sched, testing::SmallTpcc::config());
+  ASSERT_TRUE(db->create().is_ok());
+  ASSERT_TRUE(db->create_tablespace("TPCC", {{"/data/t1.dbf", 512},
+                                             {"/data/t2.dbf", 512}})
+                  .is_ok());
+  auto user = db->create_user("TPCC", false);
+  ASSERT_TRUE(user.is_ok());
+  TpccDb tdb(testing::SmallTpcc::scale(/*orders_per_district=*/100));
+  ASSERT_TRUE(tdb.create_schema(*db, "TPCC", user.value()).is_ok());
+  ASSERT_TRUE(tdb.attach(db.get()).is_ok());
+  Loader loader(&tdb, 7);
+
+  AllocScope scope;
+  auto stats = loader.load();
+  const std::uint64_t allocations = scope.count();
+  ASSERT_TRUE(stats.is_ok());
+  ASSERT_GT(stats.value().rows, 10000u);
+  const double per_row =
+      static_cast<double>(allocations) / static_cast<double>(stats.value().rows);
+  EXPECT_LE(per_row, 2.5) << allocations << " allocations for "
+                          << stats.value().rows << " rows";
 }
 
 // Once every frame of the pool exists, a miss reuses its victim's frame in

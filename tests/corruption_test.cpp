@@ -108,7 +108,7 @@ TEST_F(CorruptionTest, ChecksumMismatchDetectedOnFetchMiss) {
 // Online block media recovery restores the damaged block from the backup
 // and rolls it forward through the replay plan: every row of the block,
 // written after the backup, comes back.
-TEST(BlockRecovery, ByteIdenticalAcrossReplayJobCounts) {
+TEST(BlockRecovery, RestoresEveryRowOfTheDamagedBlock) {
   SimEnv env;
   engine::DatabaseConfig cfg = small_db_config(/*archive=*/true);
   SmallDb small(env, cfg);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "storage/page.hpp"
 
@@ -80,6 +83,54 @@ TEST(Page, FillToCapacity) {
   }
   EXPECT_EQ(page.used_count(), cap);
   EXPECT_EQ(page.find_free_slot(), Page::kNoSlot);
+}
+
+// find_free_slot returns the lowest free slot wherever it sits: in a hole
+// between used slots, or as the only free slot in a last bitmap byte that
+// the capacity fills only in part.
+TEST(Page, FindFreeSlotReturnsTheLowestFreeSlot) {
+  Page page;
+  page.format(TableId{1}, 32);
+  const std::uint16_t cap = page.capacity();
+  ASSERT_NE(cap % 8, 0) << "the last bitmap byte must be partial";
+  const std::vector<std::uint8_t> payload{7};
+  for (std::uint16_t slot = 0; slot < cap; ++slot) page.set_slot(slot, payload);
+  EXPECT_EQ(page.find_free_slot(), Page::kNoSlot);
+
+  const std::uint16_t last = cap - 1;
+  page.clear_slot(last);
+  EXPECT_EQ(page.find_free_slot(), last);
+
+  const std::vector<std::uint16_t> holes{8, 9, 37, 100, last};
+  for (const std::uint16_t hole : holes) page.clear_slot(hole);
+  for (const std::uint16_t hole : holes) {
+    EXPECT_EQ(page.find_free_slot(), hole);
+    page.set_slot(hole, payload);
+  }
+  EXPECT_EQ(page.find_free_slot(), Page::kNoSlot);
+}
+
+// A view over a page's bytes reads what the page reads.
+TEST(Page, ViewReadsTheSameImage) {
+  Page page;
+  page.format(TableId{4}, 24);
+  page.set_slot(5, std::vector<std::uint8_t>{1, 2, 3});
+  page.set_lsn(77);
+  page.update_checksum();
+  const PageView view(page.raw());
+  EXPECT_TRUE(view.formatted());
+  EXPECT_EQ(view.owner(), TableId{4});
+  EXPECT_EQ(view.capacity(), page.capacity());
+  EXPECT_EQ(view.used_count(), 1);
+  EXPECT_EQ(view.lsn(), 77u);
+  EXPECT_EQ(view.find_free_slot(), 0);
+  EXPECT_TRUE(view.verify_checksum());
+  auto read = view.read_slot(5);
+  ASSERT_TRUE(read.is_ok());
+  EXPECT_EQ(read.value().data(), page.read_slot(5).value().data());
+  EXPECT_FALSE(view.read_slot(4).is_ok());
+  const Page copy(view);
+  EXPECT_TRUE(std::equal(copy.raw(), copy.raw() + Page::kSize, page.raw()));
 }
 
 TEST(Page, LsnStored) {

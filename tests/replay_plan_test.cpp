@@ -93,7 +93,7 @@ bool contains(const std::vector<std::string>& rows, const std::string& r) {
   return std::find(rows.begin(), rows.end(), r) != rows.end();
 }
 
-TEST(ReplayPlanTest, InstanceRecoveryByteIdenticalAcrossJobs) {
+TEST(ReplayPlanTest, InstanceRecoveryKeepsCommittedRowsOnly) {
   const RecoveredState state = recover_after_crash();
   // 120 inserted, 10 erased by the committed transaction.
   EXPECT_EQ(state.accounts.size(), 110u);
@@ -140,7 +140,7 @@ MediaOutcome recover_deleted_datafile() {
   return out;
 }
 
-TEST(ReplayPlanTest, MediaRecoveryReportIdenticalAcrossJobs) {
+TEST(ReplayPlanTest, MediaRecoveryRestoresTheDeletedDatafile) {
   const MediaOutcome out = recover_deleted_datafile();
   EXPECT_TRUE(out.report.complete);
   EXPECT_EQ(out.report.files_restored, 1u);
@@ -190,7 +190,7 @@ PitOutcome incomplete_recovery() {
   return out;
 }
 
-TEST(ReplayPlanTest, IncompleteRecoveryIdenticalAcrossJobs) {
+TEST(ReplayPlanTest, IncompleteRecoveryStopsAtItsTarget) {
   const PitOutcome out = incomplete_recovery();
   EXPECT_FALSE(out.report.complete);
   EXPECT_GE(out.report.records_applied, 60u);
@@ -254,7 +254,7 @@ TpccOutcome tpcc_crash_recovery() {
   return out;
 }
 
-TEST(ReplayPlanTest, TpccCrashRecoveryConsistentAcrossJobs) {
+TEST(ReplayPlanTest, TpccCrashRecoveryStaysConsistent) {
   const TpccOutcome out = tpcc_crash_recovery();
   EXPECT_EQ(out.violations, 0u);
   EXPECT_GT(out.orders, 0u);

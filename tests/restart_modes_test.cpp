@@ -109,7 +109,7 @@ RecoveredState crash_and_recover(RestartMode mode, bool stall) {
   return state;
 }
 
-TEST(RestartModesTest, AllModesConvergeToTraditionalStateAtAnyJobCount) {
+TEST(RestartModesTest, AllModesConvergeToTraditionalState) {
   const RecoveredState baseline =
       crash_and_recover(RestartMode::kM1Traditional, false);
   ASSERT_FALSE(baseline.accounts.empty());

@@ -196,7 +196,7 @@ TEST_F(StorageManagerTest, ScanFileVisitsFormattedPages) {
   }
   sm_->cache().checkpoint();
   int visited = 0;
-  ASSERT_TRUE(sm_->scan_file(FileId{0}, [&](std::uint32_t, const Page& page) {
+  ASSERT_TRUE(sm_->scan_file(FileId{0}, [&](std::uint32_t, PageView page) {
                   EXPECT_EQ(page.owner(), TableId{7});
                   visited += 1;
                 }).is_ok());
@@ -313,7 +313,7 @@ TEST_F(TableHeapTest, RegisterPageRebuild) {
 
   TableHeap rebuilt(sm_.get(), TableId{1}, ts_, 32);
   ASSERT_TRUE(sm_->scan_file(FileId{0}, [&](std::uint32_t block,
-                                            const Page& page) {
+                                            PageView page) {
                   if (page.owner() != TableId{1}) return;
                   rebuilt.register_page(PageId{FileId{0}, block},
                                         page.used_count() < page.capacity(),

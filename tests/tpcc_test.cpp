@@ -404,6 +404,94 @@ TEST_F(TpccFixture, RestartRebuildKeepsEveryAccessPath) {
   EXPECT_EQ(std::get<3>(*it), std::min(order, order_dup.value()));
 }
 
+// The loader bulk-builds the B+-tree paths from the rows it inserts; a
+// restart builds them from its rebuild scan of the datafiles. Both hold the
+// same entries, dense paths included.
+TEST_F(TpccFixture, LoadedAccessPathsEqualARebuildScans) {
+  const std::vector<TreeEntry> loaded = tree_entries(*tdb_);
+  const size_t entries = tdb_->index_entries();
+  ASSERT_GT(loaded.size(), 1000u);
+
+  // The load ran NOLOGGING; make it durable as the harness's backup does.
+  ASSERT_TRUE(db_->checkpoint_now().is_ok());
+  ASSERT_TRUE(db_->shutdown_abort().is_ok());
+  auto fresh =
+      std::make_unique<engine::Database>(&env_.host, &env_.sched, cfg_);
+  fresh->set_on_mounted(
+      [this](engine::Database& d) { ASSERT_TRUE(tdb_->attach(&d).is_ok()); });
+  ASSERT_TRUE(fresh->startup().is_ok());
+  db_ = std::move(fresh);
+
+  EXPECT_EQ(tdb_->index_entries(), entries);
+  EXPECT_TRUE(tree_entries(*tdb_) == loaded);
+}
+
+// The access paths decode only a row's key fields. For every loaded row of
+// the nine tables the key view equals the full decode's fields (HISTORY,
+// which no path keys, decodes in full), and a row cut short inside its key
+// still aborts, as the full decode does.
+TEST_F(TpccFixture, KeyViewsMatchTheFullDecode) {
+  const auto each_row = [&](Tbl t, const auto& check) {
+    std::uint64_t rows = 0;
+    ASSERT_TRUE(db_->scan(tdb_->table(t),
+                          [&](RowId, std::span<const std::uint8_t> bytes) {
+                            check(bytes);
+                            rows += 1;
+                            return true;
+                          })
+                    .is_ok());
+    EXPECT_GT(rows, 0u) << table_name(t);
+  };
+  using Bytes = std::span<const std::uint8_t>;
+  each_row(Tbl::kWarehouse, [](Bytes b) {
+    EXPECT_EQ(from_bytes<WarehouseKey>(b).w_id, from_bytes<WarehouseRow>(b).w_id);
+  });
+  each_row(Tbl::kDistrict, [](Bytes b) {
+    const auto k = from_bytes<DistrictKey>(b);
+    const auto r = from_bytes<DistrictRow>(b);
+    EXPECT_EQ(std::tie(k.d_id, k.d_w_id), std::tie(r.d_id, r.d_w_id));
+  });
+  each_row(Tbl::kCustomer, [](Bytes b) {
+    const auto k = from_bytes<CustomerKey>(b);
+    const auto r = from_bytes<CustomerRow>(b);
+    EXPECT_EQ(std::tie(k.c_id, k.c_d_id, k.c_w_id),
+              std::tie(r.c_id, r.c_d_id, r.c_w_id));
+    EXPECT_EQ(k.c_last.view(), r.c_last.view());
+  });
+  each_row(Tbl::kHistory, [](Bytes b) { (void)from_bytes<HistoryRow>(b); });
+  each_row(Tbl::kNewOrder, [](Bytes b) {
+    const auto r = from_bytes<NewOrderRow>(b);
+    EXPECT_EQ(to_bytes(r), std::vector<std::uint8_t>(b.begin(), b.end()));
+  });
+  each_row(Tbl::kOrder, [](Bytes b) {
+    const auto k = from_bytes<OrderKey>(b);
+    const auto r = from_bytes<OrderRow>(b);
+    EXPECT_EQ(std::tie(k.o_id, k.o_d_id, k.o_w_id, k.o_c_id),
+              std::tie(r.o_id, r.o_d_id, r.o_w_id, r.o_c_id));
+  });
+  each_row(Tbl::kOrderLine, [](Bytes b) {
+    const auto k = from_bytes<OrderLineKey>(b);
+    const auto r = from_bytes<OrderLineRow>(b);
+    EXPECT_EQ(std::tie(k.ol_o_id, k.ol_d_id, k.ol_w_id, k.ol_number),
+              std::tie(r.ol_o_id, r.ol_d_id, r.ol_w_id, r.ol_number));
+  });
+  each_row(Tbl::kItem, [](Bytes b) {
+    EXPECT_EQ(from_bytes<ItemKey>(b).i_id, from_bytes<ItemRow>(b).i_id);
+  });
+  each_row(Tbl::kStock, [](Bytes b) {
+    const auto k = from_bytes<StockQuantity>(b);
+    const auto r = from_bytes<StockRow>(b);
+    EXPECT_EQ(std::tie(k.s_i_id, k.s_w_id), std::tie(r.s_i_id, r.s_w_id));
+  });
+
+  OrderLineRow line;
+  line.ol_o_id = 1;
+  const std::vector<std::uint8_t> bytes = to_bytes(line);
+  const Bytes cut(bytes.data(), 12);  // ends before ol_number
+  EXPECT_DEATH((void)from_bytes<OrderLineRow>(cut), "row decode failed");
+  EXPECT_DEATH((void)from_bytes<OrderLineKey>(cut), "row decode failed");
+}
+
 TEST_F(TpccFixture, EachTransactionTypeExecutes) {
   TpccRandom random(Rng{7}, scale_);
   TpccTxns txns(tdb_.get(), &random);
