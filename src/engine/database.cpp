@@ -1,7 +1,6 @@
 #include "engine/database.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 namespace vdb::engine {
@@ -1041,10 +1040,8 @@ Status Database::apply_record(const wal::LogRecord& rec) {
         storage_->set_high_water(rec.page.file, rec.page.block + 1);
         return Status::ok();
       }
-      if (!ref.is_ok() && ref.code() != ErrorCode::kOffline) {
-        // Unreadable page (e.g. file shorter than target block): let
-        // apply_format extend and format it.
-      }
+      // An unreadable page (e.g. file shorter than the target block) is
+      // extended and formatted by apply_format.
       return storage_->apply_format(rec.page, rec.format_owner, rec.slot_size,
                                     rec.lsn);
     }
@@ -1114,14 +1111,12 @@ Status Database::apply_record(const wal::LogRecord& rec) {
 }
 
 RedoApplyPlan Database::make_replay_plan(
-    std::function<void(Lsn, const Status&)> on_skip,
     std::function<void(std::uint64_t)> charge_apply) {
   RedoApplyPlan::Hooks hooks;
   hooks.storage = storage_.get();
   hooks.serial_apply = [this](const wal::LogRecord& rec) {
     return apply_record(rec);
   };
-  hooks.on_skip = std::move(on_skip);
   hooks.obs = obs_;
   hooks.charge_apply = std::move(charge_apply);
   return RedoApplyPlan(std::move(hooks));
@@ -1140,12 +1135,11 @@ Result<Lsn> Database::instance_recovery() {
   const Lsn start = redo_->recovery_position();
   Lsn recovered_to = start;
   std::uint64_t records = 0;
-  std::uint64_t skipped = 0;
   Status inner = Status::ok();
 
-  // Two-phase replay: the scan below does the serial bookkeeping (redo
-  // analysis, clock charges) and stages page records; the plan applies them
-  // partitioned by page at each drain point.
+  // The scan charges each record and feeds it to the plan, which notes it,
+  // stages page records and drains at DDL barriers; any error it returns
+  // stops the recovery.
   //
   // Early-open modes (M2-M4) split the per-record cost: the scan charges
   // only the analysis share, and the plan charges the apply share when a
@@ -1159,17 +1153,8 @@ Result<Lsn> Database::instance_recovery() {
       advance(cfg_.cost.cpu_per_redo_apply * n);
     };
   }
-  auto plan_owner = std::make_unique<RedoApplyPlan>(make_replay_plan(
-      [&](Lsn lsn, const Status& st) {
-        skipped += 1;
-        if (skipped <= 8) {
-          std::fprintf(stderr,
-                       "[instance-recovery] skipped record lsn=%llu: %s\n",
-                       static_cast<unsigned long long>(lsn),
-                       st.to_string().c_str());
-        }
-      },
-      std::move(charge_apply)));
+  auto plan_owner =
+      std::make_unique<RedoApplyPlan>(make_replay_plan(std::move(charge_apply)));
   RedoApplyPlan& plan = *plan_owner;
 
   Status read_st = redo_->read_online(start, [&](const wal::LogRecord& rec) {
@@ -1177,24 +1162,8 @@ Result<Lsn> Database::instance_recovery() {
     advance(early ? cfg_.cost.cpu_per_analysis_record
                   : cfg_.cost.cpu_per_replay_record);
     recovered_to = std::max(recovered_to, rec.lsn);
-    analysis.note(rec);
-    if (RedoApplyPlan::wants(rec.type)) {
-      plan.stage(rec);
-    } else if (wal::is_ddl(rec.type)) {
-      // A serial barrier: staged changes on the affected objects must land
-      // before the catalog/tablespace operation runs.
-      auto stats = plan.drain();
-      if (!stats.is_ok()) {
-        inner = stats.status();
-        return false;
-      }
-      Status st = apply_record(rec);
-      if (!st.is_ok() && !RedoApplyPlan::skippable(st.code())) {
-        inner = st;
-        return false;
-      }
-    }
-    return true;
+    inner = plan.feed(rec, RedoApplyPlan::Barriers::kDdl, &analysis).status();
+    return inner.is_ok();
   });
   if (read_st.is_ok() && inner.is_ok() && !early) {
     // M1: the whole backlog drains before the database opens. Early modes

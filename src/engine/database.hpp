@@ -225,10 +225,11 @@ class Database {
 
   //
   // Every replay driver (instance, media, block and point-in-time recovery,
-  // the stand-by's managed recovery) stages page records into a plan from
-  // make_replay_plan() and applies the rest through apply_record(). Those
-  // that rebuild a transaction table (instance and point-in-time recovery,
-  // stand-by activation) note every record in a RedoAnalysis and hand it to
+  // the stand-by's managed recovery) feeds each record it scans to a plan
+  // from make_replay_plan(): RedoApplyPlan::feed notes it, stages page
+  // records and applies barrier records through apply_record(). Those that
+  // rebuild a transaction table (instance and point-in-time recovery,
+  // stand-by activation) pass a RedoAnalysis to feed and hand it to
   // settle_analysis() once their redo is applied.
 
   /// Applies one redo record with page-LSN idempotency guards. DDL records
@@ -236,13 +237,11 @@ class Database {
   /// (RedoAnalysis notes them).
   Status apply_record(const wal::LogRecord& rec);
 
-  /// Builds a partitioned apply plan wired to this instance — the shared
-  /// phase-two engine for every replay driver. The driver scans the redo
-  /// stream serially, stages records the plan wants(), drains at serial
-  /// barriers and at end of scan. `on_skip` fires for records skipped on
-  /// missing/offline datafiles.
+  /// Builds an apply plan wired to this instance, whose serial apply is
+  /// apply_record(). The driver feeds it every record it scans and drains
+  /// it at end of scan. `charge_apply`, if set, is charged once per drained
+  /// run with the run's record count.
   RedoApplyPlan make_replay_plan(
-      std::function<void(Lsn, const Status&)> on_skip = nullptr,
       std::function<void(std::uint64_t)> charge_apply = nullptr);
 
   /// Rebuilds table heaps (and fires the rebuild hook) by scanning every

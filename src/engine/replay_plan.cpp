@@ -1,6 +1,9 @@
 #include "engine/replay_plan.hpp"
 
 #include <algorithm>
+#include <cstdio>
+
+#include "engine/redo_analysis.hpp"
 
 namespace vdb::engine {
 
@@ -18,6 +21,37 @@ bool RedoApplyPlan::wants(wal::LogRecordType type) {
       return true;
     default:
       return false;
+  }
+}
+
+Result<RedoApplyPlan::Stats> RedoApplyPlan::feed(const wal::LogRecord& rec,
+                                                 Barriers barriers,
+                                                 RedoAnalysis* analysis) {
+  if (analysis != nullptr) analysis->note(rec);
+  if (wants(rec.type)) {
+    stage(rec);
+    return Stats{};
+  }
+  if (barriers == Barriers::kDdl && !wal::is_ddl(rec.type)) return Stats{};
+  // A serial barrier: staged changes must land before the record runs.
+  VDB_ASSIGN_OR_RETURN(Stats stats, drain());
+  Status st = hooks_.serial_apply(rec);
+  if (st.is_ok()) {
+    stats.applied += 1;
+  } else if (skippable(st.code())) {
+    skip(rec.lsn, st);
+  } else {
+    return st;
+  }
+  return stats;
+}
+
+void RedoApplyPlan::skip(Lsn lsn, const Status& st) {
+  skipped_ += 1;
+  skipped_counter_->inc();
+  if (skipped_ <= kSkipReports) {
+    std::fprintf(stderr, "[replay] skipped record lsn=%llu: %s\n",
+                 static_cast<unsigned long long>(lsn), st.to_string().c_str());
   }
 }
 
@@ -101,8 +135,7 @@ Status RedoApplyPlan::apply_serially(Run& run, Stats* stats) {
       continue;
     }
     if (!skippable(st.code())) return st;
-    skipped_counter_->inc();
-    if (hooks_.on_skip) hooks_.on_skip(e.lsn, st);
+    skip(e.lsn, st);
   }
   return Status::ok();
 }
@@ -117,10 +150,7 @@ Status RedoApplyPlan::prepare_run(Run& run, Stats* stats) {
   auto ref = hooks_.storage->fetch(run.page);
   if (!ref.is_ok()) {
     if (!skippable(ref.code())) return ref.status();
-    for (std::uint32_t idx : run.items) {
-      skipped_counter_->inc();
-      if (hooks_.on_skip) hooks_.on_skip(entries_[idx].lsn, ref.status());
-    }
+    for (std::uint32_t idx : run.items) skip(entries_[idx].lsn, ref.status());
     return Status::ok();
   }
   if (!ref.value()->formatted()) return apply_serially(run, stats);

@@ -1,15 +1,18 @@
-// Partitioned redo apply plan: the shared second phase of every replay
-// driver (instance recovery, media recovery, standby managed recovery).
+// Partitioned redo apply plan: the one replay step of every recovery
+// driver (instance recovery, media, block and point-in-time recovery,
+// standby managed recovery).
 //
-// Replay is two-phase. Phase one — the driver's scan — walks the redo
-// stream in LSN order doing the bookkeeping only a serial pass can do
-// (redo analysis, stop-before positions, simulated-clock charges) and
-// stages every page-targeted record here. Phase two — drain()
-// — groups the staged records into per-page runs and applies them chunk by
-// chunk on the calling thread: each run's page is fetched and pinned in run
-// order and its records apply in LSN order right away; the chunk's dirty
-// marks and unpins follow once the whole chunk is through, so the pages of
-// one chunk never evict each other.
+// A driver scans the redo stream in LSN order and hands each record to
+// feed(). The driver keeps only what differs between drivers: its sources,
+// its stop rule, its per-record clock charge, where its barriers fall and
+// what it does with an error feed() returns. feed() does the rest: it notes
+// the record in the driver's RedoAnalysis, stages a page record here, and at
+// a barrier drains the plan and applies the record serially. drain() groups
+// the staged records into per-page runs and applies them chunk by chunk on
+// the calling thread: each run's page is fetched and pinned in run order
+// and its records apply in LSN order right away; the chunk's dirty marks
+// and unpins follow once the whole chunk is through, so the pages of one
+// chunk never evict each other.
 //
 // Runs that need engine machinery — page-format records, pages formatted by
 // a NOLOGGING table (no format record exists) — are applied serially
@@ -38,23 +41,30 @@
 
 namespace vdb::engine {
 
+struct RedoAnalysis;
+
 class RedoApplyPlan {
  public:
   struct Stats {
     /// Records applied, guard-skipped ones (change already on the page)
-    /// included. Records skipped on missing/offline files are reported
-    /// through Hooks::on_skip and the "replay records skipped" counter.
+    /// included. The "replay records applied" counter counts the staged
+    /// ones; feed()'s Stats also count its record when it applied at a
+    /// barrier.
     std::uint64_t applied = 0;
   };
+
+  /// Which unstaged records are serial barriers (drain, then apply); the
+  /// rest are only noted. kDdl: DDL only (instance recovery, standby).
+  /// kEveryUnstaged: transaction bookkeeping too, so media and point-in-time
+  /// recovery drain about once per replayed transaction — a model choice:
+  /// it sets fetch order, physical reads and simulated recovery time.
+  enum class Barriers { kDdl, kEveryUnstaged };
 
   struct Hooks {
     storage::StorageManager* storage = nullptr;
     /// Full engine-level apply (Database::apply_record): used for format
     /// records and runs whose page the fast path cannot handle.
     std::function<Status(const wal::LogRecord&)> serial_apply;
-    /// Invoked (serially, in staging order per page) for every record
-    /// skipped because its datafile is gone or offline. Optional.
-    std::function<void(Lsn, const Status&)> on_skip;
     /// Statistics area; nullptr falls back to the process default.
     obs::Observability* obs = nullptr;
     /// Serial per-run charge, invoked once per drained run with the run's
@@ -71,25 +81,26 @@ class RedoApplyPlan {
     drains_counter_ = reg.counter("replay drains");
   }
 
-  /// True for apply errors a replay skips instead of failing on: the
-  /// record touches a deleted, offline or corrupt file, which media
-  /// recovery (whole-file or per-block) brings forward later. Every replay
-  /// driver uses this one set.
-  static bool skippable(ErrorCode code);
+  /// The one per-record replay step. Notes `rec` in `analysis` when one is
+  /// given; stages a page record (DML, page format); applies a barrier
+  /// record (see Barriers) through the serial apply after draining the
+  /// plan. A skippable apply error goes down the skip path; any other
+  /// error — of the drain or of the record's apply — is returned, and the
+  /// caller decides whether to stop. The Stats count the records the drain
+  /// applied plus `rec` when it applied at the barrier.
+  Result<Stats> feed(const wal::LogRecord& rec, Barriers barriers,
+                     RedoAnalysis* analysis = nullptr);
 
-  /// True for record types the plan partitions (DML + page format). The
-  /// driver applies everything else itself — DDL and checkpoint records are
-  /// serial barriers: drain() first, then apply the record.
-  static bool wants(wal::LogRecordType type);
-
-  /// Stages `rec`: a compact entry plus, for inserts and updates, a copy
-  /// of its after image in the plan's byte arena. Nothing points into
-  /// `rec` afterwards, so it may be parse_records' reused scratch record.
-  /// Must only be called with wants(rec.type) true.
+  /// Stages a page record as feed() does, for callers that build a plan
+  /// by hand: a compact entry plus, for inserts and updates, a copy of its
+  /// after image in the plan's byte arena. Nothing points into `rec`
+  /// afterwards, so it may be parse_records' reused scratch record.
   void stage(const wal::LogRecord& rec);
 
-  std::size_t staged() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  /// Records skipped over the plan's life, staged and barrier records
+  /// alike: the one skip path, which also feeds the "replay records
+  /// skipped" counter and reports the first kSkipReports on stderr.
+  std::uint64_t skipped() const { return skipped_; }
 
   /// Applies every staged record and resets the plan. Entries, the image
   /// arena, runs, their item lists, the page index and the drain's scratch
@@ -133,6 +144,15 @@ class RedoApplyPlan {
   void overlay_page(PageId pid, storage::Page* copy) const;
 
  private:
+  /// True for apply errors a replay skips instead of failing on: the
+  /// record touches a deleted, offline or corrupt file, which media
+  /// recovery (whole-file or per-block) brings forward later.
+  static bool skippable(ErrorCode code);
+  /// True for record types the plan stages (DML + page format).
+  static bool wants(wal::LogRecordType type);
+  void skip(Lsn lsn, const Status& st);
+  static constexpr std::uint64_t kSkipReports = 8;
+
   /// One staged record: what the apply needs and no more. A DML record
   /// keeps its row address and table; a format record its page (in
   /// `rid.page`), owner and slot size. Inserts and updates keep their after
@@ -183,8 +203,8 @@ class RedoApplyPlan {
   void reset();
 
   Hooks hooks_;
-  /// Staged entries (staged() of them) and the after images they point
-  /// into. Both are cleared, not freed, when the plan resets.
+  /// Staged entries and the after images they point into. Both are
+  /// cleared, not freed, when the plan resets.
   std::vector<Entry> entries_;
   std::vector<std::uint8_t> arena_;
   /// Runs in first-touch (LSN) order — deterministic. The first run_count_
@@ -198,6 +218,7 @@ class RedoApplyPlan {
   /// one.
   std::vector<std::uint32_t> selected_scratch_;
   wal::LogRecord scratch_record_;
+  std::uint64_t skipped_ = 0;
   obs::Counter* applied_counter_ = nullptr;
   obs::Counter* skipped_counter_ = nullptr;
   obs::Counter* drains_counter_ = nullptr;

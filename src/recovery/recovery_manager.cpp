@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <vector>
-#include <cstdio>
 
 #include "wal/redo_log.hpp"
 
@@ -136,23 +135,29 @@ Result<RecoveryReport> RecoveryManager::replay_from(
   Status inner = Status::ok();
   std::uint64_t expected_seq = sources[*first].seq;
 
-  // Two-phase replay: the scan stages page records into the plan; each
-  // drain applies them partitioned by page, in run order on this thread.
-  // Skip diagnostics arrive through on_skip in staging order per page.
-  auto note_skip = [&](Lsn lsn, const Status& st) {
-    report.records_skipped += 1;
-    if (report.records_skipped <= 4) {
-      std::fprintf(stderr, "[recovery] skipped record lsn=%llu: %s\n",
-                   static_cast<unsigned long long>(lsn),
-                   st.to_string().c_str());
+  // Every record is charged, including those below `from`; from `from` on,
+  // those the filter passes are fed to the plan. Every record the plan does
+  // not stage is a barrier: the plan drains before it and applies it, and
+  // the report counts it as applied.
+  engine::RedoApplyPlan plan = db.make_replay_plan();
+  auto handle_record = [&](const wal::LogRecord& rec) {
+    if (stop_before && stop_before(rec)) {
+      stopped = true;
+      return false;
     }
-  };
-  engine::RedoApplyPlan plan = db.make_replay_plan(note_skip);
-  auto drain_plan = [&]() -> Status {
-    auto stats = plan.drain();
-    if (!stats.is_ok()) return stats.status();
-    report.records_applied += stats.value().applied;
-    return Status::ok();
+    db.clock().advance_by(cost.cpu_per_replay_record);
+    if (rec.lsn < from) return true;
+    if (!should_apply || should_apply(rec)) {
+      auto fed = plan.feed(
+          rec, engine::RedoApplyPlan::Barriers::kEveryUnstaged, analysis);
+      if (!fed.is_ok()) {
+        inner = fed.status();
+        return false;
+      }
+      report.records_applied += fed.value().applied;
+    }
+    report.recovered_to = std::max(report.recovered_to, rec.lsn);
+    return true;
   };
 
   for (size_t i = *first; i < sources.size() && !stopped; ++i) {
@@ -160,59 +165,25 @@ Result<RecoveryReport> RecoveryManager::replay_from(
     if (src.seq != expected_seq) {
       // Missing sequence (deleted archive / overwritten group): the chain
       // is broken; recovery cannot proceed past this point.
-      VDB_RETURN_IF_ERROR(drain_plan());
       report.complete = false;
-      return report;
+      break;
     }
     expected_seq += 1;
-
-    auto handle_record = [&](const wal::LogRecord& rec) {
-      if (stop_before && stop_before(rec)) {
-        stopped = true;
-        return false;
-      }
-      db.clock().advance_by(cost.cpu_per_replay_record);
-      if (rec.lsn < from) return true;
-      if (analysis != nullptr) analysis->note(rec);
-      if (!should_apply || should_apply(rec)) {
-        if (engine::RedoApplyPlan::wants(rec.type)) {
-          plan.stage(rec);
-        } else {
-          // Serial barrier: DDL and transaction bookkeeping records must
-          // see every staged page change applied before they run.
-          Status st = drain_plan();
-          if (st.is_ok()) st = db.apply_record(rec);
-          if (!st.is_ok()) {
-            if (!engine::RedoApplyPlan::skippable(st.code())) {
-              inner = st;
-              return false;
-            }
-            note_skip(rec.lsn, st);
-          } else {
-            report.records_applied += 1;
-          }
-        }
-      }
-      report.recovered_to = std::max(report.recovered_to, rec.lsn);
-      return true;
-    };
 
     if (src.is_archive) {
       db.clock().advance_by(cost.archive_file_overhead);
       auto bytes = fs.read_all(src.archive_path, sim::IoMode::kForeground);
       if (!bytes.is_ok()) {
-        VDB_RETURN_IF_ERROR(drain_plan());
         report.complete = false;  // archive unreadable (corrupted)
-        return report;
+        break;
       }
       report.archives_read += 1;
       VDB_RETURN_IF_ERROR(wal::parse_log_records(bytes.value(), handle_record));
     } else {
       auto member = db.redo().intact_member(src.group_index);
       if (!member.is_ok()) {
-        VDB_RETURN_IF_ERROR(drain_plan());
         report.complete = false;  // every member of a needed group lost
-        return report;
+        break;
       }
       auto bytes = fs.read_all(member.value(), sim::IoMode::kForeground);
       if (!bytes.is_ok()) return bytes.status();
@@ -220,7 +191,9 @@ Result<RecoveryReport> RecoveryManager::replay_from(
     }
     if (!inner.is_ok()) return inner;
   }
-  VDB_RETURN_IF_ERROR(drain_plan());
+  VDB_ASSIGN_OR_RETURN(const engine::RedoApplyPlan::Stats stats, plan.drain());
+  report.records_applied += stats.applied;
+  report.records_skipped = plan.skipped();
 
   if (stopped) report.complete = false;
   return report;

@@ -97,9 +97,12 @@ class RecoveryManager {
   /// groups. `should_apply` filters (nullptr = apply everything);
   /// `stop_before` ends the replay without applying the matching record
   /// (nullptr = never stop). Detects redo-chain gaps via group sequence
-  /// continuity. `analysis`, when given, notes every record from `from` up
-  /// to the stop point (point-in-time recovery; media and block recovery
-  /// rebuild no transaction table).
+  /// continuity. `analysis`, when given, notes every record the filter
+  /// passes from `from` up to the stop point (point-in-time recovery, which
+  /// filters nothing; media and block recovery rebuild no transaction
+  /// table). Each record goes through RedoApplyPlan::feed with a barrier at
+  /// every record the plan does not stage; records_applied counts those
+  /// barrier records too, and an error feed returns ends the replay.
   Result<RecoveryReport> replay_from(
       engine::Database& db, Lsn from,
       const std::function<bool(const wal::LogRecord&)>& should_apply,

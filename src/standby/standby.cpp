@@ -90,29 +90,21 @@ void StandbyDatabase::apply_archive(const std::string& standby_path) {
   auto bytes = host_->fs().read_all(standby_path, sim::IoMode::kBackground);
   if (!bytes.is_ok()) return;
 
-  // Managed recovery is the same two-phase replay the primary's recovery
-  // drivers use: scan serially (redo analysis, busy-time accounting), stage
-  // page records, drain the partitioned plan at DDL barriers and at the end
-  // of the archive. Apply failures are ignored — gaps are impossible since
-  // archives arrive in sequence order. The archive is parsed where it lies
-  // on the standby's disk; the plan, kept across archives, copies the after
-  // images it stages into its own pooled arena.
-  engine::RedoApplyPlan& plan = *plan_;
+  // Managed recovery feeds every record to the plan, kept across archives,
+  // which notes it in the analysis, stages page records and drains at DDL
+  // barriers; the plan drains again at the end of the archive. Errors are
+  // ignored: gaps are impossible since archives arrive in sequence order.
+  // The archive is parsed where it lies on the standby's disk; the plan
+  // copies the after images it stages into its own pooled arena. The CPU
+  // is horizon-accounted for the whole archive.
   std::uint64_t records = 0;
   (void)wal::parse_log_records(bytes.value(), [&](const wal::LogRecord& rec) {
     records += 1;
     applied_to_ = std::max(applied_to_, rec.lsn);
-    analysis_.note(rec);
-    if (engine::RedoApplyPlan::wants(rec.type)) {
-      plan.stage(rec);
-    } else if (wal::is_ddl(rec.type)) {
-      (void)plan.drain();  // DDL barrier
-      (void)db_->apply_record(rec);
-    }
+    (void)plan_->feed(rec, engine::RedoApplyPlan::Barriers::kDdl, &analysis_);
     return true;
   });
-  (void)plan.drain();
-  records_applied_ += records;
+  (void)plan_->drain();
   archives_applied_ += 1;
   busy_until_ += records * cfg_.db.cost.cpu_per_replay_record;
 }
@@ -150,7 +142,6 @@ Result<ActivationReport> StandbyDatabase::activate() {
   ActivationReport report;
   report.recovered_to = applied_to_;
   report.archives_applied = archives_applied_;
-  report.records_applied = records_applied_;
   return report;
 }
 

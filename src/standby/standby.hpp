@@ -7,9 +7,10 @@
 // received, opens with RESETLOGS, and takes over.
 //
 // Managed recovery is one more replay driver over the engine's shared
-// pieces: each archive is staged into a RedoApplyPlan and noted in one
-// RedoAnalysis kept across archives; activation settles that analysis the
-// way instance recovery settles its own (Database::settle_analysis).
+// pieces: each archive's records are fed to one RedoApplyPlan, with DDL
+// barriers, and noted in one RedoAnalysis, both kept across archives;
+// activation settles that analysis the way instance recovery settles its
+// own (Database::settle_analysis).
 //
 // Two properties drive the paper's results:
 //  - activation time is short and independent of the fault type and of the
@@ -50,7 +51,6 @@ struct ActivationReport {
   /// The standby is current up to here; primary commits above it are lost.
   Lsn recovered_to = 0;
   std::uint64_t archives_applied = 0;
-  std::uint64_t records_applied = 0;
 };
 
 class StandbyDatabase {
@@ -79,8 +79,9 @@ class StandbyDatabase {
   bool active() const { return activated_; }
 
  private:
-  /// Applies one shipped archive (state immediately, time onto the
-  /// busy-until horizon).
+  /// Applies one shipped archive: feeds every record to plan_ (state lands
+  /// immediately), drains at its end, and adds the archive's replay CPU to
+  /// the busy-until horizon. Apply errors are ignored.
   void apply_archive(const std::string& standby_path);
 
   sim::Host* host_;
@@ -93,7 +94,6 @@ class StandbyDatabase {
   std::unique_ptr<engine::RedoApplyPlan> plan_;
   Lsn applied_to_ = 0;
   std::uint64_t archives_applied_ = 0;
-  std::uint64_t records_applied_ = 0;
   SimTime busy_until_ = 0;       // managed-recovery work horizon
   SimTime last_arrival_ = 0;     // latest scheduled archive arrival
   /// Transaction table of all redo applied so far, kept across archives:
